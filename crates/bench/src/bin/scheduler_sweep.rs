@@ -1,17 +1,15 @@
 //! The scheduler n-sweep: `GlobalLine`, `Square` and `CountingOnALine` run to
-//! completion under the legacy rejection sampler, the adaptive indexed sampler, the
-//! batched geometric-jump sampler, the sharded composed-jump sampler at 1, 2 and 4
-//! shards, and the speculative engine (optimistic epochs with delta-log rollback) at
-//! 2 and 4 shards, on the same seed, for n = 64 … 1024. Emits `BENCH_scheduler.json`
-//! (steps/sec, speedup and per-row speculation rollback rates per size), the perf
-//! baseline that later PRs compare against.
+//! completion under the legacy rejection sampler, the adaptive indexed sampler and the
+//! sharded geometric-jump sampler at 1, 2 and 4 shards, on the same seed, for
+//! n = 64 … 1024. Emits `BENCH_scheduler.json` (steps/sec and speedup per size), the
+//! perf baseline that later PRs compare against.
 //!
 //! "Steps" follow the paper's convention — every scheduler selection counts, and the
-//! batched/sharded samplers' bulk-credited ineffective selections are included (they
-//! have the same distribution as one-at-a-time draws; see the geometric-jump invariant
-//! in `nc_core::scheduler`), so steps/sec across modes compares like for like. The
-//! three sharded rows of one (protocol, n) cell run the same seed at 1, 2 and 4 shards
-//! and must report **identical step counts** — the parallel-equivalence property the
+//! sharded sampler's bulk-credited ineffective selections are included (they have the
+//! same distribution as one-at-a-time draws; see the geometric-jump invariant in
+//! `nc_core::scheduler`), so steps/sec across modes compares like for like. The three
+//! sharded rows of one (protocol, n) cell run the same seed at 1, 2 and 4 shards and
+//! must report **identical step counts** — the parallel-equivalence property the
 //! sharded runtime guarantees (shard count is layout, not semantics).
 //!
 //! ```text
@@ -21,27 +19,26 @@
 //! cargo run -p nc-bench --release --bin scheduler_sweep -- --profile # per-phase columns
 //! ```
 //!
+//! `--protocols` takes a comma-separated list of either the short names
+//! (`line,square,counting`) or the rows' own protocol names (`global-line`,
+//! `square`, `counting-on-a-line`). `--sizes` above a protocol's size cap are skipped
+//! with a note on stderr.
+//!
 //! `--profile` attaches a telemetry handle to every benchmarked run and emits the
-//! per-phase wall-clock breakdown (sample/resolve/apply/flush/rollback, plus the
-//! delta-log record counter) both on stderr and as extra row columns
-//! (`nc_bench::sweep::SweepProfile`). The smoke gates always run unprofiled — the
-//! throughput comparisons stay free of instrumentation overhead.
+//! per-phase wall-clock breakdown (sample/apply/flush) both on stderr and as extra row
+//! columns (`nc_bench::sweep::SweepProfile`). The smoke gates always run unprofiled —
+//! the throughput comparisons stay free of instrumentation overhead.
 //!
 //! Each cell additionally runs the three deterministic adversarial-but-fair schedulers
 //! (`nc_core::adversary`: round-robin, worst-case, eclipse) at n ≤ 128 — they must
 //! still reach the guaranteed outcome, pinning fairness-despite-adversity in the
 //! artifact alongside the throughput rows.
 //!
-//! `--smoke` asserts (a) every mode completes with the protocol's guaranteed outcome at
-//! n = 256 — including the three adversaries at n = 64, which must also be
-//! bit-deterministic across two runs — (b) batched achieves at least the indexed
-//! steps/sec at n = 256, (c) the
-//! sharded *and speculative* rows report step counts identical to each other across
-//! shard counts and window sizes (speculation must be invisible in the trajectory),
-//! and (d) on Square n = 512 the sharded sampler at 4 shards achieves at least the
-//! batched steps/sec (best of three runs each, since both finish in milliseconds
-//! there) — the sharded aggregate-count hot path regressing below the batched recount
-//! path fails the build.
+//! `--smoke` asserts that every mode completes with the protocol's guaranteed outcome
+//! at n = 256 (including the three adversaries at n = 64, which must also be
+//! bit-deterministic across two runs), plus two gates: sharded@1 achieves at least the
+//! indexed steps/sec at n = 256, and the sharded rows report identical step counts at
+//! 1, 2 and 4 shards.
 //!
 //! Per-protocol caps keep the sweep finite: the legacy sampler's full-scan stability
 //! checks cost `O(n²·ports²)` per probe, which at GlobalLine n = 1024 is ~13 minutes
@@ -77,6 +74,16 @@ impl Proto {
         }
     }
 
+    /// Parses a `--protocols` entry: the short name or the rows' protocol name.
+    fn parse(name: &str) -> Option<Proto> {
+        match name {
+            "line" | "global-line" => Some(Proto::Line),
+            "square" => Some(Proto::Square),
+            "counting" | "counting-on-a-line" => Some(Proto::Counting),
+            _ => None,
+        }
+    }
+
     /// Largest population the legacy rejection sampler is run at (see module docs).
     fn legacy_cap(self) -> usize {
         match self {
@@ -95,64 +102,39 @@ impl Proto {
     }
 }
 
-/// One benchmarked execution: a sampling mode plus (for sharded/speculative rows) the
-/// shard count and speculation window.
+/// One benchmarked execution: a sampling mode plus (for sharded rows) the shard count.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ModeSpec {
     mode: SamplingMode,
     shards: usize,
-    speculation: usize,
     label: &'static str,
 }
 
-const MODES: [ModeSpec; 8] = [
+const MODES: [ModeSpec; 5] = [
     ModeSpec {
         mode: SamplingMode::Legacy,
         shards: 1,
-        speculation: 0,
         label: "legacy",
     },
     ModeSpec {
         mode: SamplingMode::Adaptive,
         shards: 1,
-        speculation: 0,
         label: "indexed",
-    },
-    ModeSpec {
-        mode: SamplingMode::Batched,
-        shards: 1,
-        speculation: 0,
-        label: "batched",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
         shards: 1,
-        speculation: 0,
         label: "sharded1",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
         shards: 2,
-        speculation: 0,
         label: "sharded2",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
         shards: 4,
-        speculation: 0,
         label: "sharded4",
-    },
-    ModeSpec {
-        mode: SamplingMode::Speculative,
-        shards: 2,
-        speculation: 8,
-        label: "speculative2",
-    },
-    ModeSpec {
-        mode: SamplingMode::Speculative,
-        shards: 4,
-        speculation: 8,
-        label: "speculative4",
     },
 ];
 
@@ -185,15 +167,14 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
         .with_seed(seed)
         .with_max_steps(2_000_000_000)
         .with_sampling(spec.mode)
-        .with_shards(spec.shards)
-        .with_speculation(spec.speculation);
+        .with_shards(spec.shards);
     let obs = if profile {
         Telemetry::enabled()
     } else {
         Telemetry::disabled()
     };
     let started = Instant::now();
-    let (report, stats, completed, timings, delta_records) = match proto {
+    let (report, stats, completed, timings) = match proto {
         Proto::Line => {
             let mut sim = Simulation::new(GlobalLine::new(), config);
             sim.set_telemetry(obs.clone());
@@ -204,13 +185,7 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
                 "a stable GlobalLine run must produce the spanning line"
             );
             let timings = snapshot_timings(GlobalLine::new(), &sim);
-            (
-                report,
-                sim.stats(),
-                ok,
-                timings,
-                sim.world().delta_records(),
-            )
+            (report, sim.stats(), ok, timings)
         }
         Proto::Square => {
             let mut sim = Simulation::new(Square::new(), config);
@@ -223,13 +198,7 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
                 "a stable Square run on a perfect-square population must produce the square"
             );
             let timings = snapshot_timings(Square::new(), &sim);
-            (
-                report,
-                sim.stats(),
-                ok,
-                timings,
-                sim.world().delta_records(),
-            )
+            (report, sim.stats(), ok, timings)
         }
         Proto::Counting => {
             let mut sim = Simulation::new(CountingOnALine::new(2), config);
@@ -241,19 +210,12 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
                 "a halted counting run must leave a halted leader"
             );
             let timings = snapshot_timings(CountingOnALine::new(2), &sim);
-            (
-                report,
-                sim.stats(),
-                ok,
-                timings,
-                sim.world().delta_records(),
-            )
+            (report, sim.stats(), ok, timings)
         }
     };
     // The run's wall-clock is measured before the snapshot probe but the probe runs
     // inside the `match`, so subtract it from the elapsed time.
     let seconds = started.elapsed().as_secs_f64() - (timings.0 + timings.1) / 1e3;
-    let speculation = report.speculation;
     Row {
         protocol: proto.name().to_string(),
         n,
@@ -266,13 +228,9 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
         skipped_steps: stats.skipped_steps,
         steps_per_sec: report.steps as f64 / seconds.max(1e-9),
         completed,
-        speculated: speculation.speculated,
-        spec_committed: speculation.committed,
-        spec_rolled_back: speculation.rolled_back,
-        spec_rollback_rate: speculation.rollback_rate(),
         snapshot_ms: timings.0,
         resume_ms: timings.1,
-        profile: profile.then(|| SweepProfile::from_run(&report.phases, delta_records)),
+        profile: profile.then(|| SweepProfile::from_run(&report.phases)),
     }
 }
 
@@ -347,45 +305,22 @@ fn run_adversary(proto: Proto, n: usize, adversary: &'static str) -> Row {
         skipped_steps: stats.skipped_steps,
         steps_per_sec: report.steps as f64 / seconds.max(1e-9),
         completed,
-        speculated: 0,
-        spec_committed: 0,
-        spec_rolled_back: 0,
-        spec_rollback_rate: 0.0,
         snapshot_ms: 0.0,
         resume_ms: 0.0,
         profile: None,
     }
 }
 
-fn spec(label: &str) -> ModeSpec {
-    *MODES
-        .iter()
-        .find(|m| m.label == label)
-        .expect("known mode label")
-}
-
-/// Best steps/sec over `reps` runs of the same (protocol, n, seed, mode) — the smoke
-/// gate compares millisecond-scale runs, so a best-of dampens scheduler noise.
-fn best_of(proto: Proto, n: usize, seed: u64, spec: ModeSpec, reps: u32) -> Row {
-    let mut best: Option<Row> = None;
-    for _ in 0..reps {
-        let row = run_one(proto, n, seed, spec, false);
-        if best
-            .as_ref()
-            .is_none_or(|b| row.steps_per_sec > b.steps_per_sec)
-        {
-            best = Some(row);
-        }
-    }
-    best.expect("at least one repetition")
+/// Whether a row belongs to the sharded sampler (any shard count).
+fn is_sharded(row: &Row) -> bool {
+    row.mode.starts_with("sharded")
 }
 
 /// Asserts the cross-mode equivalences the smoke gate guards: the stable output shape
 /// of GlobalLine/Square is unique, so every mode must reach it (checked inside
 /// `run_one`); counting's final tape length is schedule-dependent, so only the halting
-/// guarantee is compared. On top of that, batched must not be slower than indexed at
-/// n = 256, the sharded rows must agree on step counts across 1/2/4 shards, and on
-/// Square n = 512 sharded@4 must not be slower than batched.
+/// guarantee is compared. On top of that, sharded@1 must not be slower than indexed at
+/// n = 256, and the sharded rows must agree on step counts across 1/2/4 shards.
 fn smoke(protos: &[Proto], seed: u64) {
     let n = 256;
     let mut failures = Vec::new();
@@ -406,55 +341,27 @@ fn smoke(protos: &[Proto], seed: u64) {
             }
             per_mode.push(row);
         }
-        // A missing mode row (e.g. a future filtered run that skips a sampler) must
-        // degrade this gate to "skipped with a note", not abort the whole sweep.
         let indexed = per_mode.iter().find(|r| r.mode == "indexed");
-        let batched = per_mode.iter().find(|r| r.mode == "batched");
-        match (indexed, batched) {
-            (Some(indexed), Some(batched)) => {
-                if batched.steps_per_sec < indexed.steps_per_sec {
-                    failures.push(format!(
-                        "{}: batched {:.0} steps/s slower than indexed {:.0} steps/s",
-                        proto.name(),
-                        batched.steps_per_sec,
-                        indexed.steps_per_sec
-                    ));
-                }
-            }
-            _ => {
-                eprintln!(
-                "smoke note: {}: batched-vs-indexed gate skipped (indexed row {}, batched row {})",
-                proto.name(),
-                if indexed.is_some() { "present" } else { "missing" },
-                if batched.is_some() { "present" } else { "missing" },
-            )
+        let sharded1 = per_mode.iter().find(|r| r.mode == "sharded1");
+        if let (Some(indexed), Some(sharded1)) = (indexed, sharded1) {
+            if sharded1.steps_per_sec < indexed.steps_per_sec {
+                failures.push(format!(
+                    "{}: sharded@1 {:.0} steps/s slower than indexed {:.0} steps/s",
+                    proto.name(),
+                    sharded1.steps_per_sec,
+                    indexed.steps_per_sec
+                ));
             }
         }
-        let sharded: Vec<&Row> = per_mode
-            .iter()
-            .filter(|r| r.mode.starts_with("sharded") || r.mode.starts_with("speculative"))
-            .collect();
+        let sharded: Vec<&Row> = per_mode.iter().filter(|r| is_sharded(r)).collect();
         if sharded
             .iter()
             .any(|r| (r.steps, r.effective_steps) != (sharded[0].steps, sharded[0].effective_steps))
         {
             failures.push(format!(
-                "{}: sharded/speculative step counts differ across shard counts and windows \
-                 (parallel-equivalence or speculation invariance broken)",
+                "{}: sharded step counts differ across shard counts (parallel equivalence broken)",
                 proto.name()
             ));
-        }
-        for row in per_mode
-            .iter()
-            .filter(|r| r.mode.starts_with("speculative"))
-        {
-            if row.speculated == 0 {
-                failures.push(format!(
-                    "{} {}: the speculative row never speculated",
-                    proto.name(),
-                    row.mode
-                ));
-            }
         }
     }
     // Adversarial-but-fair schedulers: every protocol must still reach its guaranteed
@@ -487,31 +394,11 @@ fn smoke(protos: &[Proto], seed: u64) {
             }
         }
     }
-    // The headline gate: Square n = 512, sharded@4 vs batched, best of three.
-    if protos.contains(&Proto::Square) {
-        let batched = best_of(Proto::Square, 512, seed, spec("batched"), 3);
-        let sharded4 = best_of(Proto::Square, 512, seed, spec("sharded4"), 3);
-        for row in [&batched, &sharded4] {
-            eprintln!(
-                "smoke {:>18} {:>8}: {:>12.3}s {:>12} steps {:>14.0} steps/s completed={} (n=512 best-of-3)",
-                row.protocol, row.mode, row.seconds, row.steps, row.steps_per_sec, row.completed
-            );
-            if !row.completed {
-                failures.push(format!("square n=512 {} did not complete", row.mode));
-            }
-        }
-        if sharded4.steps_per_sec < batched.steps_per_sec {
-            failures.push(format!(
-                "square n=512: sharded@4 {:.0} steps/s slower than batched {:.0} steps/s",
-                sharded4.steps_per_sec, batched.steps_per_sec
-            ));
-        }
-    }
     assert!(failures.is_empty(), "smoke failures: {failures:?}");
     eprintln!(
-        "smoke ok: batched ≥ indexed at n = {n}, sharded/speculative step counts invariant \
-         across layouts and windows, sharded@4 ≥ batched on square n = 512, all modes \
-         completed, adversarial schedulers deterministic and fair at n = {adv_n}"
+        "smoke ok: sharded@1 ≥ indexed at n = {n}, sharded step counts identical at \
+         1/2/4 shards, all modes completed, adversarial schedulers deterministic and fair \
+         at n = {adv_n}"
     );
 }
 
@@ -526,11 +413,13 @@ fn main() {
     let protos: Vec<Proto> = flag_value("--protocols")
         .map(|list| {
             list.split(',')
-                .map(|p| match p {
-                    "line" => Proto::Line,
-                    "square" => Proto::Square,
-                    "counting" => Proto::Counting,
-                    other => panic!("unknown protocol {other} (use line,square,counting)"),
+                .map(|p| {
+                    Proto::parse(p).unwrap_or_else(|| {
+                        panic!(
+                            "unknown protocol {p} (use line,square,counting or \
+                             global-line,square,counting-on-a-line)"
+                        )
+                    })
                 })
                 .collect()
         })
@@ -554,7 +443,7 @@ fn main() {
     }
 
     let mut rows: Vec<Row> = Vec::new();
-    eprintln!("seed = {seed}, run-to-completion wall-clock (steps incl. batched credits)");
+    eprintln!("seed = {seed}, run-to-completion wall-clock (steps incl. sharded credits)");
     eprintln!(
         "{:>18}  {:>6}  {:>8}  {:>12}  {:>12}  {:>14}  {:>9}",
         "protocol", "n", "mode", "seconds", "steps", "steps/sec", "completed"
@@ -562,6 +451,11 @@ fn main() {
     for &proto in &protos {
         for &n in &sizes {
             if n > proto.size_cap() {
+                eprintln!(
+                    "note: skipping {} n={n}: above its size cap {}",
+                    proto.name(),
+                    proto.size_cap()
+                );
                 continue;
             }
             let mut indexed_secs = f64::NAN;
@@ -582,36 +476,22 @@ fn main() {
                 );
                 if let Some(p) = &row.profile {
                     eprintln!(
-                        "{:>18}  {n:>6}  {} phases: sample {:.1}ms, resolve {:.1}ms, apply {:.1}ms, flush {:.1}ms, rollback {:.1}ms, {} delta records",
+                        "{:>18}  {n:>6}  {} phases: sample {:.1}ms, apply {:.1}ms, flush {:.1}ms",
                         proto.name(),
                         row.mode,
                         p.sample_ms,
-                        p.resolve_ms,
                         p.apply_ms,
-                        p.flush_ms,
-                        p.rollback_ms,
-                        p.delta_records
+                        p.flush_ms
                     );
                 }
                 if mode.mode == SamplingMode::Adaptive {
                     indexed_secs = row.seconds;
                 }
-                if mode.mode == SamplingMode::Batched {
+                if mode.label == "sharded1" {
                     eprintln!(
-                        "{:>18}  {n:>6}  speedup (indexed/batched): {:.2}x",
+                        "{:>18}  {n:>6}  speedup (indexed/sharded1): {:.2}x",
                         proto.name(),
                         indexed_secs / row.seconds.max(1e-9)
-                    );
-                }
-                if mode.mode == SamplingMode::Speculative {
-                    eprintln!(
-                        "{:>18}  {n:>6}  {} speculation: {} speculated, {} committed, {} rolled back ({:.1}% rollback)",
-                        proto.name(),
-                        row.mode,
-                        row.speculated,
-                        row.spec_committed,
-                        row.spec_rolled_back,
-                        row.spec_rollback_rate * 100.0
                     );
                 }
                 rows.push(row);
@@ -639,20 +519,16 @@ fn main() {
                     rows.push(row);
                 }
             }
-            // Parallel-equivalence check rides along with every sweep: the sharded and
-            // speculative rows of this cell must agree on step counts (shard count and
-            // speculation window are layout/overlap knobs, never semantic ones).
+            // Parallel-equivalence check rides along with every sweep: the sharded rows
+            // of this cell must agree on step counts (shard count is a layout knob,
+            // never a semantic one).
             let cell: Vec<&Row> = rows
                 .iter()
-                .filter(|r| {
-                    r.protocol == proto.name()
-                        && r.n == n
-                        && (r.mode.starts_with("sharded") || r.mode.starts_with("speculative"))
-                })
+                .filter(|r| r.protocol == proto.name() && r.n == n && is_sharded(r))
                 .collect();
             assert!(
                 cell.iter().all(|r| r.steps == cell[0].steps),
-                "{} n={n}: sharded/speculative step counts differ across layouts",
+                "{} n={n}: sharded step counts differ across layouts",
                 proto.name()
             );
         }
@@ -660,7 +536,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include batched/sharded bulk credits; sharded rows at 1/2/4 shards and speculative rows (k=8) at 2/4 shards report identical steps (parallel equivalence + speculation invariance); spec_* columns count optimistic interactions and the Time-Warp rollback rate; snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), square swept to 512\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (parallel equivalence); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), square swept to 512\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write bench artifact");

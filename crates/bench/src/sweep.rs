@@ -1,8 +1,8 @@
 //! The shared row format of scheduler-sweep artifacts (`BENCH_scheduler.json`).
 //!
 //! One [`SweepRow`] describes one benchmarked execution: protocol, population size,
-//! sampling-mode label, shard count, seed, wall-clock, step accounting, speculation
-//! counters and the end-of-run snapshot/resume timings. The `scheduler_sweep` binary
+//! sampling-mode label, shard count, seed, wall-clock, step accounting and the
+//! end-of-run snapshot/resume timings. The `scheduler_sweep` binary
 //! emits these rows as the perf baseline, and the `nc-service` results/stats
 //! component serves the same shape over HTTP for completed jobs — one schema, two
 //! producers, so downstream tooling reads both with the same parser.
@@ -19,31 +19,20 @@ use nc_core::{Phase, PhaseProfile};
 pub struct SweepProfile {
     /// Milliseconds inside scheduler sampling (`Phase::Sample`).
     pub sample_ms: f64,
-    /// Milliseconds resolving speculated predictions (`Phase::Resolve`).
-    pub resolve_ms: f64,
     /// Milliseconds applying interactions (`Phase::Apply`).
     pub apply_ms: f64,
     /// Milliseconds flushing the pair index (`Phase::Flush`).
     pub flush_ms: f64,
-    /// Milliseconds rolling back delta epochs (`Phase::Rollback`).
-    pub rollback_ms: f64,
-    /// Lifetime undo records appended to the delta log — the rollback-churn
-    /// observable (speculation that re-logs the same slots is invisible in the
-    /// committed trajectory; this counter is where it shows).
-    pub delta_records: u64,
 }
 
 impl SweepProfile {
-    /// Builds the columns from a run's phase profile and delta-log counter.
+    /// Builds the columns from a run's phase profile.
     #[must_use]
-    pub fn from_run(phases: &PhaseProfile, delta_records: u64) -> SweepProfile {
+    pub fn from_run(phases: &PhaseProfile) -> SweepProfile {
         SweepProfile {
             sample_ms: phases.get(Phase::Sample).millis(),
-            resolve_ms: phases.get(Phase::Resolve).millis(),
             apply_ms: phases.get(Phase::Apply).millis(),
             flush_ms: phases.get(Phase::Flush).millis(),
-            rollback_ms: phases.get(Phase::Rollback).millis(),
-            delta_records,
         }
     }
 }
@@ -56,8 +45,7 @@ pub struct SweepRow {
     pub protocol: String,
     /// Population size.
     pub n: usize,
-    /// Sampling-mode label (`legacy`, `indexed`, `batched`, `sharded4`,
-    /// `speculative2`, an adversary name, …).
+    /// Sampling-mode label (`legacy`, `indexed`, `sharded4`, an adversary name, …).
     pub mode: String,
     /// Shard count of the run's world layout.
     pub shards: usize,
@@ -65,7 +53,7 @@ pub struct SweepRow {
     pub seed: u64,
     /// Wall-clock seconds of the run.
     pub seconds: f64,
-    /// Scheduler steps (including batched/sharded bulk credits).
+    /// Scheduler steps (including sharded bulk credits).
     pub steps: u64,
     /// Effective steps.
     pub effective_steps: u64,
@@ -75,14 +63,6 @@ pub struct SweepRow {
     pub steps_per_sec: f64,
     /// Whether the run reached its protocol's guaranteed outcome.
     pub completed: bool,
-    /// Optimistically executed interactions (speculative mode only).
-    pub speculated: u64,
-    /// Speculated interactions confirmed by the canonical draw.
-    pub spec_committed: u64,
-    /// Speculated interactions rolled back.
-    pub spec_rolled_back: u64,
-    /// `spec_rolled_back / speculated` (0 when nothing was speculated).
-    pub spec_rollback_rate: f64,
     /// Milliseconds to take one end-of-run checkpoint.
     pub snapshot_ms: f64,
     /// Milliseconds to resume that checkpoint.
@@ -98,12 +78,12 @@ impl SweepRow {
     pub fn to_json(&self) -> String {
         let profile = self.profile.as_ref().map_or_else(String::new, |p| {
             format!(
-                ", \"sample_ms\": {:.4}, \"resolve_ms\": {:.4}, \"apply_ms\": {:.4}, \"flush_ms\": {:.4}, \"rollback_ms\": {:.4}, \"delta_records\": {}",
-                p.sample_ms, p.resolve_ms, p.apply_ms, p.flush_ms, p.rollback_ms, p.delta_records
+                ", \"sample_ms\": {:.4}, \"apply_ms\": {:.4}, \"flush_ms\": {:.4}",
+                p.sample_ms, p.apply_ms, p.flush_ms
             )
         });
         format!(
-            "    {{\"protocol\": \"{}\", \"n\": {}, \"mode\": \"{}\", \"shards\": {}, \"seed\": {}, \"seconds\": {:.6}, \"steps\": {}, \"effective_steps\": {}, \"skipped_steps\": {}, \"steps_per_sec\": {:.1}, \"completed\": {}, \"speculated\": {}, \"spec_committed\": {}, \"spec_rolled_back\": {}, \"spec_rollback_rate\": {:.4}, \"snapshot_ms\": {:.4}, \"resume_ms\": {:.4}{}}}",
+            "    {{\"protocol\": \"{}\", \"n\": {}, \"mode\": \"{}\", \"shards\": {}, \"seed\": {}, \"seconds\": {:.6}, \"steps\": {}, \"effective_steps\": {}, \"skipped_steps\": {}, \"steps_per_sec\": {:.1}, \"completed\": {}, \"snapshot_ms\": {:.4}, \"resume_ms\": {:.4}{}}}",
             self.protocol,
             self.n,
             self.mode,
@@ -115,10 +95,6 @@ impl SweepRow {
             self.skipped_steps,
             self.steps_per_sec,
             self.completed,
-            self.speculated,
-            self.spec_committed,
-            self.spec_rolled_back,
-            self.spec_rollback_rate,
             self.snapshot_ms,
             self.resume_ms,
             profile
@@ -143,10 +119,6 @@ mod tests {
             skipped_steps: 600,
             steps_per_sec: 4000.0,
             completed: true,
-            speculated: 0,
-            spec_committed: 0,
-            spec_rolled_back: 0,
-            spec_rollback_rate: 0.0,
             snapshot_ms: 0.5,
             resume_ms: 0.75,
             profile: None,
@@ -168,10 +140,6 @@ mod tests {
             "skipped_steps",
             "steps_per_sec",
             "completed",
-            "speculated",
-            "spec_committed",
-            "spec_rolled_back",
-            "spec_rollback_rate",
             "snapshot_ms",
             "resume_ms",
         ];
@@ -194,24 +162,14 @@ mod tests {
         let mut row = sample();
         row.profile = Some(SweepProfile {
             sample_ms: 1.5,
-            resolve_ms: 0.25,
             apply_ms: 2.0,
             flush_ms: 0.5,
-            rollback_ms: 0.0,
-            delta_records: 123,
         });
         let json = row.to_json();
-        for key in [
-            "sample_ms",
-            "resolve_ms",
-            "apply_ms",
-            "flush_ms",
-            "rollback_ms",
-            "delta_records",
-        ] {
+        for key in ["sample_ms", "apply_ms", "flush_ms"] {
             assert!(json.contains(&format!("\"{key}\":")), "{key} missing");
         }
-        assert!(json.contains("\"delta_records\": 123"));
+        assert!(json.contains("\"flush_ms\": 0.5000"));
         assert!(json.ends_with("}"));
     }
 }

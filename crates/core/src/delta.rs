@@ -22,16 +22,16 @@
 //! index to the exact sub-index layouts and aggregate counts of the checkpoint.
 //!
 //! Two things are intentionally **not** rolled back: monotone work counters
-//! ([`crate::IndexStats`] — they report lifetime work, and the speculative applies
+//! ([`crate::IndexStats`] — they report lifetime work, and the rolled-back applies
 //! genuinely happened), and the configuration *version*, which is bumped once per
 //! rollback instead of rewound — versions must stay monotone so that version-keyed
 //! caches (sampler batches, enumeration caches) re-derive from the restored state
 //! rather than replaying a stale structure whose version collides.
 //!
 //! Checkpoints nest: frames form a stack, and rolling back to an outer epoch
-//! discards the inner ones. This is what lets the delta-log exactness suite wrap a
-//! checkpoint around every apply of a long run while the speculative scheduler keeps
-//! its own epoch open.
+//! discards the inner ones. This is what lets the model checker and the delta-log
+//! exactness suite wrap a checkpoint around every probed apply while an outer epoch
+//! stays open.
 
 use crate::world::PairMode;
 use crate::{Component, CoreError, Interaction, NodeId, Placement};
@@ -98,11 +98,6 @@ pub(crate) struct DeltaLog<S> {
     records: Vec<WorldRecord<S>>,
     frames: Vec<EpochFrame>,
     next_id: u64,
-    /// Lifetime number of records ever appended — a monotone *work* counter in the
-    /// [`crate::IndexStats`] spirit, never rewound by rollbacks. Rollback churn
-    /// (speculation that keeps re-logging the same slots) is invisible in the
-    /// committed trajectory; this is its observable.
-    appended: u64,
 }
 
 impl<S> DeltaLog<S> {
@@ -111,7 +106,6 @@ impl<S> DeltaLog<S> {
             records: Vec::new(),
             frames: Vec::new(),
             next_id: 0,
-            appended: 0,
         }
     }
 
@@ -126,13 +120,7 @@ impl<S> DeltaLog<S> {
     pub(crate) fn record(&mut self, make: impl FnOnce() -> WorldRecord<S>) {
         if self.recording() {
             self.records.push(make());
-            self.appended += 1;
         }
-    }
-
-    /// Lifetime count of appended undo records (monotone; see the field docs).
-    pub(crate) fn lifetime_records(&self) -> u64 {
-        self.appended
     }
 
     /// Opens a frame (records must already have been positioned by the caller) and

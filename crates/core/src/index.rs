@@ -2,7 +2,7 @@
 //! that makes stability detection and effective-pair lookup amortised `O(active)`
 //! instead of `O(n² · ports²)`, and — further down in this module — the sharded
 //! *permissible-pair index* that maintains exact permissible/effective pair counts for
-//! the batched and sharded geometric-jump samplers.
+//! the sharded geometric-jump sampler.
 //!
 //! # Design (interaction index)
 //!
@@ -147,7 +147,7 @@ impl InteractionIndex {
 // =======================================================================================
 //
 // While the dirty-frontier index above answers "does *some* effective pair exist?",
-// the batched and sharded samplers need the exact *counts* of permissible and effective
+// the sharded sampler needs the exact *counts* of permissible and effective
 // pairs of a frozen configuration — and the ability to draw uniformly from either set —
 // without re-enumerating `O(n²·ports²)` candidates per configuration version. The
 // [`PairIndex`] below maintains those counts in `O(changed)` per world delta, fed from
@@ -606,24 +606,6 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     /// Discards the operation log.
     pub(crate) fn clear_oplog(&mut self) {
         self.oplog.clear();
-    }
-
-    /// Number of live state classes.
-    pub(crate) fn live_class_count(&self) -> usize {
-        self.live_ids.len()
-    }
-
-    /// The shard whose effective-intra list holds global rank `idx` of the canonical
-    /// effective walk, or `None` when `idx` falls past the intra segment (a class-cell
-    /// pair, resolved from the shared aggregate instead of any one shard).
-    pub(crate) fn intra_eff_shard_of(&self, mut idx: u64) -> Option<usize> {
-        for (s, shard) in self.shards.iter().enumerate() {
-            if (idx as usize) < shard.intra_eff.len() {
-                return Some(s);
-            }
-            idx -= shard.intra_eff.len() as u64;
-        }
-        None
     }
 
     /// Builds the index from scratch for the current configuration.
@@ -1396,8 +1378,8 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
 
     /// Exact counts of the base classes (1–3) of the decomposition, recomputed from the
     /// per-shard lists and the hash memo in `O(classes²·ports²)`. This is the
-    /// independent twin of [`PairIndex::aggregate_counts`]: the batched sampler derives
-    /// its per-version counts here, and `validate` asserts both agree.
+    /// independent twin of [`PairIndex::aggregate_counts`], kept as the recount oracle
+    /// that `World::validate_pair_index` asserts the aggregate against.
     pub(crate) fn counts<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim) -> BaseCounts {
         let p = dim.port_count() as u64;
         let intra: u64 = self.shards.iter().map(|sh| sh.intra.len() as u64).sum();

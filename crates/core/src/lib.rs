@@ -79,7 +79,7 @@ pub use protocol::{Protocol, Transition};
 pub use scheduler::SamplingMode;
 pub use simulation::{RunReport, Simulation, SimulationConfig, StopReason};
 pub use snapshot::{Snapshot, SnapshotProtocol, SnapshotReader, SnapshotWriter};
-pub use stats::{ExecutionStats, ShardStats, SpeculationStats};
+pub use stats::{ExecutionStats, ShardStats};
 pub use world::{Interaction, InteractionOutcome, Permissibility, World};
 
 /// Re-exported telemetry types (see `nc_obs`): downstream crates attach a
@@ -88,7 +88,7 @@ pub use world::{Interaction, InteractionOutcome, Permissibility, World};
 pub use nc_obs::{Phase, PhaseProfile, PhaseStat, Telemetry, TraceEvent, TraceEventKind};
 
 /// Hard cap on simultaneously live state classes of the permissible-pair index.
-/// Protocols that can bound their live state diversity below this may opt into batched
+/// Protocols that can bound their live state diversity below this may opt into sharded
 /// sampling up front (the population-protocol engine does); protocols exceeding it at
 /// runtime overflow the index and fall back to adaptive sampling.
 pub use index::CLASS_CAP as MAX_LIVE_STATE_CLASSES;

@@ -60,7 +60,7 @@ pub fn substream(seed: u64, stream: u64) -> StdRng {
 /// trials with success probability `p`, i.e. a geometric variate with
 /// `P(T = k) = (1 − p)^{k−1} · p`, by inversion of the CDF with a single uniform draw.
 ///
-/// This is the batched sampler's jump length: on a frozen configuration each uniform
+/// This is the sharded sampler's jump length: on a frozen configuration each uniform
 /// selection is effective independently with probability `p = effective / permissible`,
 /// so the number of selections up to and including the first effective one is exactly
 /// this distribution.

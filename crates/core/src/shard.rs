@@ -37,16 +37,6 @@ pub(crate) fn parse_shard_override(raw: &str) -> Option<usize> {
     raw.trim().parse::<usize>().ok().filter(|&s| s >= 1)
 }
 
-/// Parses a raw `NC_SPECULATION` value: a non-negative integer after trimming
-/// whitespace, clamped to the window ceiling. `None` for empty, garbage, and
-/// overflowing values.
-pub(crate) fn parse_speculation_override(raw: &str) -> Option<usize> {
-    raw.trim()
-        .parse::<usize>()
-        .ok()
-        .map(clamp_speculation_window)
-}
-
 /// Resolves an environment override through `parse`, warning exactly once on stderr
 /// (naming the rejected value and the fallback) when the variable is set but
 /// unusable. The callers cache the result in a process-wide `OnceLock`, which is
@@ -81,44 +71,6 @@ fn resolve_env(name: &str, fallback: usize, parse: fn(&str) -> Option<usize>) ->
 pub fn default_shard_count() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| resolve_env(SHARDS_ENV, SHARDS_FALLBACK, parse_shard_override))
-}
-
-/// Name of the environment variable providing the default speculation window (the
-/// number `k` of interactions each speculative epoch executes optimistically ahead
-/// of the serialization point). CI adds an `NC_SHARDS=4 NC_SPECULATION=8` row to the
-/// test matrix so every suite also runs under speculative execution.
-pub const SPECULATION_ENV: &str = "NC_SPECULATION";
-
-/// Hard ceiling on the speculation window: predictions beyond it are almost always
-/// rolled back (the frozen-count predictions decay with depth), so larger windows
-/// only buy rollback work.
-pub const MAX_SPECULATION_WINDOW: usize = 64;
-
-/// Clamps a requested speculation window to `0..=MAX_SPECULATION_WINDOW` — the
-/// window analogue of the `1..=n` shard clamp. `0` is valid and disables
-/// speculation (the scheduler then behaves exactly like `SamplingMode::Sharded`).
-#[must_use]
-pub fn clamp_speculation_window(k: usize) -> usize {
-    k.min(MAX_SPECULATION_WINDOW)
-}
-
-/// Fallback speculation window when `NC_SPECULATION` is unset or unusable.
-const SPECULATION_FALLBACK: usize = 8;
-
-/// The default speculation window: `NC_SPECULATION` when set to a non-negative
-/// integer (clamped to the window ceiling), 8 otherwise (with a single stderr
-/// warning when the variable is set but malformed). Read once per process, like
-/// [`default_shard_count`].
-#[must_use]
-pub fn default_speculation_window() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        resolve_env(
-            SPECULATION_ENV,
-            SPECULATION_FALLBACK,
-            parse_speculation_override,
-        )
-    })
 }
 
 /// The partition of `0..n` into `shards` contiguous ranges of (up to) `⌈n/shards⌉`
@@ -218,17 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn speculation_window_is_clamped() {
-        assert_eq!(clamp_speculation_window(0), 0);
-        assert_eq!(clamp_speculation_window(8), 8);
-        assert_eq!(
-            clamp_speculation_window(MAX_SPECULATION_WINDOW),
-            MAX_SPECULATION_WINDOW
-        );
-        assert_eq!(clamp_speculation_window(usize::MAX), MAX_SPECULATION_WINDOW);
-    }
-
-    #[test]
     fn shard_override_parsing_rejects_malformed_values() {
         // Usable values, with surrounding whitespace tolerated.
         assert_eq!(parse_shard_override("1"), Some(1));
@@ -247,24 +188,6 @@ mod tests {
         assert_eq!(parse_shard_override("0"), None);
         // Values overflowing `usize` fail to parse rather than wrap.
         assert_eq!(parse_shard_override("123456789012345678901234567890"), None);
-    }
-
-    #[test]
-    fn speculation_override_parsing_rejects_malformed_and_clamps_large_values() {
-        assert_eq!(parse_speculation_override("0"), Some(0));
-        assert_eq!(parse_speculation_override(" 8 "), Some(8));
-        // In-range values pass through; huge-but-parseable ones hit the ceiling.
-        assert_eq!(
-            parse_speculation_override("1000"),
-            Some(MAX_SPECULATION_WINDOW)
-        );
-        assert_eq!(parse_speculation_override(""), None);
-        assert_eq!(parse_speculation_override("fast"), None);
-        assert_eq!(parse_speculation_override("-1"), None);
-        assert_eq!(
-            parse_speculation_override("99999999999999999999999999999999"),
-            None
-        );
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! magic   b"NCSS"                              4 bytes
 //! version u16                                  format version (currently 1)
 //! name    u16 length + UTF-8 bytes             protocol name (replay dispatch)
-//! config  n, seed, max_steps, sampling, shards, speculation
+//! config  n, seed, max_steps, sampling tag, shards, reserved u64
 //! stats   the 7 ExecutionStats counters
-//! sched   RNG state, substream ordinal, adaptive/batched flags, pending skips
+//! sched   RNG state, substream ordinal, adaptive/sharded flags, pending skips
 //! world   states, placements, comp_of, links, component slots, pinned class table
 //! crc     u64                                  FNV-1a over everything above
 //! ```
@@ -21,6 +21,13 @@
 //! All integers are little-endian fixed width. Every enum is written as a validated
 //! tag; decoding arbitrary bytes can fail with a typed [`CoreError`] but never panic
 //! (bit-flip and truncation fuzzing in `tests/crash_resume.rs` pins this).
+//!
+//! Two parts of the v1 layout outlive the retired batched and speculative sampling
+//! modes. Sampling tags 2 and 4 named them; decoding either is a typed
+//! [`CoreError::SnapshotCorrupt`], and the tags are never reused. The config's last
+//! `u64` held the speculation window; it is now a reserved word, written as 0 and
+//! ignored on read, so snapshots written before the retirement (such as the
+//! committed replay fixture, which stores 8 there) keep decoding unchanged.
 //!
 //! # Exactness: what is persisted and what is recomputed
 //!
@@ -40,7 +47,7 @@
 //!   re-registers every node against that pinned table, rebuilding refcounts,
 //!   buckets and running aggregates exactly;
 //! * the scheduler's RNG state, its substream ordinal (`sharded_draws`), the sticky
-//!   adaptive/batched flags (`collapsed`, `batch_overflow`), and whether its
+//!   adaptive/sharded flags (`collapsed`, `batch_overflow`), and whether its
 //!   enumeration cache was warm for the frozen configuration (the cache *contents*
 //!   are deterministically re-enumerated on resume);
 //! * the [`ExecutionStats`] counters (logical step accounting) and the
@@ -49,11 +56,9 @@
 //! Everything else is genuinely derived state and is rebuilt conservatively:
 //! `halted` flags (a pure function of states), the dirty frontier (fresh all-dirty —
 //! the uniform samplers never read `find_effective_interaction`, and `is_stable` is
-//! a state-determined boolean), per-version count caches (recomputed without
-//! consuming randomness), and the speculation window (speculative applies are always
-//! rolled back before the serialization point, so dropping the window only discards
-//! prediction work, never trajectory state). Work counters ([`crate::IndexStats`],
-//! [`crate::SpeculationStats`]) are *not* persisted, mirroring the delta-log policy:
+//! a state-determined boolean), and per-version count caches (recomputed without
+//! consuming randomness). Work counters ([`crate::IndexStats`]) are *not* persisted,
+//! mirroring the delta-log policy:
 //! they report lifetime work, not logical state. That exclusion is what lets the
 //! crash harness use whole-snapshot byte equality as its trajectory oracle.
 

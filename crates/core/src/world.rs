@@ -25,7 +25,7 @@ use crate::delta::{DeltaLog, Epoch, EpochFrame, WorldRecord};
 use crate::index::{BaseCounts, GeomView, IndexStats, InteractionIndex, PairIndex};
 use crate::lock::relock;
 use crate::shard::{trace_lane, ShardMap, PARALLEL_CROSS_MIN};
-use crate::stats::{ShardStats, SpeculationStats};
+use crate::stats::ShardStats;
 use crate::{Component, CoreError, NodeId, Placement, Protocol};
 use nc_geometry::{Coord, Dim, Dir, Rotation, Shape};
 use nc_obs::{Phase, Telemetry, TraceEventKind};
@@ -35,7 +35,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Budget for cross-component enumeration work, in node pairs, as a multiple of the
 /// population size. One constant shared by the adaptive sampler's enumeration refusal,
-/// the batched sampler's multi×multi enumeration, and the stability fast path, so they
+/// the sharded sampler's multi×multi enumeration, and the stability fast path, so they
 /// all agree on when cross-component enumeration is affordable.
 pub(crate) const CROSS_BUDGET_PER_NODE: usize = 64;
 
@@ -66,7 +66,7 @@ pub(crate) fn transition_effective<P: Protocol>(
 }
 
 /// Lifecycle of the permissible-pair index: built lazily on first use (so executions
-/// that never sample in batched mode pay nothing), abandoned permanently when the
+/// that never sample in sharded mode pay nothing), abandoned permanently when the
 /// protocol's live state diversity overflows the class table. The mode only ever
 /// advances (`Disabled → Active → Overflowed`), which is what lets a rollback infer
 /// what happened mid-epoch from the (checkpointed, current) mode pair alone.
@@ -80,9 +80,6 @@ pub(crate) enum PairMode {
 struct PairCell<S> {
     mode: PairMode,
     index: PairIndex<S>,
-    /// Base counts memoised per configuration version (the index itself is always
-    /// current; only the `O(classes²·ports²)` count aggregation is worth caching).
-    counts_cache: Option<(u64, BaseCounts)>,
 }
 
 /// Exact pair counts of a frozen configuration, as reported by
@@ -174,7 +171,7 @@ pub struct World<P: Protocol> {
     /// version).
     index: InteractionIndex,
     /// The sharded incremental permissible-pair index (exact pair counts for the
-    /// batched and sharded samplers). Lazily activated.
+    /// sharded sampler). Lazily activated.
     pairs: Mutex<PairCell<P::State>>,
     /// Per-shard pending queues of nodes to re-derive: the cross-shard merge/split
     /// routing queues. A mutation only takes the locks of the shards it actually
@@ -200,8 +197,8 @@ pub struct World<P: Protocol> {
     /// checkpoint is open.
     delta: DeltaLog<P::State>,
     /// The telemetry handle (disabled by default — every hook is an early return).
-    /// Muted while a delta epoch is open: speculative scratch applies are invisible
-    /// in the committed trajectory and must be invisible in the trace.
+    /// Muted while a delta epoch is open: scratch applies that are rolled back are
+    /// invisible in the committed trajectory and must be invisible in the trace.
     obs: Telemetry,
 }
 
@@ -253,7 +250,6 @@ impl<P: Protocol> World<P> {
             pairs: Mutex::new(PairCell {
                 mode: PairMode::Disabled,
                 index: PairIndex::new(shard_map),
-                counts_cache: None,
             }),
             pair_pending: (0..shard_map.count())
                 .map(|_| Mutex::new(Vec::new()))
@@ -270,8 +266,8 @@ impl<P: Protocol> World<P> {
     }
 
     /// Attaches a telemetry handle: subsequent merges/splits, index flushes and
-    /// class-table changes emit step-indexed trace events into it, and the flush /
-    /// rollback phases are timed. Pass [`Telemetry::disabled`] (the construction
+    /// class-table changes emit step-indexed trace events into it, and the flush
+    /// phase is timed. Pass [`Telemetry::disabled`] (the construction
     /// default) to turn all hooks back into early returns. Telemetry never touches
     /// the trajectory and is not persisted in snapshots.
     pub fn set_telemetry(&mut self, obs: Telemetry) {
@@ -284,13 +280,6 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.obs
-    }
-
-    /// Lifetime number of undo records the delta log has appended (monotone, never
-    /// rewound): the observable of rollback churn under speculative execution.
-    #[must_use]
-    pub fn delta_records(&self) -> u64 {
-        self.delta.lifetime_records()
     }
 
     /// The number of shards the runtime structures are partitioned into.
@@ -602,7 +591,7 @@ impl<P: Protocol> World<P> {
         }
         if outcome.merged || outcome.split {
             // Stamped with the smaller participant's canonical lane (not its runtime
-            // shard — see `shard::trace_lane`); muted inside speculative epochs.
+            // shard — see `shard::trace_lane`); muted inside delta epochs.
             let lane = trace_lane(a.min(b), self.len());
             if outcome.merged {
                 self.obs.trace(lane, TraceEventKind::Merge);
@@ -1160,26 +1149,17 @@ impl<P: Protocol> World<P> {
 
     /// Exact permissible/effective pair counts of the current configuration, excluding
     /// multi×multi cross-component pairs (see [`World::enumerate_cross_multi`]),
-    /// *recounted* per frozen configuration version from the per-shard lists (memoised
-    /// per version). Activates (builds) the incremental pair index on first use;
-    /// returns `None` when the protocol's live state diversity has overflowed the
-    /// index's class table, in which case callers must fall back to rejection or
-    /// enumerated sampling. This is the batched sampler's path; the sharded sampler
-    /// reads the O(1) running aggregate instead ([`World::pair_counts_sharded`]).
-    pub(crate) fn pair_counts(&self) -> Option<PairSummary> {
+    /// *recounted* from the per-shard lists. Activates (builds) the incremental pair
+    /// index on first use; returns `None` when the protocol's live state diversity has
+    /// overflowed the index's class table. Only the recount oracle of
+    /// [`World::validate_pair_index`]; the sampler reads the `O(1)` running aggregate
+    /// ([`World::pair_counts_sharded`]).
+    fn pair_counts(&self) -> Option<PairSummary> {
         let mut cell = self.lock_pairs();
         if !self.ensure_pairs_active(&mut cell) {
             return None;
         }
-        let version = self.version();
-        let counts = match cell.counts_cache {
-            Some((v, counts)) if v == version => counts,
-            _ => {
-                let counts = cell.index.counts(&self.protocol, self.dim);
-                cell.counts_cache = Some((version, counts));
-                counts
-            }
-        };
+        let counts = cell.index.counts(&self.protocol, self.dim);
         Some(self.summary_from(&cell, counts))
     }
 
@@ -1242,7 +1222,6 @@ impl<P: Protocol> World<P> {
             free_ports: loads.iter().map(|&(_, f, _)| f).collect(),
             intra_pairs: loads.iter().map(|&(_, _, i)| i).collect(),
             cross_shard_events: self.cross_shard_events.load(Ordering::Relaxed),
-            speculation: SpeculationStats::default(),
         }
     }
 
@@ -1251,8 +1230,8 @@ impl<P: Protocol> World<P> {
     /// Opens a checkpoint: until the matching [`World::rollback`] or
     /// [`World::release`], every mutation appends an undoable record to the delta log
     /// (see [`crate::delta`]). Checkpoints nest; rolling back to an outer epoch
-    /// discards inner ones. This is the rollback primitive of the speculative
-    /// scheduler and the undo half of the snapshot/replay machinery.
+    /// discards inner ones. This is the undo primitive the model checker explores
+    /// every edge through.
     pub fn checkpoint(&mut self) -> Epoch {
         if !self.delta.recording() {
             self.delta.reset_records();
@@ -1303,7 +1282,8 @@ impl<P: Protocol> World<P> {
         };
         let epoch = self.delta.open(frame);
         // Mutations from here to the matching rollback/release are scratch work
-        // (speculation, undo-suite probes): keep them out of the step-indexed trace.
+        // (model-checker edges, undo-suite probes): keep them out of the step-indexed
+        // trace.
         self.obs.set_muted(true);
         epoch
     }
@@ -1324,19 +1304,14 @@ impl<P: Protocol> World<P> {
     /// One caveat: if the epoch saw the index overflow or an inner rollback rebuilt
     /// it, the index is rebuilt from the restored configuration instead of unwound —
     /// counts and sets are exact either way, but state-class *ids* may then differ
-    /// from a never-checkpointed run's (they are allocation-history dependent). The
-    /// speculative scheduler never hits this path: it only opens epochs with enough
-    /// class headroom that a mid-epoch overflow is impossible.
+    /// from a never-checkpointed run's (they are allocation-history dependent).
     ///
     /// # Errors
     /// [`CoreError::EpochNotOpen`] if `epoch` is not open (already rolled back or
     /// released); the world is left untouched in that case.
     pub fn rollback(&mut self, epoch: Epoch) -> crate::Result<()> {
         let frame = self.delta.take_frame(epoch)?;
-        let obs = self.obs.clone();
-        let mut timer = obs.phase(Phase::Rollback);
         let records = self.delta.split_records(frame.world_pos);
-        timer.add_units(records.len() as u64);
         for record in records.into_iter().rev() {
             match record {
                 WorldRecord::State { node, old } => self.states[node] = old,
@@ -1368,7 +1343,6 @@ impl<P: Protocol> World<P> {
         let mut rebuilt = false;
         let still_active = {
             let mut cell = relock(&self.pairs);
-            cell.counts_cache = None;
             match (frame.pairs_mode, cell.mode) {
                 (PairMode::Active, PairMode::Active) if !frame.index_rebuilt => {
                     cell.index
@@ -1443,11 +1417,6 @@ impl<P: Protocol> World<P> {
         }
         self.obs.set_muted(self.delta.recording());
         Ok(())
-    }
-
-    /// The shard owning `node` (contiguous id ranges; see [`crate::shard`]).
-    pub(crate) fn node_shard(&self, node: NodeId) -> usize {
-        self.shard_map.shard_of(node)
     }
 
     // --- snapshots (see `crate::snapshot` for the format and the exactness notes) ------
@@ -1759,23 +1728,6 @@ impl<P: Protocol> World<P> {
         Ok(world)
     }
 
-    /// Whether the pair index is active with at least `margin` free class slots —
-    /// the speculative scheduler's pre-epoch guard that makes a mid-epoch class-table
-    /// overflow (and hence the rebuild-on-rollback path) impossible.
-    pub(crate) fn class_headroom(&self, margin: usize) -> bool {
-        let cell = self.lock_pairs();
-        matches!(cell.mode, PairMode::Active)
-            && cell.index.live_class_count() + margin <= crate::index::CLASS_CAP
-    }
-
-    /// The shard owning rank `idx` of the canonical effective walk, or `None` when
-    /// the rank resolves through the shared class-cell aggregate rather than any one
-    /// shard's intra list. Used to bucket speculative resolutions by shard.
-    pub(crate) fn effective_owner_shard(&self, idx: u64) -> Option<usize> {
-        let cell = self.lock_pairs();
-        cell.index.intra_eff_shard_of(idx)
-    }
-
     /// The multi-node components of the configuration (with the candidate universe of
     /// their pairwise node products), or `None` when the universe exceeds `budget`.
     /// Shared ground truth for [`World::enumerate_cross_multi`] and the stability fast
@@ -1995,7 +1947,7 @@ impl<P: Protocol> World<P> {
     /// Whether the configuration is stable: no permissible interaction is effective, so
     /// the configuration (and in particular its output shape) can never change again.
     ///
-    /// While the permissible-pair index is active (batched and sharded executions), the
+    /// While the permissible-pair index is active (sharded executions), the
     /// answer comes from the incrementally maintained aggregate effective count in
     /// `O(1)` instead of draining the dirty frontier, whose per-node scans are
     /// `O(n·ports²)`. Otherwise, and whenever the multi×multi cross budget is exceeded,

@@ -15,8 +15,8 @@
 //! - [`telemetry`] — the [`Telemetry`](telemetry::Telemetry) handle threaded
 //!   through the simulator: an `Option<Arc<..>>` whose hooks are `#[inline]`
 //!   early returns when disabled, carrying the trace ring, scoped phase timers
-//!   (sample/resolve/apply/flush/rollback), and a mute depth that silences
-//!   event emission inside speculative scratch epochs.
+//!   (sample/apply/flush), and a mute flag that silences event emission inside
+//!   delta-logged scratch epochs.
 //!
 //! The split between what is *observable* and what is *deterministic* is
 //! deliberate and documented per family: step-indexed event counts and

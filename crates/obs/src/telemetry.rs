@@ -6,14 +6,13 @@
 //! and a mute flag. Cloning shares the underlying state, so the world, the
 //! index and the scheduler can all stamp events into one ring.
 //!
-//! **Muting.** Speculative execution applies interactions into a delta-logged
-//! scratch epoch and rolls them back; those applies are invisible in the
-//! committed trajectory and must be invisible in the trace too (at one shard,
-//! speculation degrades to plain sharded execution, so traced scratch work
-//! would break cross-shard trace equality). The world raises the mute flag via
-//! [`Telemetry::set_muted`] while any delta epoch is open; `trace` drops events
-//! while the flag is set. Phase timers ignore the mute — they measure wall
-//! clock, which speculation legitimately spends.
+//! **Muting.** Applies inside a delta-logged scratch epoch (the model checker's
+//! probe-and-rollback edges, the delta-log exactness tests) are rolled back, so
+//! they are invisible in the committed trajectory and must be invisible in the
+//! trace too. The world raises the mute flag via [`Telemetry::set_muted`] while
+//! any delta epoch is open; `trace` drops events while the flag is set. Phase
+//! timers ignore the mute — they measure wall clock, which scratch work
+//! legitimately spends.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,24 +28,14 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 pub enum Phase {
     /// Drawing and validating the next interaction (scheduler sampling).
     Sample,
-    /// Resolving speculated predictions against the committed state.
-    Resolve,
     /// Applying the selected interaction to the world.
     Apply,
     /// Flushing the pair index's pending queue.
     Flush,
-    /// Rolling back a delta-logged epoch.
-    Rollback,
 }
 
 /// Every phase, in rendering order.
-pub const PHASES: [Phase; 5] = [
-    Phase::Sample,
-    Phase::Resolve,
-    Phase::Apply,
-    Phase::Flush,
-    Phase::Rollback,
-];
+pub const PHASES: [Phase; 3] = [Phase::Sample, Phase::Apply, Phase::Flush];
 
 impl Phase {
     /// Stable lowercase name.
@@ -54,10 +43,8 @@ impl Phase {
     pub fn name(&self) -> &'static str {
         match self {
             Phase::Sample => "sample",
-            Phase::Resolve => "resolve",
             Phase::Apply => "apply",
             Phase::Flush => "flush",
-            Phase::Rollback => "rollback",
         }
     }
 
@@ -73,8 +60,7 @@ pub struct PhaseStat {
     pub calls: u64,
     /// Wall-clock nanoseconds inside the phase.
     pub nanos: u64,
-    /// Phase-specific work units (selections sampled, nodes flushed, delta
-    /// records undone, ...).
+    /// Phase-specific work units (selections sampled, nodes flushed, ...).
     pub units: u64,
 }
 
@@ -91,7 +77,7 @@ impl PhaseStat {
 /// embedding this in `RunReport` does not disturb report equality checks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
-    stats: [PhaseStat; 5],
+    stats: [PhaseStat; PHASES.len()],
 }
 
 impl PhaseProfile {
@@ -130,7 +116,7 @@ struct Inner {
     step: AtomicU64,
     /// Mute flag; set while a delta-logged scratch epoch is open.
     mute: AtomicU64,
-    phases: [PhaseCell; 5],
+    phases: [PhaseCell; PHASES.len()],
     ring: TraceRing,
 }
 

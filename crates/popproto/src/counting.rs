@@ -119,7 +119,7 @@ impl PopulationProtocol for CountingUpperBound {
         // The counter values are unbounded, but at any time the configuration holds at
         // most one `Leader{..}` or `Halted{..}` state (there is a unique leader) plus
         // `Q0`, `Q1`, `Q2`: five simultaneously live states, far under the class cap,
-        // so the engine runs this protocol with Gillespie-style batched jumps. The
+        // so the engine runs this protocol with Gillespie-style sharded jumps. The
         // leader's class churns on every effective interaction; the index retires the
         // sole-member class and allocates the successor without overflowing.
         Some(5)

@@ -49,12 +49,12 @@ pub trait PopulationProtocol: Send + Sync {
     /// reachable configuration, if the protocol can guarantee one; `None` means
     /// unbounded or unknown.
     ///
-    /// This is the state-diversity pre-check for batched sampling: population
+    /// This is the state-diversity pre-check for sharded sampling: population
     /// protocols are the all-singletons special case of the permissible-pair index
     /// (pure class counting, no geometry), so a protocol whose live diversity fits the
     /// index's class cap ([`nc_core::MAX_LIVE_STATE_CLASSES`]) gets Gillespie-style
     /// geometric jumps for free — [`PopSimulation::new`] switches it to
-    /// [`nc_core::SamplingMode::Batched`]. Note the bound is on *simultaneously live*
+    /// [`nc_core::SamplingMode::Sharded`]. Note the bound is on *simultaneously live*
     /// states, not the state space: the counting leader walks through unboundedly many
     /// counter states, but only one leader state is live at a time, so its bound is a
     /// small constant. UID-style protocols (every agent holds a distinct identifier)
@@ -154,8 +154,8 @@ impl<P: PopulationProtocol> PopSimulation<P> {
     ///
     /// Protocols that bound their live state diversity below the pair index's class
     /// cap ([`PopulationProtocol::live_state_bound`]) run under
-    /// [`nc_core::SamplingMode::Batched`] — on a clique the permissible count is the
-    /// constant `ports²·C(n, 2)`, so the batched sampler is exactly a Gillespie-style
+    /// [`nc_core::SamplingMode::Sharded`] — on a clique the permissible count is the
+    /// constant `ports²·C(n, 2)`, so the sharded sampler is exactly a Gillespie-style
     /// jump process over state-class counts. Protocols without such a bound (UID-based
     /// and leaderless-window protocols, whose agents all hold distinct states) keep
     /// the adaptive sampler, which is the same fallback the index would degrade to
@@ -168,7 +168,7 @@ impl<P: PopulationProtocol> PopSimulation<P> {
         assert!(n >= 2, "a population protocol needs at least two agents");
         let sampling = match protocol.live_state_bound() {
             Some(bound) if bound <= nc_core::MAX_LIVE_STATE_CLASSES => {
-                nc_core::SamplingMode::Batched
+                nc_core::SamplingMode::Sharded
             }
             _ => nc_core::SamplingMode::Adaptive,
         };
@@ -453,10 +453,10 @@ mod tests {
 
     #[test]
     fn diversity_precheck_selects_the_sampling_mode() {
-        // Bounded diversity within the cap → batched; no bound (the default) or a
+        // Bounded diversity within the cap → sharded; no bound (the default) or a
         // bound above the cap → adaptive.
         let bounded = PopSimulation::new(BoundedEpidemic, 8, 1);
-        assert_eq!(bounded.sampling_mode(), nc_core::SamplingMode::Batched);
+        assert_eq!(bounded.sampling_mode(), nc_core::SamplingMode::Sharded);
         let unbounded = PopSimulation::new(Epidemic, 8, 1);
         assert_eq!(unbounded.sampling_mode(), nc_core::SamplingMode::Adaptive);
         let over_cap = PopSimulation::new(OverCapProtocol, 8, 1);
@@ -464,10 +464,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_epidemic_matches_the_adaptive_outcome() {
+    fn sharded_epidemic_matches_the_adaptive_outcome() {
         // Same protocol under both samplers: the trajectory distributions are
         // identical, so the guaranteed outcome (everyone infected, exactly n − 1
-        // effective interactions) must hold under batched jumps too.
+        // effective interactions) must hold under sharded jumps too.
         let mut sim = PopSimulation::new(BoundedEpidemic, 50, 3);
         let report = sim.run_until(1_000_000, |states| states.iter().all(|&s| s));
         assert!(report.condition_met());

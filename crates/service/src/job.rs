@@ -1,7 +1,7 @@
 //! Job specifications: what a tenant submits, and how submissions are parsed.
 //!
 //! A job is one simulation run — protocol, population size, seed, sampling mode,
-//! shard/speculation layout and a lifetime step budget — owned by a named tenant.
+//! shard layout and a lifetime step budget — owned by a named tenant.
 //! Submissions arrive as `application/x-www-form-urlencoded` bodies
 //! (`protocol=square&n=16&seed=7`); every malformed field is a typed [`SpecError`]
 //! that the HTTP tier answers with `422 Unprocessable Entity`, mirroring the
@@ -61,8 +61,6 @@ pub struct JobSpec {
     pub mode: SamplingMode,
     /// Shard count of the world layout.
     pub shards: usize,
-    /// Speculation window (only meaningful for speculative sampling).
-    pub speculation: usize,
     /// Lifetime step budget: the job fails with `budget-exhausted` once its
     /// cumulative step count (which survives crash/resume) reaches this.
     pub step_budget: u64,
@@ -89,7 +87,6 @@ impl JobSpec {
             seed: 0xC0FFEE,
             mode: SamplingMode::Adaptive,
             shards: 1,
-            speculation: 0,
             step_budget: 2_000_000_000,
             tenant: "default".to_string(),
             weight: 1,
@@ -98,16 +95,13 @@ impl JobSpec {
     }
 
     /// The sampling-mode label this spec shows in sweep rows, following the
-    /// `scheduler_sweep` labelling (`legacy`, `indexed`, `batched`, `sharded4`,
-    /// `speculative8`, …).
+    /// `scheduler_sweep` labelling (`legacy`, `indexed`, `sharded4`, …).
     #[must_use]
     pub fn mode_label(&self) -> String {
         match self.mode {
             SamplingMode::Adaptive => "indexed".to_string(),
             SamplingMode::Legacy => "legacy".to_string(),
-            SamplingMode::Batched => "batched".to_string(),
             SamplingMode::Sharded => format!("sharded{}", self.shards),
-            SamplingMode::Speculative => format!("speculative{}", self.speculation),
         }
     }
 
@@ -132,14 +126,11 @@ impl JobSpec {
                     spec.mode = match value {
                         "adaptive" | "indexed" => SamplingMode::Adaptive,
                         "legacy" => SamplingMode::Legacy,
-                        "batched" => SamplingMode::Batched,
                         "sharded" => SamplingMode::Sharded,
-                        "speculative" => SamplingMode::Speculative,
                         _ => return Err(SpecError::UnknownMode),
                     }
                 }
                 "shards" => spec.shards = parse_number("shards", value)?,
-                "speculation" => spec.speculation = parse_number("speculation", value)?,
                 "step_budget" => spec.step_budget = parse_number("step_budget", value)?,
                 "tenant" => {
                     if value.is_empty() || value.len() > 64 {
@@ -213,10 +204,9 @@ impl fmt::Display for SpecError {
             SpecError::UnknownProtocol => {
                 write!(f, "unknown protocol (expected line, square or counting)")
             }
-            SpecError::UnknownMode => write!(
-                f,
-                "unknown mode (expected adaptive, legacy, batched, sharded or speculative)"
-            ),
+            SpecError::UnknownMode => {
+                write!(f, "unknown mode (expected adaptive, legacy or sharded)")
+            }
             SpecError::BadNumber { key } => write!(f, "field '{key}' is not a valid number"),
             SpecError::BadTenant => write!(f, "tenant must be 1..=64 bytes"),
             SpecError::MissingProtocol => write!(f, "missing required field 'protocol'"),
@@ -263,7 +253,7 @@ mod tests {
     #[test]
     fn parses_a_full_submission() {
         let spec = JobSpec::parse(
-            "protocol=square&n=16&seed=7&mode=sharded&shards=4&speculation=0&step_budget=500000&tenant=alice&weight=3",
+            "protocol=square&n=16&seed=7&mode=sharded&shards=4&step_budget=500000&tenant=alice&weight=3",
         )
         .expect("valid spec");
         assert_eq!(spec.protocol, ProtocolKind::Square);
@@ -294,6 +284,10 @@ mod tests {
             ("protocol=line", SpecError::MissingN),
             ("protocol=teleport&n=4", SpecError::UnknownProtocol),
             ("protocol=line&n=4&mode=psychic", SpecError::UnknownMode),
+            // The retired batched and speculative modes, and their window knob.
+            ("protocol=line&n=4&mode=batched", SpecError::UnknownMode),
+            ("protocol=line&n=4&mode=speculative", SpecError::UnknownMode),
+            ("protocol=line&n=4&speculation=8", SpecError::UnknownKey),
             ("protocol=line&n=zero", SpecError::BadNumber { key: "n" }),
             ("protocol=line&n=0", SpecError::BadNumber { key: "n" }),
             (

@@ -81,7 +81,7 @@ fn killed_worker_resumes_to_byte_identical_reports_across_protocols_and_modes() 
     let cells: [(ProtocolKind, SamplingMode, usize, u64); 4] = [
         (ProtocolKind::Line, SamplingMode::Adaptive, 1, 1),
         (ProtocolKind::Square, SamplingMode::Sharded, 4, 2),
-        (ProtocolKind::Square, SamplingMode::Batched, 1, 3),
+        (ProtocolKind::Square, SamplingMode::Sharded, 1, 3),
         (ProtocolKind::Counting, SamplingMode::Adaptive, 1, 1),
     ];
     let mut specs = Vec::new();

@@ -1,23 +1,18 @@
-//! Distributional and terminal-equivalence suite for the batched geometric-jump
-//! sampler and the incremental permissible-pair index behind it.
+//! One-shard checks of batched geometric-jump sampling: `SamplingMode::Sharded` with a
+//! single shard, where every ineffective selection between two effective ones is
+//! credited in one `Geometric(E/P)` jump over the whole permissible-pair index.
 //!
-//! Four layers of guarantees:
+//! `sharded.rs` pins the same sampler across 1/2/4-shard layouts; this suite keeps the
+//! plain one-shard contract on its own, so a failure here isolates the jump sampler
+//! from the shard decomposition:
 //!
-//! 1. **Index exactness** — after every single applied interaction, the incremental
-//!    permissible-pair index agrees with the brute-force enumeration oracle on the
-//!    permissible count and on the exact effective *set* (`World::validate_pair_index`),
-//!    on merge-heavy, split-heavy, halting and class-churning protocols.
-//! 2. **Distributional exactness** — on a frozen configuration, the first effective
-//!    interaction the batched sampler returns is uniform over the enumerated effective
-//!    set (chi-square), and the credited jump lengths have the geometric mean
-//!    `permissible / effective` the one-at-a-time sampler would realize.
-//! 3. **Terminal equivalence** — batched, adaptive and legacy executions all reach the
-//!    protocol's guaranteed terminal outcome on `GlobalLine`, `Square` and
-//!    `CountingOnALine`. (The modes consume the seeded RNG stream differently, so the
-//!    *schedules* differ; what is compared is the uniquely determined stable output —
-//!    the spanning line, the full square — and the halting guarantee for counting,
-//!    whose final tape length is genuinely schedule-dependent.)
-//! 4. **Accounting** — bulk-credited steps respect step budgets exactly and are
+//! 1. **Index exactness** — after every applied interaction of a class-churning
+//!    protocol, the pair index agrees with the enumeration oracle.
+//! 2. **Distributional exactness** — on a frozen configuration the first effective
+//!    interaction is uniform over the enumerated effective set (chi-square), and the
+//!    credited jump lengths have the geometric mean `permissible / effective` the
+//!    one-at-a-time sampler would realize.
+//! 3. **Accounting** — bulk-credited steps respect step budgets exactly and are
 //!    reported through `ExecutionStats::skipped_steps`, and a protocol whose live
 //!    state diversity overflows the index's class table falls back to the adaptive
 //!    strategy instead of failing.
@@ -27,23 +22,31 @@ use shape_constructors::core::{
     NodeId, Protocol, SamplingMode, Simulation, SimulationConfig, StopReason, Transition, World,
 };
 use shape_constructors::geometry::Dir;
-use shape_constructors::protocols::counting_line::{final_count, CountingOnALine};
+use shape_constructors::protocols::counting_line::CountingOnALine;
 use shape_constructors::protocols::line::GlobalLine;
-use shape_constructors::protocols::square::Square;
 use std::collections::HashMap;
+
+/// A one-shard jump-sampling configuration, independent of `NC_SHARDS`.
+fn jump_config(n: usize, seed: u64) -> SimulationConfig {
+    SimulationConfig::new(n)
+        .with_seed(seed)
+        .with_sharded_sampling()
+        .with_shards(1)
+}
 
 // ---------------------------------------------------------------------------------------
 // 1. Index exactness against the enumeration oracle
 // ---------------------------------------------------------------------------------------
 
-/// Drives a batched execution and validates the pair index against the enumeration
-/// oracle after every applied interaction.
-fn assert_pair_index_sound<P: Protocol>(protocol: P, n: usize, seed: u64, max_steps: u64) {
-    let config = SimulationConfig::new(n)
-        .with_seed(seed)
-        .with_max_steps(max_steps)
-        .with_batched_sampling();
-    let mut sim = Simulation::new(protocol, config);
+#[test]
+fn pair_index_matches_oracle_on_counting_with_class_churn() {
+    // The counting leader's unbounded counters allocate a fresh state class on almost
+    // every effective step, exercising class retirement and memo purging.
+    let max_steps = 3_000;
+    let mut sim = Simulation::new(
+        CountingOnALine::new(2),
+        jump_config(10, 9).with_max_steps(max_steps),
+    );
     sim.world().validate_pair_index().expect("initial index");
     for _ in 0..max_steps {
         if sim.world().is_stable() || !sim.step() {
@@ -56,89 +59,17 @@ fn assert_pair_index_sound<P: Protocol>(protocol: P, n: usize, seed: u64, max_st
     }
 }
 
-#[test]
-fn pair_index_matches_oracle_on_merge_heavy_line() {
-    assert_pair_index_sound(GlobalLine::new(), 10, 3, 2_000);
-    assert_pair_index_sound(GlobalLine::new(), 13, 11, 2_000);
-}
-
-#[test]
-fn pair_index_matches_oracle_on_square() {
-    assert_pair_index_sound(Square::new(), 9, 5, 2_000);
-    assert_pair_index_sound(Square::new(), 12, 7, 2_000);
-}
-
-#[test]
-fn pair_index_matches_oracle_on_counting_with_class_churn() {
-    // The counting leader's unbounded counters allocate a fresh state class on almost
-    // every effective step, exercising class retirement and memo purging.
-    assert_pair_index_sound(CountingOnALine::new(2), 10, 9, 3_000);
-}
-
-/// Bonds pairs of fresh nodes, then releases the bond (splits) — exercises the split
-/// path of the index, where intra pairs become cross pairs again.
-struct BondThenRelease;
-
-#[derive(Clone, PartialEq, Debug)]
-enum BR {
-    Fresh,
-    Bonded,
-    Released,
-}
-
-impl Protocol for BondThenRelease {
-    type State = BR;
-
-    fn initial_state(&self, _node: NodeId, _n: usize) -> BR {
-        BR::Fresh
-    }
-
-    fn transition(
-        &self,
-        a: &BR,
-        _pa: Dir,
-        b: &BR,
-        _pb: Dir,
-        bonded: bool,
-    ) -> Option<Transition<BR>> {
-        match (a, b, bonded) {
-            (BR::Fresh, BR::Fresh, false) => Some(Transition {
-                a: BR::Bonded,
-                b: BR::Bonded,
-                bond: true,
-            }),
-            (BR::Bonded, BR::Bonded, true) => Some(Transition {
-                a: BR::Released,
-                b: BR::Released,
-                bond: false,
-            }),
-            _ => None,
-        }
-    }
-}
-
-#[test]
-fn pair_index_matches_oracle_across_splits() {
-    assert_pair_index_sound(BondThenRelease, 8, 17, 1_000);
-}
-
 // ---------------------------------------------------------------------------------------
 // 2. Distributional exactness on a frozen configuration
 // ---------------------------------------------------------------------------------------
 
 /// A mid-construction GlobalLine world: a partial line plus free nodes — small enough
-/// to enumerate, sparse enough that the batched machinery (not a fallback) serves it.
+/// to enumerate, sparse enough that the jump machinery (not a fallback) serves it.
 fn frozen_line_world(n: usize, bonds: usize) -> World<GlobalLine> {
-    let mut sim = Simulation::new(
-        GlobalLine::new(),
-        SimulationConfig::new(n)
-            .with_seed(23)
-            .with_batched_sampling(),
-    );
+    let mut sim = Simulation::new(GlobalLine::new(), jump_config(n, 23));
     let report = sim.run_until(|w| w.bond_count() >= bonds);
     assert_eq!(report.reason, StopReason::Predicate);
-    let world = std::mem::replace(sim.world_mut(), World::new(GlobalLine::new(), 1));
-    world
+    std::mem::replace(sim.world_mut(), World::new(GlobalLine::new(), 1))
 }
 
 /// Upper 99.9% quantile of the chi-square distribution with `df` degrees of freedom
@@ -179,7 +110,7 @@ fn first_effective_interaction_is_uniform_over_the_enumerated_set() {
     let mut tally: HashMap<_, u64> = HashMap::new();
     let trials = 200 * k as u64;
     for seed in 0..trials {
-        let mut scheduler = UniformScheduler::with_mode(seed, SamplingMode::Batched);
+        let mut scheduler = UniformScheduler::with_mode(seed, SamplingMode::Sharded);
         let picked = scheduler
             .next_interaction(&world)
             .expect("effective pairs exist");
@@ -187,7 +118,7 @@ fn first_effective_interaction_is_uniform_over_the_enumerated_set() {
             world
                 .effective_interaction_at(picked.a, picked.pa, picked.b, picked.pb)
                 .is_some(),
-            "batched mode must return an effective interaction"
+            "jump sampling must return an effective interaction"
         );
         *tally
             .entry(canonical(picked.a, picked.pa, picked.b, picked.pb))
@@ -235,9 +166,9 @@ fn jump_lengths_have_the_geometric_mean_of_the_one_at_a_time_sampler() {
         .count();
     assert!(effective > 0);
     // The one-at-a-time sampler needs Geometric(p) selections per effective one, with
-    // p = |effective| / |permissible|; the batched sampler must credit the same mean.
+    // p = |effective| / |permissible|; the jump sampler must credit the same mean.
     let expected_mean = permissible.len() as f64 / effective as f64;
-    let mut scheduler = UniformScheduler::with_mode(99, SamplingMode::Batched);
+    let mut scheduler = UniformScheduler::with_mode(99, SamplingMode::Sharded);
     let trials = 4_000u64;
     let mut total_steps = 0u64;
     for _ in 0..trials {
@@ -253,91 +184,12 @@ fn jump_lengths_have_the_geometric_mean_of_the_one_at_a_time_sampler() {
 }
 
 // ---------------------------------------------------------------------------------------
-// 3. Terminal equivalence across sampling modes
-// ---------------------------------------------------------------------------------------
-
-const MODES: [(&str, SamplingMode); 3] = [
-    ("legacy", SamplingMode::Legacy),
-    ("adaptive", SamplingMode::Adaptive),
-    ("batched", SamplingMode::Batched),
-];
-
-#[test]
-fn all_modes_build_the_same_spanning_line() {
-    for n in [8usize, 16] {
-        for (name, mode) in MODES {
-            let mut sim = Simulation::new(
-                GlobalLine::new(),
-                SimulationConfig::new(n).with_seed(4).with_sampling(mode),
-            );
-            let report = sim.run_until_stable();
-            assert_eq!(report.reason, StopReason::Stable, "{name} n = {n}");
-            assert!(sim.output_shape().is_line(n), "{name} n = {n}");
-            assert_eq!(
-                sim.stats().effective_steps,
-                (n - 1) as u64,
-                "{name} n = {n}"
-            );
-            assert_eq!(sim.stats().merges, (n - 1) as u64, "{name} n = {n}");
-            assert!(sim.world().check_invariants());
-        }
-    }
-}
-
-#[test]
-fn all_modes_build_the_same_square() {
-    for n in [9usize, 16] {
-        let d = (n as f64).sqrt() as u32;
-        for (name, mode) in MODES {
-            let mut sim = Simulation::new(
-                Square::new(),
-                SimulationConfig::new(n).with_seed(6).with_sampling(mode),
-            );
-            let report = sim.run_until_stable();
-            assert_eq!(report.reason, StopReason::Stable, "{name} n = {n}");
-            assert!(
-                sim.output_shape().is_full_square(d),
-                "{name} n = {n}: {:?}",
-                sim.output_shape()
-            );
-            assert!(sim.world().check_invariants());
-        }
-    }
-}
-
-#[test]
-fn all_modes_halt_the_counting_leader() {
-    for n in [8usize, 16] {
-        for (name, mode) in MODES {
-            let mut sim = Simulation::new(
-                CountingOnALine::new(2),
-                SimulationConfig::new(n)
-                    .with_seed(8)
-                    .with_max_steps(20_000_000)
-                    .with_sampling(mode),
-            );
-            let report = sim.run_until_any_halted();
-            assert_eq!(report.reason, StopReason::AllHalted, "{name} n = {n}");
-            let counters = final_count(&sim).expect("the leader halted");
-            assert!(counters.r0 >= 2, "{name} n = {n}: head start not counted");
-            assert!(sim.world().check_invariants());
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// 4. Accounting: budgets, skip reporting, class overflow
+// 3. Accounting: budgets, skip reporting, class overflow
 // ---------------------------------------------------------------------------------------
 
 #[test]
 fn batched_jumps_respect_the_step_budget_exactly() {
-    let mut sim = Simulation::new(
-        GlobalLine::new(),
-        SimulationConfig::new(32)
-            .with_seed(2)
-            .with_max_steps(50)
-            .with_batched_sampling(),
-    );
+    let mut sim = Simulation::new(GlobalLine::new(), jump_config(32, 2).with_max_steps(50));
     let report = sim.run_until_stable();
     assert_eq!(report.reason, StopReason::StepBudget);
     assert_eq!(
@@ -348,12 +200,7 @@ fn batched_jumps_respect_the_step_budget_exactly() {
 
 #[test]
 fn batched_runs_report_their_bulk_credits() {
-    let mut sim = Simulation::new(
-        GlobalLine::new(),
-        SimulationConfig::new(24)
-            .with_seed(12)
-            .with_batched_sampling(),
-    );
+    let mut sim = Simulation::new(GlobalLine::new(), jump_config(24, 12));
     let report = sim.run_until_stable();
     assert_eq!(report.reason, StopReason::Stable);
     let stats = sim.stats();
@@ -369,7 +216,7 @@ fn batched_runs_report_their_bulk_credits() {
 }
 
 /// Every node starts in a distinct state, which overflows the index's class table
-/// (capped well below 70 live classes); batched mode must degrade to the adaptive
+/// (capped well below 70 live classes); jump sampling must degrade to the adaptive
 /// strategy and keep producing permissible interactions.
 struct ManyStates;
 
@@ -402,61 +249,14 @@ impl Protocol for ManyStates {
     }
 }
 
-/// Every node has a unique `(id, counter)` state and each effective interaction bumps
-/// one counter: the live state diversity sits *exactly* at the index's class cap (64)
-/// forever, and every step retires one sole-member class while allocating a fresh one.
-struct SteadyChurn;
-
-impl Protocol for SteadyChurn {
-    type State = (u32, u32);
-
-    fn initial_state(&self, node: NodeId, _n: usize) -> (u32, u32) {
-        (node.index() as u32, 0)
-    }
-
-    fn transition(
-        &self,
-        a: &(u32, u32),
-        _pa: Dir,
-        b: &(u32, u32),
-        _pb: Dir,
-        bonded: bool,
-    ) -> Option<Transition<(u32, u32)>> {
-        (!bonded).then_some(Transition {
-            a: *a,
-            b: (b.0, b.1 + 1),
-            bond: false,
-        })
-    }
-}
-
-#[test]
-fn steady_state_diversity_at_the_class_cap_does_not_overflow() {
-    // 64 live classes = exactly the cap; replacing a sole-member class must reuse its
-    // slot instead of spuriously overflowing and disabling the index forever.
-    let mut sim = Simulation::new(
-        SteadyChurn,
-        SimulationConfig::new(64)
-            .with_seed(31)
-            .with_batched_sampling(),
-    );
-    for _ in 0..50 {
-        assert!(sim.step());
-    }
-    sim.world()
-        .validate_pair_index()
-        .expect("the index must survive steady-state churn at the class cap");
-}
-
 #[test]
 fn class_overflow_falls_back_to_adaptive_sampling() {
-    let n = 70;
-    let world = World::new(ManyStates, n);
+    let world = World::with_shards(ManyStates, 70, 1);
     assert!(
         world.validate_pair_index().is_err(),
         "70 distinct live states must overflow the class table"
     );
-    let mut scheduler = UniformScheduler::with_mode(5, SamplingMode::Batched);
+    let mut scheduler = UniformScheduler::with_mode(5, SamplingMode::Sharded);
     for _ in 0..100 {
         let picked = scheduler.next_interaction(&world).expect("pairs exist");
         assert!(

@@ -10,15 +10,16 @@
 //! The suite has three parts:
 //!
 //! 1. **Crash/resume exactness** — reference runs of `GlobalLine`, `Square` and
-//!    `CountingOnALine` across `{batched, sharded, speculative} × shards {1, 4}`
-//!    record a checkpoint after every step; the run is then "crashed" at
-//!    adversarially chosen steps (the very first step, right after the first
-//!    merge while the class tables churn, the middle of a speculation window,
-//!    one step before the end), resumed from the snapshot taken at the crash
-//!    point, and re-driven while comparing checkpoint bytes step for step.
+//!    `CountingOnALine` across `{adaptive, sharded} × shards {1, 4}` record a
+//!    checkpoint after every step; the run is then "crashed" at adversarially
+//!    chosen steps (the very first step, right after the first merge while the
+//!    class tables churn, a few steps past it, the midpoint, one step before the
+//!    end), resumed from the snapshot taken at the crash point, and re-driven while
+//!    comparing checkpoint bytes step for step.
 //! 2. **Corruption rejection** — every strict prefix of a sealed snapshot and
 //!    every single-bit flip anywhere in it must be rejected by
-//!    `Snapshot::from_bytes` with a typed [`CoreError`], never a panic.
+//!    `Snapshot::from_bytes` with a typed [`CoreError`], never a panic; a
+//!    well-formed snapshot naming a retired sampling mode is a typed rejection.
 //! 3. **Checksum-valid garbage** — bit flips with the trailing checksum fixed up
 //!    pass `from_bytes` and reach the structural decoder; `Simulation::resume`
 //!    must then either succeed (the flip hit a don't-care encoding, e.g. a stats
@@ -36,39 +37,24 @@ use shape_constructors::protocols::square::Square;
 struct Layout {
     sampling: SamplingMode,
     shards: usize,
-    speculation: usize,
 }
 
-const LAYOUTS: [Layout; 6] = [
+const LAYOUTS: [Layout; 4] = [
     Layout {
-        sampling: SamplingMode::Batched,
+        sampling: SamplingMode::Adaptive,
         shards: 1,
-        speculation: 0,
     },
     Layout {
-        sampling: SamplingMode::Batched,
+        sampling: SamplingMode::Adaptive,
         shards: 4,
-        speculation: 0,
     },
     Layout {
         sampling: SamplingMode::Sharded,
         shards: 1,
-        speculation: 0,
     },
     Layout {
         sampling: SamplingMode::Sharded,
         shards: 4,
-        speculation: 0,
-    },
-    Layout {
-        sampling: SamplingMode::Speculative,
-        shards: 1,
-        speculation: 8,
-    },
-    Layout {
-        sampling: SamplingMode::Speculative,
-        shards: 4,
-        speculation: 8,
     },
 ];
 
@@ -78,7 +64,6 @@ fn config(n: usize, seed: u64, layout: Layout) -> SimulationConfig {
         .with_max_steps(50_000_000)
         .with_sampling(layout.sampling)
         .with_shards(layout.shards)
-        .with_speculation(layout.speculation)
 }
 
 /// Runs the reference execution, checkpointing after construction and after every
@@ -101,8 +86,7 @@ fn reference_trajectory<P: SnapshotProtocol>(
 
 /// The adversarial crash points for a recorded trajectory: the very first step, the
 /// step right after the first merge (mid class-table churn), a point a few steps
-/// past it (inside a speculation window at `k = 8`), the midpoint, and the step
-/// before the last recorded one.
+/// past it, the midpoint, and the step before the last recorded one.
 fn crash_points(merges: &[u64]) -> Vec<usize> {
     let last = merges.len() - 1;
     let first_merge = merges.iter().position(|&m| m > 0).unwrap_or(last);
@@ -181,9 +165,8 @@ fn resume_continues_to_the_same_terminal_configuration() {
     // Beyond lockstep checkpoints: a crashed-and-resumed run driven to stability
     // finishes with the same statistics and output shape as the uninterrupted run.
     let layout = Layout {
-        sampling: SamplingMode::Speculative,
+        sampling: SamplingMode::Sharded,
         shards: 4,
-        speculation: 8,
     };
     let mut reference = Simulation::new(GlobalLine::new(), config(20, 3, layout));
     for _ in 0..40 {
@@ -210,9 +193,8 @@ fn resume_continues_to_the_same_terminal_configuration() {
 
 fn sealed_fixture() -> Vec<u8> {
     let layout = Layout {
-        sampling: SamplingMode::Batched,
+        sampling: SamplingMode::Sharded,
         shards: 2,
-        speculation: 0,
     };
     let mut sim = Simulation::new(Square::new(), config(9, 5, layout));
     for _ in 0..25 {
@@ -301,6 +283,32 @@ fn checksum_fixed_bit_flips_never_panic_resume() {
         rejected > 0,
         "structural validation must reject at least some corrupted bodies"
     );
+}
+
+#[test]
+fn retired_sampling_mode_tags_are_typed_rejections() {
+    // Layout prefix: magic (4), format version (2), protocol name (u16 length +
+    // bytes), then n, seed and max_steps (8 each) before the sampling-mode tag.
+    let bytes = sealed_fixture();
+    let tag_at = 4 + 2 + 2 + "square".len() + 3 * 8;
+    assert_eq!(bytes[tag_at], 3, "the fixture is a sharded snapshot");
+    for retired in [2u8, 4] {
+        let mut patched = bytes.clone();
+        patched[tag_at] = retired;
+        fixup_checksum(&mut patched);
+        let snapshot = Snapshot::from_bytes(patched).expect("checksum was fixed up");
+        let err = match Simulation::resume(Square::new(), &snapshot) {
+            Ok(_) => panic!("tag {retired} must not resume"),
+            Err(err) => err,
+        };
+        assert_eq!(
+            err,
+            CoreError::SnapshotCorrupt {
+                what: "retired sampling mode (batched/speculative)"
+            },
+            "tag {retired}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Deterministic parallel-equivalence suite for the sharded world runtime and
 //! `SamplingMode::Sharded`.
 //!
-//! The sharded runtime's contract has four parts, each pinned here:
+//! The sharded runtime's contract has five parts, each pinned here:
 //!
 //! 1. **Parallel equivalence / shard-count invariance** — a seeded sharded execution is
 //!    *byte-identical* across 1, 2 and 4 shards: same terminal shape, same
@@ -16,10 +16,17 @@
 //! 3. **Index exactness under sharding** — with components straddling shard
 //!    boundaries, the sharded pair index (per-shard sub-indices + the incrementally
 //!    maintained shared aggregate) agrees with the brute-force oracle *and* with its
-//!    own independent recount after every single apply, and the cross-shard
-//!    merge/split routing loses no node (10k-step churn stress vs a sequential
-//!    replay).
-//! 4. **Concurrency** — `World` is `Sync`; concurrent read-side queries are safe.
+//!    own independent recount after every single apply, on merge-heavy, split-heavy,
+//!    halting and class-churning protocols, and the cross-shard merge/split routing
+//!    loses no node (10k-step churn stress vs a sequential replay).
+//! 4. **Terminal equivalence and accounting** — sharded, adaptive and legacy
+//!    executions reach the protocol's guaranteed outcome on `GlobalLine`, `Square` and
+//!    `CountingOnALine` (the modes consume the seeded RNG stream differently, so what
+//!    is compared is the uniquely determined stable output and the halting
+//!    guarantee); bulk credits respect step budgets exactly and are reported through
+//!    `ExecutionStats::skipped_steps`; live state diversity at the class cap does not
+//!    overflow, and beyond it the sampler degrades to the adaptive strategy.
+//! 5. **Concurrency** — `World` is `Sync`; concurrent read-side queries are safe.
 
 use shape_constructors::core::scheduler::{Scheduler, UniformScheduler};
 use shape_constructors::core::{
@@ -337,6 +344,65 @@ fn pair_index_matches_oracle_on_counting_with_class_churn_across_shards() {
     assert_pair_index_sound(CountingOnALine::new(2), 10, 9, 3_000);
 }
 
+#[test]
+fn pair_index_matches_oracle_on_merge_heavy_line() {
+    assert_pair_index_sound(GlobalLine::new(), 10, 3, 2_000);
+    assert_pair_index_sound(GlobalLine::new(), 13, 11, 2_000);
+}
+
+#[test]
+fn pair_index_matches_oracle_on_square() {
+    // (12, 7) already runs in the straddling-shards test above.
+    assert_pair_index_sound(Square::new(), 9, 5, 2_000);
+}
+
+/// Bonds pairs of fresh nodes, then releases the bond (splits) — exercises the split
+/// path of the index, where intra pairs become cross pairs again.
+struct BondThenRelease;
+
+#[derive(Clone, PartialEq, Debug)]
+enum BR {
+    Fresh,
+    Bonded,
+    Released,
+}
+
+impl Protocol for BondThenRelease {
+    type State = BR;
+
+    fn initial_state(&self, _node: NodeId, _n: usize) -> BR {
+        BR::Fresh
+    }
+
+    fn transition(
+        &self,
+        a: &BR,
+        _pa: Dir,
+        b: &BR,
+        _pb: Dir,
+        bonded: bool,
+    ) -> Option<Transition<BR>> {
+        match (a, b, bonded) {
+            (BR::Fresh, BR::Fresh, false) => Some(Transition {
+                a: BR::Bonded,
+                b: BR::Bonded,
+                bond: true,
+            }),
+            (BR::Bonded, BR::Bonded, true) => Some(Transition {
+                a: BR::Released,
+                b: BR::Released,
+                bond: false,
+            }),
+            _ => None,
+        }
+    }
+}
+
+#[test]
+fn pair_index_matches_oracle_across_splits() {
+    assert_pair_index_sound(BondThenRelease, 8, 17, 1_000);
+}
+
 /// Endless churn: solo nodes pair up (merge), pairs dissolve (split), dissolved nodes
 /// pair up again. Never stabilises; at 4 shards most pairings cross a shard boundary,
 /// which is exactly the traffic the cross-shard pending queues route.
@@ -563,7 +629,126 @@ fn shard_stats_account_for_every_registration() {
 }
 
 // ---------------------------------------------------------------------------------------
-// 4. Concurrency and the parallel maintenance paths
+// 4. Terminal equivalence across sampling modes, and accounting
+// ---------------------------------------------------------------------------------------
+
+const MODES: [(&str, SamplingMode); 3] = [
+    ("legacy", SamplingMode::Legacy),
+    ("adaptive", SamplingMode::Adaptive),
+    ("sharded", SamplingMode::Sharded),
+];
+
+#[test]
+fn all_modes_build_the_same_spanning_line() {
+    for n in [8usize, 16] {
+        for (name, mode) in MODES {
+            let mut sim = Simulation::new(
+                GlobalLine::new(),
+                SimulationConfig::new(n).with_seed(4).with_sampling(mode),
+            );
+            let report = sim.run_until_stable();
+            assert_eq!(report.reason, StopReason::Stable, "{name} n = {n}");
+            assert!(sim.output_shape().is_line(n), "{name} n = {n}");
+            assert_eq!(
+                sim.stats().effective_steps,
+                (n - 1) as u64,
+                "{name} n = {n}"
+            );
+            assert_eq!(sim.stats().merges, (n - 1) as u64, "{name} n = {n}");
+            assert!(sim.world().check_invariants());
+        }
+    }
+}
+
+#[test]
+fn all_modes_build_the_same_square() {
+    for n in [9usize, 16] {
+        let d = (n as f64).sqrt() as u32;
+        for (name, mode) in MODES {
+            let mut sim = Simulation::new(
+                Square::new(),
+                SimulationConfig::new(n).with_seed(6).with_sampling(mode),
+            );
+            let report = sim.run_until_stable();
+            assert_eq!(report.reason, StopReason::Stable, "{name} n = {n}");
+            assert!(
+                sim.output_shape().is_full_square(d),
+                "{name} n = {n}: {:?}",
+                sim.output_shape()
+            );
+            assert!(sim.world().check_invariants());
+        }
+    }
+}
+
+#[test]
+fn all_modes_halt_the_counting_leader() {
+    for n in [8usize, 16] {
+        for (name, mode) in MODES {
+            let mut sim = Simulation::new(
+                CountingOnALine::new(2),
+                SimulationConfig::new(n)
+                    .with_seed(8)
+                    .with_max_steps(20_000_000)
+                    .with_sampling(mode),
+            );
+            let report = sim.run_until_any_halted();
+            assert_eq!(report.reason, StopReason::AllHalted, "{name} n = {n}");
+            let counters = final_count(&sim).expect("the leader halted");
+            assert!(counters.r0 >= 2, "{name} n = {n}: head start not counted");
+            assert!(sim.world().check_invariants());
+        }
+    }
+}
+
+/// Every node has a unique `(id, counter)` state and each effective interaction bumps
+/// one counter: the live state diversity sits *exactly* at the index's class cap (64)
+/// forever, and every step retires one sole-member class while allocating a fresh one.
+struct SteadyChurn;
+
+impl Protocol for SteadyChurn {
+    type State = (u32, u32);
+
+    fn initial_state(&self, node: NodeId, _n: usize) -> (u32, u32) {
+        (node.index() as u32, 0)
+    }
+
+    fn transition(
+        &self,
+        a: &(u32, u32),
+        _pa: Dir,
+        b: &(u32, u32),
+        _pb: Dir,
+        bonded: bool,
+    ) -> Option<Transition<(u32, u32)>> {
+        (!bonded).then_some(Transition {
+            a: *a,
+            b: (b.0, b.1 + 1),
+            bond: false,
+        })
+    }
+}
+
+#[test]
+fn steady_state_diversity_at_the_class_cap_does_not_overflow() {
+    // 64 live classes = exactly the cap; replacing a sole-member class must reuse its
+    // slot instead of spuriously overflowing and disabling the index forever.
+    let mut sim = Simulation::new(
+        SteadyChurn,
+        SimulationConfig::new(64)
+            .with_seed(31)
+            .with_sharded_sampling(),
+    );
+    for _ in 0..50 {
+        assert!(sim.step());
+    }
+    sim.world()
+        .validate_pair_index()
+        .expect("the index must survive steady-state churn at the class cap");
+}
+
+// ---------------------------------------------------------------------------------------
+// 5. Concurrency and the parallel maintenance paths
 // ---------------------------------------------------------------------------------------
 
 #[test]
@@ -689,6 +874,7 @@ fn sharded_runs_report_bulk_credits_identically_across_layouts() {
             stats.skipped_steps > 0,
             "a 24-node line construction must skip ineffective selections in bulk"
         );
+        assert!(stats.skipped_steps <= stats.steps);
         assert_eq!(stats.steps, report.steps, "report covers the execution");
         per_layout.push(stats.skipped_steps);
     }
