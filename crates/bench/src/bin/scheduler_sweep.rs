@@ -1,8 +1,9 @@
 //! The scheduler n-sweep: `GlobalLine`, `Square` and `CountingOnALine` run to
 //! completion under the legacy rejection sampler, the adaptive indexed sampler and the
 //! sharded geometric-jump sampler at 1, 2 and 4 shards, on the same seed, for
-//! n = 64 … 1024. Emits `BENCH_scheduler.json` (steps/sec and speedup per size), the
-//! perf baseline that later PRs compare against.
+//! n = 64 … 1024, plus sharded-only rows at large n (line 16384/65536/262144, square
+//! 16384, counting 16384/65536). Emits `BENCH_scheduler.json` (steps/sec and speedup
+//! per size), the perf baseline that later changes compare against.
 //!
 //! "Steps" follow the paper's convention — every scheduler selection counts, and the
 //! sharded sampler's bulk-credited ineffective selections are included (they have the
@@ -21,8 +22,9 @@
 //!
 //! `--protocols` takes a comma-separated list of either the short names
 //! (`line,square,counting`) or the rows' own protocol names (`global-line`,
-//! `square`, `counting-on-a-line`). `--sizes` above a protocol's size cap are skipped
-//! with a note on stderr.
+//! `square`, `counting-on-a-line`). `--sizes` replaces the default size list for every
+//! protocol; sizes above a protocol's size cap run the sharded rows only (a note on
+//! stderr says so).
 //!
 //! `--profile` attaches a telemetry handle to every benchmarked run and emits the
 //! per-phase wall-clock breakdown (sample/apply/flush) both on stderr and as extra row
@@ -36,16 +38,22 @@
 //!
 //! `--smoke` asserts that every mode completes with the protocol's guaranteed outcome
 //! at n = 256 (including the three adversaries at n = 64, which must also be
-//! bit-deterministic across two runs), plus two gates: sharded@1 achieves at least the
-//! indexed steps/sec at n = 256, and the sharded rows report identical step counts at
-//! 1, 2 and 4 shards.
+//! bit-deterministic across two runs), plus three gates: sharded@1 achieves at least
+//! the indexed steps/sec at n = 256, the sharded rows report identical step counts at
+//! 1, 2 and 4 shards, and (when the line is selected) the flat-cost gate — sharded@1
+//! seconds per effective step on GlobalLine n = 65536 stay within 2.5× the n = 1024
+//! figure of the same run (best of three runs each; a ratio, so the host's absolute
+//! speed cancels).
 //!
 //! Per-protocol caps keep the sweep finite: the legacy sampler's full-scan stability
 //! checks cost `O(n²·ports²)` per probe, which at GlobalLine n = 1024 is ~13 minutes
 //! (recorded once in PR 1) and far worse for Square, whose single productive port pair
 //! drives the step count towards `Θ(n³)` — Square n = 512 already needs ~3·10⁸
-//! selections and n = 1024 exceeds 2·10⁹, so Square is swept to 512 and its legacy
-//! rows to 128. `--legacy-max` can lower (never raise) the legacy caps.
+//! selections and n = 1024 exceeds 2·10⁹ — so legacy rows stop at 512 (line), 128
+//! (square) and 1024 (counting), and indexed rows at 512 (square) and 1024 (line,
+//! counting). Above those size caps only the sharded rows run, whose geometric jumps
+//! credit the ineffective selections in bulk. `--legacy-max` can lower (never raise)
+//! the legacy caps.
 
 use nc_bench::sweep::{SweepProfile, SweepRow};
 use nc_core::scheduler::Scheduler;
@@ -93,11 +101,21 @@ impl Proto {
         }
     }
 
-    /// Largest population swept at all (Square's step count explodes past 512).
+    /// Largest population the legacy and indexed samplers are run at (Square's step
+    /// count explodes past 512); larger sizes run the sharded rows only.
     fn size_cap(self) -> usize {
         match self {
             Proto::Square => 512,
             Proto::Line | Proto::Counting => 1024,
+        }
+    }
+
+    /// The sharded-only sizes the default sweep adds above the size cap.
+    fn large_sizes(self) -> &'static [usize] {
+        match self {
+            Proto::Line => &[16_384, 65_536, 262_144],
+            Proto::Square => &[16_384],
+            Proto::Counting => &[16_384, 65_536],
         }
     }
 }
@@ -160,12 +178,17 @@ fn snapshot_timings<P: SnapshotProtocol>(protocol: P, sim: &Simulation<P>) -> (f
     (snapshot_ms, resume_ms)
 }
 
+/// Step ceiling of the uniform-scheduler rows. The sharded rows credit ineffective
+/// selections in bulk — GlobalLine n = 65536 needs more than 2·10⁹ — so the ceiling
+/// only exists to turn a run that never stops into a failed row instead of a hang.
+const MAX_STEPS: u64 = 1 << 50;
+
 /// Runs one protocol to its completion condition and checks the guaranteed outcome:
 /// the spanning line, the ⌊√n⌋ square for perfect squares, or a halted counting leader.
 fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> Row {
     let config = SimulationConfig::new(n)
         .with_seed(seed)
-        .with_max_steps(2_000_000_000)
+        .with_max_steps(MAX_STEPS)
         .with_sampling(spec.mode)
         .with_shards(spec.shards);
     let obs = if profile {
@@ -311,6 +334,29 @@ fn run_adversary(proto: Proto, n: usize, adversary: &'static str) -> Row {
     }
 }
 
+/// The flat-cost gate's sizes and bound: sharded@1 seconds per effective step on
+/// GlobalLine at `FLAT_LARGE_N` must stay within `FLAT_MAX_RATIO`× the `FLAT_SMALL_N`
+/// figure measured in the same process.
+const FLAT_SMALL_N: usize = 1024;
+const FLAT_LARGE_N: usize = 65_536;
+const FLAT_MAX_RATIO: f64 = 2.5;
+
+/// Best-of-three sharded@1 seconds per effective step (the minimum filters out
+/// scheduling hiccups of a shared runner, which only ever add time).
+fn secs_per_effective_step(proto: Proto, n: usize, seed: u64) -> f64 {
+    (0..3)
+        .map(|_| {
+            let row = run_one(proto, n, seed, MODES[2], false);
+            assert!(
+                row.completed,
+                "{} n={n} sharded1 did not complete",
+                proto.name()
+            );
+            row.seconds / row.effective_steps.max(1) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Whether a row belongs to the sharded sampler (any shard count).
 fn is_sharded(row: &Row) -> bool {
     row.mode.starts_with("sharded")
@@ -394,11 +440,28 @@ fn smoke(protos: &[Proto], seed: u64) {
             }
         }
     }
+    if protos.contains(&Proto::Line) {
+        let small = secs_per_effective_step(Proto::Line, FLAT_SMALL_N, seed);
+        let large = secs_per_effective_step(Proto::Line, FLAT_LARGE_N, seed);
+        let ratio = large / small;
+        eprintln!(
+            "smoke flat cost: global-line sharded1 {:.3} µs/effective step at n = \
+             {FLAT_SMALL_N}, {:.3} at n = {FLAT_LARGE_N}: {ratio:.2}x (bound {FLAT_MAX_RATIO}x)",
+            small * 1e6,
+            large * 1e6
+        );
+        if ratio > FLAT_MAX_RATIO {
+            failures.push(format!(
+                "global-line: sharded@1 cost per effective step grows {ratio:.2}x from n = \
+                 {FLAT_SMALL_N} to n = {FLAT_LARGE_N} (bound {FLAT_MAX_RATIO}x)"
+            ));
+        }
+    }
     assert!(failures.is_empty(), "smoke failures: {failures:?}");
     eprintln!(
         "smoke ok: sharded@1 ≥ indexed at n = {n}, sharded step counts identical at \
          1/2/4 shards, all modes completed, adversarial schedulers deterministic and fair \
-         at n = {adv_n}"
+         at n = {adv_n}, per-step cost flat in n"
     );
 }
 
@@ -424,13 +487,11 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| vec![Proto::Line, Proto::Square, Proto::Counting]);
-    let sizes: Vec<usize> = flag_value("--sizes")
-        .map(|list| {
-            list.split(',')
-                .map(|s| s.parse().expect("size must be an integer"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![64, 128, 256, 512, 1024]);
+    let sizes: Option<Vec<usize>> = flag_value("--sizes").map(|list| {
+        list.split(',')
+            .map(|s| s.parse().expect("size must be an integer"))
+            .collect()
+    });
     let legacy_max: usize = flag_value("--legacy-max")
         .map(|v| v.parse().expect("--legacy-max must be an integer"))
         .unwrap_or(usize::MAX);
@@ -449,18 +510,28 @@ fn main() {
         "protocol", "n", "mode", "seconds", "steps", "steps/sec", "completed"
     );
     for &proto in &protos {
-        for &n in &sizes {
-            if n > proto.size_cap() {
+        let proto_sizes = sizes.clone().unwrap_or_else(|| {
+            let mut default = vec![64, 128, 256, 512, 1024];
+            default.extend_from_slice(proto.large_sizes());
+            default
+        });
+        for &n in &proto_sizes {
+            let sharded_only = n > proto.size_cap();
+            if sharded_only {
                 eprintln!(
-                    "note: skipping {} n={n}: above its size cap {}",
+                    "note: {} n={n} is above its size cap {}: sharded rows only",
                     proto.name(),
                     proto.size_cap()
                 );
-                continue;
             }
-            let mut indexed_secs = f64::NAN;
+            let mut indexed_secs = None;
             for mode in MODES {
-                if mode.mode == SamplingMode::Legacy && n > legacy_max.min(proto.legacy_cap()) {
+                let capped = match mode.mode {
+                    SamplingMode::Legacy => n > legacy_max.min(proto.legacy_cap()),
+                    SamplingMode::Sharded => false,
+                    SamplingMode::Adaptive => sharded_only,
+                };
+                if capped {
                     continue;
                 }
                 let row = run_one(proto, n, seed, mode, profile);
@@ -485,9 +556,9 @@ fn main() {
                     );
                 }
                 if mode.mode == SamplingMode::Adaptive {
-                    indexed_secs = row.seconds;
+                    indexed_secs = Some(row.seconds);
                 }
-                if mode.label == "sharded1" {
+                if let (Some(indexed_secs), "sharded1") = (indexed_secs, mode.label) {
                     eprintln!(
                         "{:>18}  {n:>6}  speedup (indexed/sharded1): {:.2}x",
                         proto.name(),
@@ -536,7 +607,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (parallel equivalence); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), square swept to 512\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (parallel equivalence); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), indexed at 512 (square) and 1024 (line, counting); larger sizes (line 16384/65536/262144, square 16384, counting 16384/65536) run sharded rows only\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write bench artifact");

@@ -34,11 +34,13 @@
 //! [`crate::World`] is `Sync` and concurrent read-side queries are safe.
 
 use crate::component::{Component, DeterministicState};
+use crate::rank_set::{RankSet, EMPTY};
 use crate::shard::{ShardMap, PARALLEL_FLUSH_MIN};
 use crate::{Interaction, NodeId, Placement, Protocol};
 use nc_geometry::{Dim, Dir};
 use nc_obs::{Telemetry, TraceEventKind};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -160,8 +162,8 @@ impl InteractionIndex {
 //
 // 1. **Intra-component pairs** (bonded, or facing-adjacent in the same component):
 //    purely local — whether `(x, pa)` participates depends only on `x`'s links and the
-//    occupancy of the single cell its port faces. Stored as canonical pair keys, sorted,
-//    in the sub-index of the shard owning the pair's smaller endpoint.
+//    occupancy of the single cell its port faces. Stored by lower endpoint (the pair
+//    key order) in the sub-index of the shard owning that endpoint.
 // 2. **Multi-component node × free singleton**: a port of a node in a ≥2-node component
 //    whose facing cell is unoccupied accepts *any* free singleton through *any* of its
 //    ports (singletons are arbitrarily rotatable and have no other cells to collide),
@@ -190,9 +192,15 @@ impl InteractionIndex {
 // # Sharded layout and the shared class-count aggregate
 //
 // Registrations are split by node across **shards** (contiguous id ranges,
-// [`ShardMap`]): each shard owns the sorted singleton/free-port buckets of its nodes
-// (per state class) and the sorted canonical keys of the intra pairs whose smaller
-// endpoint it owns. On top of the per-shard sub-indices one **shared aggregate** keeps,
+// [`ShardMap`]): each shard owns the singleton/free-port buckets of its nodes (per
+// state class) and the intra pairs whose lower endpoint it owns. Every bucket is a
+// rank/select set ([`RankSet`]: a bitset plus a Fenwick tree over per-word popcounts)
+// over a dense universe — node buckets keyed by `node − start`, intra sets by the
+// lower endpoint `(node − start)·PORT_CAP + port`, which orders intra pairs exactly
+// like their canonical pair keys because a node-port belongs to at most one intra
+// pair. Registration changes and `select(k)` are `O(log n)` and iteration is
+// ascending, so the per-step cost no longer carries the `O(bucket)` memmove of a
+// sorted `Vec`. On top of the per-shard sub-indices one **shared aggregate** keeps,
 // per state class, the population-wide bucket sizes (`g[class][port]`, `s[class]`) and
 // a running total of the effective pair count, updated with an exact `O(classes·ports)`
 // delta on every single registration change — the "sum of per-shard rates" the sharded
@@ -205,14 +213,14 @@ impl InteractionIndex {
 // Every ordering the samplers can observe is canonical in the *configuration*, not in
 // the shard layout:
 //
-// * per-shard bucket and key lists are sorted, and shards are contiguous id ranges, so
-//   concatenating them in shard order yields the global sorted order for any shard
-//   count;
+// * per-shard rank/select sets are ordered (by node id, intra pairs by lower
+//   endpoint), and shards are contiguous id ranges, so concatenating them in shard
+//   order yields the global sorted order for any shard count;
 // * state-class ids are allocated in the order classes are first seen, and nodes are
 //   re-derived in ascending id order (`World::flush_pairs` sorts its batch), so the
 //   class table is identical for any shard count;
 // * the uniform draws map an index `idx ∈ 0..E` through a deterministic cell walk
-//   (intra keys, then class-2 cells, then class-3 cells, in class/port order) with
+//   (intra pairs, then class-2 cells, then class-3 cells, in class/port order) with
 //   arithmetic decomposition inside each cell — no storage-order-dependent choice
 //   remains.
 //
@@ -236,9 +244,9 @@ const PORT_CAP: usize = 6;
 const NONE: u32 = u32::MAX;
 
 /// Packs an unordered node-port pair into a canonical `u64` key. The smaller
-/// `(node, port)` endpoint occupies the high bits, so sorting keys sorts by owner node
-/// — which is what makes per-shard sorted key lists concatenate into the global sorted
-/// order (shards are contiguous id ranges).
+/// `(node, port)` endpoint occupies the high bits, so sorting keys sorts by lower
+/// endpoint — the order the per-shard intra sets reproduce (shards are contiguous id
+/// ranges) and the identity the validation oracle compares effective sets by.
 pub(crate) fn pair_key(a: NodeId, pa: Dir, b: NodeId, pb: Dir) -> u64 {
     // Node ids get 24 bits each; beyond that the keys would alias silently.
     debug_assert!(
@@ -254,20 +262,6 @@ pub(crate) fn pair_key(a: NodeId, pa: Dir, b: NodeId, pb: Dir) -> u64 {
         | ((lo.1.index() as u64) << 32)
         | ((hi.0.index() as u64) << 8)
         | hi.1.index() as u64
-}
-
-fn unpack_key(key: u64) -> (NodeId, Dir, NodeId, Dir) {
-    (
-        NodeId::new(((key >> 40) & 0xFF_FFFF) as u32),
-        Dir::from_index(((key >> 32) & 0xFF) as usize),
-        NodeId::new(((key >> 8) & 0xFF_FFFF) as u32),
-        Dir::from_index((key & 0xFF) as usize),
-    )
-}
-
-/// The smaller endpoint of a canonical pair key (decides the owning shard).
-fn key_owner(key: u64) -> NodeId {
-    NodeId::new(((key >> 40) & 0xFF_FFFF) as u32)
 }
 
 /// A read-only view of the world geometry the pair index derives its entries from.
@@ -380,47 +374,106 @@ pub(crate) struct BaseCounts {
     pub(crate) effective: u64,
 }
 
-/// One shard's sub-index: the registrations of its contiguous node-id range, every
-/// list sorted so shard-order concatenation is the global canonical order.
-#[derive(Default)]
+/// One shard's sub-index: the registrations of its contiguous node-id range, each in
+/// a rank/select set keyed by offset from the range start, so every set iterates and
+/// selects in ascending node order and shard-order concatenation is the global
+/// canonical order.
 struct Shard {
-    /// Canonical keys of the intra pairs whose smaller endpoint this shard owns.
-    intra: Vec<u64>,
+    /// First node id of the range.
+    start: usize,
+    /// Number of node ids in the range (the universe of the node-keyed sets).
+    nodes: usize,
+    /// The intra pairs whose lower endpoint this shard owns, keyed by that endpoint
+    /// (see [`Shard::port_key`]); the peer is read back from [`PairIndex::intra`].
+    intra: RankSet,
     /// The effective subset of `intra`.
-    intra_eff: Vec<u64>,
-    /// Per state class: this shard's free singletons, ascending by node id.
-    singletons: Vec<Vec<NodeId>>,
+    intra_eff: RankSet,
+    /// Per state class: this shard's free singletons.
+    singletons: Vec<RankSet>,
     /// Per state class and port: this shard's multi-component nodes in that state whose
-    /// port faces a free cell, ascending by node id.
-    free_ports: Vec<[Vec<NodeId>; 6]>,
+    /// port faces a free cell.
+    free_ports: Vec<[RankSet; PORT_CAP]>,
 }
 
 impl Shard {
-    fn singleton_bucket(&self, class: u32) -> &[NodeId] {
-        self.singletons
-            .get(class as usize)
-            .map_or(&[], Vec::as_slice)
+    fn new(range: Range<usize>) -> Shard {
+        Shard {
+            start: range.start,
+            nodes: range.len(),
+            intra: RankSet::new(range.len() * PORT_CAP),
+            intra_eff: RankSet::new(range.len() * PORT_CAP),
+            singletons: Vec::new(),
+            free_ports: Vec::new(),
+        }
     }
 
-    fn free_bucket(&self, class: u32, pa: Dir) -> &[NodeId] {
+    /// Set key of a node of this shard.
+    fn node_key(&self, x: NodeId) -> usize {
+        x.index() - self.start
+    }
+
+    /// The node a node key stands for.
+    fn node_at(&self, key: usize) -> NodeId {
+        NodeId::new((self.start + key) as u32)
+    }
+
+    /// Set key of a node-port of this shard: `(node − start)·PORT_CAP + port`. A
+    /// node-port belongs to at most one intra pair, so keying pairs by their lower
+    /// endpoint orders them exactly like their canonical [`pair_key`]s.
+    fn port_key(&self, x: NodeId, pa: Dir) -> usize {
+        self.node_key(x) * PORT_CAP + pa.index()
+    }
+
+    /// The node-port a port key stands for.
+    fn port_at(&self, key: usize) -> (NodeId, Dir) {
+        (
+            self.node_at(key / PORT_CAP),
+            Dir::from_index(key % PORT_CAP),
+        )
+    }
+
+    fn singleton_bucket(&self, class: u32) -> &RankSet {
+        self.singletons.get(class as usize).unwrap_or(&EMPTY)
+    }
+
+    fn free_bucket(&self, class: u32, pa: Dir) -> &RankSet {
         self.free_ports
             .get(class as usize)
-            .map_or(&[], |ports| ports[pa.index()].as_slice())
+            .map_or(&EMPTY, |ports| &ports[pa.index()])
     }
 
-    fn singleton_bucket_mut(&mut self, class: u32) -> &mut Vec<NodeId> {
+    fn singleton_bucket_mut(&mut self, class: u32) -> &mut RankSet {
+        let nodes = self.nodes;
         if self.singletons.len() <= class as usize {
-            self.singletons.resize_with(class as usize + 1, Vec::new);
+            self.singletons
+                .resize_with(class as usize + 1, || RankSet::new(nodes));
         }
         &mut self.singletons[class as usize]
     }
 
-    fn free_bucket_mut(&mut self, class: u32, pa: Dir) -> &mut Vec<NodeId> {
+    fn free_bucket_mut(&mut self, class: u32, pa: Dir) -> &mut RankSet {
+        let nodes = self.nodes;
         if self.free_ports.len() <= class as usize {
-            self.free_ports
-                .resize_with(class as usize + 1, || std::array::from_fn(|_| Vec::new()));
+            self.free_ports.resize_with(class as usize + 1, || {
+                std::array::from_fn(|_| RankSet::new(nodes))
+            });
         }
         &mut self.free_ports[class as usize][pa.index()]
+    }
+
+    /// The members of a node-keyed set, ascending.
+    fn members<'a>(&'a self, set: &'a RankSet) -> impl Iterator<Item = NodeId> + 'a {
+        set.iter().map(|key| self.node_at(key))
+    }
+}
+
+/// The lower endpoint of an intra pair in the [`pair_key`] order: its shard owns the
+/// pair, and its port key stands for the pair in the intra sets.
+fn lower_endpoint(x: NodeId, pa: Dir, peer: NodeId, pport: Dir) -> (NodeId, Dir) {
+    if (x.index(), pa.index()) <= (peer.index(), pport.index()) {
+        (x, pa)
+    } else {
+        (peer, pport)
     }
 }
 
@@ -462,14 +515,14 @@ pub(crate) enum IndexOp<S> {
     RegFreePort { x: NodeId, pa: Dir, class: u32 },
     /// `drop_free_port_reg(x, pa)` removed a registration of `class`.
     DropFreePort { x: NodeId, pa: Dir, class: u32 },
-    /// `key` was inserted into its shard's intra list.
-    IntraInsert { key: u64 },
-    /// `key` was removed from its shard's intra list.
-    IntraRemove { key: u64 },
-    /// `key` was inserted into its shard's effective-intra list.
-    IntraEffInsert { key: u64 },
-    /// `key` was removed from its shard's effective-intra list.
-    IntraEffRemove { key: u64 },
+    /// The intra pair with lower endpoint `(x, pa)` entered its shard's intra set.
+    IntraInsert { x: NodeId, pa: Dir },
+    /// The intra pair with lower endpoint `(x, pa)` left its shard's intra set.
+    IntraRemove { x: NodeId, pa: Dir },
+    /// The intra pair with lower endpoint `(x, pa)` entered the effective-intra set.
+    IntraEffInsert { x: NodeId, pa: Dir },
+    /// The intra pair with lower endpoint `(x, pa)` left the effective-intra set.
+    IntraEffRemove { x: NodeId, pa: Dir },
     /// `intra[x][pa]` was overwritten; `old` is the previous cell value.
     IntraCell {
         x: NodeId,
@@ -619,7 +672,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let obs = self.obs.clone();
         *self = PairIndex::new(map);
         self.obs = obs;
-        self.shards = (0..map.count()).map(|_| Shard::default()).collect();
+        self.shards = (0..map.count()).map(|s| Shard::new(map.range(s))).collect();
         self.node_class = vec![NONE; n];
         self.reg_singleton = vec![false; n];
         self.reg_free = vec![0; n];
@@ -704,7 +757,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let obs = self.obs.clone();
         *self = PairIndex::new(map);
         self.obs = obs;
-        self.shards = (0..map.count()).map(|_| Shard::default()).collect();
+        self.shards = (0..map.count()).map(|s| Shard::new(map.range(s))).collect();
         self.node_class = vec![NONE; n];
         self.reg_singleton = vec![false; n];
         self.reg_free = vec![0; n];
@@ -921,11 +974,11 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                             bonded: new.bonded,
                         }),
                     );
-                    self.intra_insert(pair_key(x, pa, new.peer, new.pport));
+                    self.intra_insert(lower_endpoint(x, pa, new.peer, new.pport));
                 }
             }
             if let Some(entry) = self.intra[xi][pa.index()] {
-                let key = pair_key(x, pa, entry.peer, entry.pport);
+                let lo = lower_endpoint(x, pa, entry.peer, entry.pport);
                 let eff = !view.halted[xi]
                     && !view.halted[entry.peer.index()]
                     && crate::world::transition_effective(
@@ -937,9 +990,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                         entry.bonded,
                     );
                 if eff {
-                    self.intra_eff_insert(key);
+                    self.intra_eff_insert(lo);
                 } else {
-                    self.intra_eff_remove(key);
+                    self.intra_eff_remove(lo);
                 }
             }
         }
@@ -1137,8 +1190,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.class3_eff += self.singleton_class3_rate(class);
         self.s[class as usize] += 1;
         self.singleton_total += 1;
-        let shard = self.map.shard_of(x);
-        let inserted = sorted_insert(self.shards[shard].singleton_bucket_mut(class), x);
+        let shard = &mut self.shards[self.map.shard_of(x)];
+        let key = shard.node_key(x);
+        let inserted = shard.singleton_bucket_mut(class).insert(key);
         debug_assert!(inserted);
         self.reg_singleton[x.index()] = true;
     }
@@ -1149,8 +1203,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         }
         let class = self.node_class[x.index()];
         self.log(|| IndexOp::DropSingleton { x, class });
-        let shard = self.map.shard_of(x);
-        let removed = sorted_remove(self.shards[shard].singleton_bucket_mut(class), x);
+        let shard = &mut self.shards[self.map.shard_of(x)];
+        let key = shard.node_key(x);
+        let removed = shard.singleton_bucket_mut(class).remove(key);
         debug_assert!(removed);
         self.reg_singleton[x.index()] = false;
         self.s[class as usize] -= 1;
@@ -1165,8 +1220,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.class2_eff += self.free_port_rate(class, pa);
         self.g[class as usize][pa.index()] += 1;
         self.free_total += 1;
-        let shard = self.map.shard_of(x);
-        let inserted = sorted_insert(self.shards[shard].free_bucket_mut(class, pa), x);
+        let shard = &mut self.shards[self.map.shard_of(x)];
+        let key = shard.node_key(x);
+        let inserted = shard.free_bucket_mut(class, pa).insert(key);
         debug_assert!(inserted);
         self.reg_free[x.index()] |= 1 << pa.index();
     }
@@ -1177,8 +1233,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         }
         let class = self.node_class[x.index()];
         self.log(|| IndexOp::DropFreePort { x, pa, class });
-        let shard = self.map.shard_of(x);
-        let removed = sorted_remove(self.shards[shard].free_bucket_mut(class, pa), x);
+        let shard = &mut self.shards[self.map.shard_of(x)];
+        let key = shard.node_key(x);
+        let removed = shard.free_bucket_mut(class, pa).remove(key);
         debug_assert!(removed);
         self.reg_free[x.index()] &= !(1 << pa.index());
         self.g[class as usize][pa.index()] -= 1;
@@ -1186,27 +1243,41 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.class2_eff -= self.free_port_rate(class, pa);
     }
 
-    fn intra_insert(&mut self, key: u64) {
-        let shard = self.map.shard_of(key_owner(key));
-        if sorted_insert(&mut self.shards[shard].intra, key) {
+    /// The owning shard and port key of an intra pair's lower endpoint.
+    fn intra_slot(&self, (x, pa): (NodeId, Dir)) -> (usize, usize) {
+        let shard = self.map.shard_of(x);
+        (shard, self.shards[shard].port_key(x, pa))
+    }
+
+    fn intra_insert(&mut self, lo: (NodeId, Dir)) {
+        let (shard, key) = self.intra_slot(lo);
+        if self.shards[shard].intra.insert(key) {
             self.intra_total += 1;
-            self.log(|| IndexOp::IntraInsert { key });
+            self.log(|| IndexOp::IntraInsert { x: lo.0, pa: lo.1 });
         }
     }
 
-    fn intra_eff_insert(&mut self, key: u64) {
-        let shard = self.map.shard_of(key_owner(key));
-        if sorted_insert(&mut self.shards[shard].intra_eff, key) {
+    fn intra_remove(&mut self, lo: (NodeId, Dir)) {
+        let (shard, key) = self.intra_slot(lo);
+        if self.shards[shard].intra.remove(key) {
+            self.intra_total -= 1;
+            self.log(|| IndexOp::IntraRemove { x: lo.0, pa: lo.1 });
+        }
+    }
+
+    fn intra_eff_insert(&mut self, lo: (NodeId, Dir)) {
+        let (shard, key) = self.intra_slot(lo);
+        if self.shards[shard].intra_eff.insert(key) {
             self.intra_eff_total += 1;
-            self.log(|| IndexOp::IntraEffInsert { key });
+            self.log(|| IndexOp::IntraEffInsert { x: lo.0, pa: lo.1 });
         }
     }
 
-    fn intra_eff_remove(&mut self, key: u64) {
-        let shard = self.map.shard_of(key_owner(key));
-        if sorted_remove(&mut self.shards[shard].intra_eff, key) {
+    fn intra_eff_remove(&mut self, lo: (NodeId, Dir)) {
+        let (shard, key) = self.intra_slot(lo);
+        if self.shards[shard].intra_eff.remove(key) {
             self.intra_eff_total -= 1;
-            self.log(|| IndexOp::IntraEffRemove { key });
+            self.log(|| IndexOp::IntraEffRemove { x: lo.0, pa: lo.1 });
         }
     }
 
@@ -1217,16 +1288,12 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.intra[x.index()][pa.index()] = value;
     }
 
-    /// Removes the stored intra pair anchored at `(x, pa)` from the lists and clears
+    /// Removes the stored intra pair anchored at `(x, pa)` from the sets and clears
     /// the mirror entry if it still points back.
     fn unlink_intra(&mut self, x: NodeId, pa: Dir, entry: IntraEntry) {
-        let key = pair_key(x, pa, entry.peer, entry.pport);
-        let shard = self.map.shard_of(key_owner(key));
-        if sorted_remove(&mut self.shards[shard].intra, key) {
-            self.intra_total -= 1;
-            self.log(|| IndexOp::IntraRemove { key });
-        }
-        self.intra_eff_remove(key);
+        let lo = lower_endpoint(x, pa, entry.peer, entry.pport);
+        self.intra_remove(lo);
+        self.intra_eff_remove(lo);
         self.intra_cell_set(x, pa, None);
         let mirror = self.intra[entry.peer.index()][entry.pport.index()];
         if mirror.is_some_and(|m| m.peer == x && m.pport == pa) {
@@ -1272,20 +1339,10 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                 IndexOp::DropFreePort { x, pa, class } => {
                     self.register_free_port(class, x, pa);
                 }
-                IndexOp::IntraInsert { key } => {
-                    let shard = self.map.shard_of(key_owner(key));
-                    let removed = sorted_remove(&mut self.shards[shard].intra, key);
-                    debug_assert!(removed);
-                    self.intra_total -= 1;
-                }
-                IndexOp::IntraRemove { key } => {
-                    let shard = self.map.shard_of(key_owner(key));
-                    let inserted = sorted_insert(&mut self.shards[shard].intra, key);
-                    debug_assert!(inserted);
-                    self.intra_total += 1;
-                }
-                IndexOp::IntraEffInsert { key } => self.intra_eff_remove(key),
-                IndexOp::IntraEffRemove { key } => self.intra_eff_insert(key),
+                IndexOp::IntraInsert { x, pa } => self.intra_remove((x, pa)),
+                IndexOp::IntraRemove { x, pa } => self.intra_insert((x, pa)),
+                IndexOp::IntraEffInsert { x, pa } => self.intra_eff_remove((x, pa)),
+                IndexOp::IntraEffRemove { x, pa } => self.intra_eff_insert((x, pa)),
                 IndexOp::IntraCell { x, pa, old } => {
                     self.intra[x.index()][pa.index()] = old;
                 }
@@ -1365,7 +1422,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         v
     }
 
-    /// Per-shard bucket sums, recomputed from the stored lists (not the aggregate).
+    /// Per-shard bucket sums, recomputed from the stored sets (not the aggregate).
     fn recount_bucket(&self, class: u32, port: Option<Dir>) -> u64 {
         self.shards
             .iter()
@@ -1377,7 +1434,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     }
 
     /// Exact counts of the base classes (1–3) of the decomposition, recomputed from the
-    /// per-shard lists and the hash memo in `O(classes²·ports²)`. This is the
+    /// per-shard sets and the hash memo in `O(classes²·ports²)`. This is the
     /// independent twin of [`PairIndex::aggregate_counts`], kept as the recount oracle
     /// that `World::validate_pair_index` asserts the aggregate against.
     pub(crate) fn counts<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim) -> BaseCounts {
@@ -1454,7 +1511,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         for shard in &self.shards {
             let bucket = shard.singleton_bucket(c);
             if (k as usize) < bucket.len() {
-                return bucket[k as usize];
+                return shard.node_at(bucket.select(k as usize));
             }
             k -= bucket.len() as u64;
         }
@@ -1466,7 +1523,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         for shard in &self.shards {
             let bucket = shard.free_bucket(c, pa);
             if (k as usize) < bucket.len() {
-                return bucket[k as usize];
+                return shard.node_at(bucket.select(k as usize));
             }
             k -= bucket.len() as u64;
         }
@@ -1495,8 +1552,17 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         (i, j)
     }
 
+    /// The intra pair whose lower endpoint has port key `key` in `shard`, oriented
+    /// lower endpoint first (the [`pair_key`] orientation).
+    fn intra_pair_at(&self, shard: &Shard, key: usize) -> (NodeId, Dir, NodeId, Dir) {
+        let (x, pa) = shard.port_at(key);
+        let entry =
+            self.intra[x.index()][pa.index()].expect("an intra set member has its pair cell");
+        (x, pa, entry.peer, entry.pport)
+    }
+
     /// The `idx`-th effective base pair under the canonical walk order: per-shard intra
-    /// keys, then class-2 cells, then class-3 cells (classes and ports ascending), with
+    /// pairs by lower endpoint, then class-2 cells, then class-3 cells (classes and ports ascending), with
     /// arithmetic decomposition inside each cell. The result is uniform over the
     /// effective base set when `idx` is uniform over `0..aggregate effective`, and —
     /// because every ordering involved is configuration-canonical — independent of the
@@ -1504,7 +1570,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     pub(crate) fn sample_effective(&self, dim: Dim, mut idx: u64) -> (NodeId, Dir, NodeId, Dir) {
         for shard in &self.shards {
             if (idx as usize) < shard.intra_eff.len() {
-                return unpack_key(shard.intra_eff[idx as usize]);
+                return self.intra_pair_at(shard, shard.intra_eff.select(idx as usize));
             }
             idx -= shard.intra_eff.len() as u64;
         }
@@ -1585,14 +1651,14 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         unreachable!("sample index exceeded the effective base count");
     }
 
-    /// The `idx`-th *permissible* base pair under the canonical walk order (intra keys,
+    /// The `idx`-th *permissible* base pair under the canonical walk order (intra pairs,
     /// then free-port × singleton, then singleton²) — uniform over the base permissible
     /// set when `idx` is uniform, shard-count independent for the same reasons as
     /// [`PairIndex::sample_effective`].
     pub(crate) fn sample_permissible(&self, dim: Dim, mut idx: u64) -> (NodeId, Dir, NodeId, Dir) {
         for shard in &self.shards {
             if (idx as usize) < shard.intra.len() {
-                return unpack_key(shard.intra[idx as usize]);
+                return self.intra_pair_at(shard, shard.intra.select(idx as usize));
             }
             idx -= shard.intra.len() as u64;
         }
@@ -1650,7 +1716,12 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let mut out: Vec<u64> = self
             .shards
             .iter()
-            .flat_map(|sh| sh.intra_eff.iter().copied())
+            .flat_map(|sh| {
+                sh.intra_eff
+                    .iter()
+                    .map(move |key| self.intra_pair_at(sh, key))
+            })
+            .map(|(x, pa, y, pb)| pair_key(x, pa, y, pb))
             .collect();
         for &ca in &self.live_ids {
             for &pa in dim.dirs() {
@@ -1667,9 +1738,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                             continue;
                         }
                         for shard_x in &self.shards {
-                            for &x in shard_x.free_bucket(ca, pa) {
+                            for x in shard_x.members(shard_x.free_bucket(ca, pa)) {
                                 for shard_y in &self.shards {
-                                    for &y in shard_y.singleton_bucket(cb) {
+                                    for y in shard_y.members(shard_y.singleton_bucket(cb)) {
                                         out.push(pair_key(x, pa, y, pb));
                                     }
                                 }
@@ -1688,9 +1759,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                             continue;
                         }
                         for shard_y in &self.shards {
-                            for &y in shard_y.singleton_bucket(ca) {
+                            for y in shard_y.members(shard_y.singleton_bucket(ca)) {
                                 for shard_z in &self.shards {
-                                    for &z in shard_z.singleton_bucket(cb) {
+                                    for z in shard_z.members(shard_z.singleton_bucket(cb)) {
                                         // Within one class the smaller id takes `pa`
                                         // (the counting convention); across classes all
                                         // ordered role assignments are distinct cells.
@@ -1715,11 +1786,11 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             .iter()
             .map(|shard| {
                 (
-                    shard.singletons.iter().map(Vec::len).sum(),
+                    shard.singletons.iter().map(RankSet::len).sum(),
                     shard
                         .free_ports
                         .iter()
-                        .flat_map(|ports| ports.iter().map(Vec::len))
+                        .flat_map(|ports| ports.iter().map(RankSet::len))
                         .sum(),
                     shard.intra.len(),
                 )
@@ -1727,32 +1798,69 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             .collect()
     }
 
-    /// Structural invariants of the sharded layout: per-shard lists sorted, every entry
-    /// owned by its shard, aggregate totals equal to recounted bucket sums. Used by the
-    /// validation suite.
+    /// Structural invariants of the sharded layout: the intra sets hold exactly the
+    /// lower endpoints of the mutually linked pair cells, effective intra pairs are
+    /// intra pairs, every bucket member carries the matching registration, and the
+    /// aggregate totals equal recounted bucket sums. Used by the validation suite.
     pub(crate) fn check_sharding(&self) -> Result<(), String> {
-        let sorted = |v: &[u64]| v.windows(2).all(|w| w[0] < w[1]);
         for (i, shard) in self.shards.iter().enumerate() {
-            if !sorted(&shard.intra) || !sorted(&shard.intra_eff) {
-                return Err(format!("shard {i}: intra key lists not strictly sorted"));
-            }
-            for &key in shard.intra.iter().chain(&shard.intra_eff) {
-                if self.map.shard_of(key_owner(key)) != i {
-                    return Err(format!("shard {i}: foreign intra key {key:#x}"));
+            for key in shard.intra.iter() {
+                let (x, pa) = shard.port_at(key);
+                let linked = self.intra[x.index()][pa.index()].is_some_and(|e| {
+                    let mirror = self.intra[e.peer.index()][e.pport.index()];
+                    lower_endpoint(x, pa, e.peer, e.pport) == (x, pa)
+                        && mirror.is_some_and(|m| (m.peer, m.pport) == (x, pa))
+                });
+                if !linked {
+                    return Err(format!(
+                        "shard {i}: intra member {x:?}/{pa:?} is not the lower endpoint of a linked pair"
+                    ));
                 }
             }
-            for bucket in shard
-                .singletons
-                .iter()
-                .chain(shard.free_ports.iter().flat_map(|p| p.iter()))
-            {
-                if !bucket.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("shard {i}: bucket not strictly sorted"));
-                }
-                if bucket.iter().any(|&x| self.map.shard_of(x) != i) {
-                    return Err(format!("shard {i}: foreign bucket member"));
+            if let Some(key) = shard.intra_eff.iter().find(|&k| !shard.intra.contains(k)) {
+                return Err(format!(
+                    "shard {i}: effective intra pair at {:?} is not an intra pair",
+                    shard.port_at(key)
+                ));
+            }
+            for (c, bucket) in shard.singletons.iter().enumerate() {
+                for x in shard.members(bucket) {
+                    if !self.reg_singleton[x.index()] || self.node_class[x.index()] != c as u32 {
+                        return Err(format!("shard {i}: singleton bucket {c} holds {x:?}"));
+                    }
                 }
             }
+            for (c, ports) in shard.free_ports.iter().enumerate() {
+                for (p, bucket) in ports.iter().enumerate() {
+                    for x in shard.members(bucket) {
+                        if self.reg_free[x.index()] & (1 << p) == 0
+                            || self.node_class[x.index()] != c as u32
+                        {
+                            return Err(format!("shard {i}: free-port bucket {c}/{p} holds {x:?}"));
+                        }
+                    }
+                }
+            }
+        }
+        // Members are linked lower endpoints (above); equal counts make it a bijection.
+        let lower_cells = self
+            .intra
+            .iter()
+            .enumerate()
+            .flat_map(|(xi, ports)| {
+                ports.iter().enumerate().filter(move |&(p, cell)| {
+                    cell.is_some_and(|e| {
+                        let x = (NodeId::new(xi as u32), Dir::from_index(p));
+                        lower_endpoint(x.0, x.1, e.peer, e.pport) == x
+                    })
+                })
+            })
+            .count() as u64;
+        if lower_cells != self.intra_total {
+            return Err(format!(
+                "{lower_cells} intra pair cells but {} intra set members",
+                self.intra_total
+            ));
         }
         for &c in &self.live_ids {
             if self.recount_bucket(c, None) != self.s[c as usize] {

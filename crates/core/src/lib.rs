@@ -60,6 +60,7 @@ mod index;
 mod lock;
 mod node;
 mod protocol;
+mod rank_set;
 pub mod rng;
 pub mod scheduler;
 pub mod shard;

@@ -7,11 +7,12 @@
 //! The parallel-equivalence guarantee of the sharded runtime — same seed ⇒ identical
 //! execution for 1, 2 or 4 shards — rests on every sampler-visible ordering being a
 //! function of the *configuration only*, never of the shard layout. Contiguous ranges
-//! make that composition trivial: every per-shard structure keeps its entries sorted by
-//! node id (or by canonical pair key, whose high bits are the smaller node id), so the
-//! concatenation of the per-shard structures **in shard order is the global sorted
-//! order**, independent of how many shards the ids were cut into. A hash-based
-//! assignment would interleave ids across shards and break exactly this property.
+//! make that composition trivial: every per-shard structure is a rank/select set
+//! ordered by node id (or, for intra pairs, by the pair's lower endpoint
+//! `(node, port)`), so the concatenation of the per-shard structures **in shard order
+//! is the global sorted order**, independent of how many shards the ids were cut into.
+//! A hash-based assignment would interleave ids across shards and break exactly this
+//! property.
 //!
 //! The shard count is an execution-layout knob, not a semantic one: it controls how
 //! index maintenance is sliced (and, through the vendored `rayon` stand-in, how many

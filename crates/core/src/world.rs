@@ -165,6 +165,9 @@ pub struct World<P: Protocol> {
     rotations: Vec<Rotation>,
     /// Cached `protocol.is_halted(state)` per node, kept in sync with every state write.
     halted: Vec<bool>,
+    /// Number of `true` entries of `halted`, maintained at every write so the halting
+    /// predicates are `O(1)` per step.
+    halted_count: usize,
     /// The partition of node ids into contiguous shards (see [`crate::shard`]).
     shard_map: ShardMap,
     /// The incremental interaction index (per-shard dirty frontier + configuration
@@ -229,7 +232,8 @@ impl<P: Protocol> World<P> {
         let states: Vec<P::State> = (0..n)
             .map(|i| protocol.initial_state(NodeId::new(i as u32), n))
             .collect();
-        let halted = states.iter().map(|s| protocol.is_halted(s)).collect();
+        let halted: Vec<bool> = states.iter().map(|s| protocol.is_halted(s)).collect();
+        let halted_count = halted.iter().filter(|&&h| h).count();
         let components = (0..n)
             .map(|i| Some(Component::singleton(NodeId::new(i as u32))))
             .collect();
@@ -245,6 +249,7 @@ impl<P: Protocol> World<P> {
             links: vec![[None; 6]; n],
             bond_count: 0,
             halted,
+            halted_count,
             shard_map,
             index: InteractionIndex::new(shard_map),
             pairs: Mutex::new(PairCell {
@@ -315,6 +320,18 @@ impl<P: Protocol> World<P> {
         }
     }
 
+    /// Overwrites the halted flag of `node`, keeping `halted_count` in step.
+    fn set_halted(&mut self, node: usize, halted: bool) {
+        let was = std::mem::replace(&mut self.halted[node], halted);
+        self.halted_count = self.halted_count + usize::from(halted) - usize::from(was);
+    }
+
+    /// Re-derives the halted flag of `node` from its current state.
+    fn refresh_halted(&mut self, node: usize) {
+        let halted = self.protocol.is_halted(&self.states[node]);
+        self.set_halted(node, halted);
+    }
+
     fn lock_pairs(&self) -> MutexGuard<'_, PairCell<P::State>> {
         relock(&self.pairs)
     }
@@ -374,7 +391,7 @@ impl<P: Protocol> World<P> {
     pub fn set_state(&mut self, node: NodeId, state: P::State) {
         self.record_state(node.index());
         self.states[node.index()] = state;
-        self.halted[node.index()] = self.protocol.is_halted(&self.states[node.index()]);
+        self.refresh_halted(node.index());
         self.index.bump_version();
         self.mark_dirty(node);
         self.pair_touch(node);
@@ -601,8 +618,8 @@ impl<P: Protocol> World<P> {
             }
         }
         if outcome.effective {
-            self.halted[a.index()] = self.protocol.is_halted(&self.states[a.index()]);
-            self.halted[b.index()] = self.protocol.is_halted(&self.states[b.index()]);
+            self.refresh_halted(a.index());
+            self.refresh_halted(b.index());
             self.index.bump_version();
             self.mark_dirty(a);
             self.mark_dirty(b);
@@ -1149,7 +1166,7 @@ impl<P: Protocol> World<P> {
 
     /// Exact permissible/effective pair counts of the current configuration, excluding
     /// multi×multi cross-component pairs (see [`World::enumerate_cross_multi`]),
-    /// *recounted* from the per-shard lists. Activates (builds) the incremental pair
+    /// *recounted* from the per-shard sets. Activates (builds) the incremental pair
     /// index on first use; returns `None` when the protocol's live state diversity has
     /// overflowed the index's class table. Only the recount oracle of
     /// [`World::validate_pair_index`]; the sampler reads the `O(1)` running aggregate
@@ -1315,7 +1332,7 @@ impl<P: Protocol> World<P> {
         for record in records.into_iter().rev() {
             match record {
                 WorldRecord::State { node, old } => self.states[node] = old,
-                WorldRecord::Halted { node, old } => self.halted[node] = old,
+                WorldRecord::Halted { node, old } => self.set_halted(node, old),
                 WorldRecord::Link { node, port, old } => self.links[node][port] = old,
                 WorldRecord::CompOf { node, old } => self.comp_of[node] = old,
                 WorldRecord::PlacementOf { node, old } => self.placements[node] = old,
@@ -1692,8 +1709,8 @@ impl<P: Protocol> World<P> {
             None
         };
         let mut world = world;
-        let halted = states.iter().map(|s| world.protocol.is_halted(s)).collect();
-        world.halted = halted;
+        world.halted = states.iter().map(|s| world.protocol.is_halted(s)).collect();
+        world.halted_count = world.halted.iter().filter(|&&h| h).count();
         world.states = states;
         world.placements = placements;
         world.comp_of = comp_of;
@@ -1977,17 +1994,18 @@ impl<P: Protocol> World<P> {
         self.find_effective_interaction_scan().is_none()
     }
 
-    /// Whether every node is in a halted state.
+    /// Whether every node is in a halted state (`O(1)`: backed by the maintained
+    /// halted count).
     #[must_use]
     pub fn all_halted(&self) -> bool {
-        self.halted.iter().all(|&h| h)
+        self.halted_count == self.len()
     }
 
-    /// Whether at least one node is in a halted state (allocation-free, backed by the
-    /// per-node halted cache — suitable as a per-step predicate).
+    /// Whether at least one node is in a halted state (`O(1)`: backed by the
+    /// maintained halted count — suitable as a per-step predicate).
     #[must_use]
     pub fn any_halted(&self) -> bool {
-        self.halted.iter().any(|&h| h)
+        self.halted_count > 0
     }
 
     /// Nodes currently in a halted state.
@@ -2056,7 +2074,8 @@ impl<P: Protocol> World<P> {
 
     /// Checks internal consistency of the embedding: every bonded pair of nodes is in the
     /// same component, at unit distance, with ports facing each other, and no two nodes
-    /// of a component occupy the same cell. Used by tests and debug assertions.
+    /// of a component occupy the same cell; the `O(1)`-maintained component and halted
+    /// counts agree with a recount. Used by tests and debug assertions.
     #[must_use]
     pub fn check_invariants(&self) -> bool {
         for node in self.nodes() {
@@ -2107,7 +2126,7 @@ impl<P: Protocol> World<P> {
         if sum_sq != self.sum_sq_sizes {
             return false;
         }
-        true
+        self.halted.iter().filter(|&&h| h).count() == self.halted_count
     }
 }
 

@@ -56,7 +56,8 @@ pub struct JobRecord {
     pub slices: u64,
     /// Lifetime scheduler steps at the last checkpoint.
     pub steps: u64,
-    /// The last checkpoint (None until the first slice completes).
+    /// The last checkpoint (None until the first slice completes, and again once the
+    /// job reaches a terminal state).
     pub snapshot: Option<Vec<u8>>,
     /// Cancellation flag, checked by workers between slices.
     pub cancel_requested: bool,
@@ -224,6 +225,7 @@ impl JobQueue {
             JobState::Queued => {
                 record.state = JobState::Cancelled;
                 record.cancel_requested = true;
+                record.snapshot = None;
                 let tenant = record.spec.tenant.clone();
                 if let Some(queue) = self.tenants.get_mut(&tenant) {
                     queue.retain(|&queued| queued != id);
@@ -354,6 +356,14 @@ impl JobQueue {
                         .push_back(id);
                 }
             }
+        }
+        if matches!(
+            record.state,
+            JobState::Done | JobState::Failed | JobState::Cancelled
+        ) {
+            // Terminal jobs are never claimed again, so their last checkpoint is dead
+            // weight (tens of KB per job in a long-lived service).
+            record.snapshot = None;
         }
         record.state
     }
@@ -529,6 +539,59 @@ mod tests {
             }
         }
         assert!(reclaimed, "backoff must expire within the cap");
+    }
+
+    #[test]
+    fn terminal_jobs_drop_their_checkpoint() {
+        let report = JobReport {
+            protocol: "global-line".to_string(),
+            n: 8,
+            seed: 1,
+            mode: "sharded".to_string(),
+            shards: 1,
+            steps: 2,
+            effective_steps: 2,
+            skipped_steps: 0,
+            completed: true,
+        };
+        let finishes = [
+            (SliceResult::Done { report, steps: 2 }, JobState::Done),
+            (
+                SliceResult::Failed {
+                    error: "budget".to_string(),
+                },
+                JobState::Failed,
+            ),
+            (
+                SliceResult::Parked {
+                    snapshot: vec![9; 64],
+                    steps: 2,
+                },
+                JobState::Cancelled,
+            ),
+        ];
+        let mut queue = JobQueue::new(1);
+        for (finish, terminal) in finishes {
+            // One parked slice first, so the record holds a checkpoint to drop.
+            let id = queue.submit(spec("t", 1));
+            let _ = queue.claim_next().expect("claim");
+            let parked = SliceResult::Parked {
+                snapshot: vec![7; 64],
+                steps: 1,
+            };
+            queue.complete_slice(id, parked, 0.0);
+            assert!(queue.get(id).expect("record").snapshot.is_some());
+            let _ = queue.claim_next().expect("reclaim");
+            if terminal == JobState::Cancelled {
+                queue.cancel(id);
+            }
+            assert_eq!(queue.complete_slice(id, finish, 0.0), terminal);
+            let record = queue.get(id).expect("record");
+            assert_eq!(
+                record.snapshot, None,
+                "a {terminal:?} job kept its checkpoint"
+            );
+        }
     }
 
     #[test]

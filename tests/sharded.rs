@@ -311,22 +311,42 @@ fn sharded_jumps_respect_the_step_budget_exactly() {
 /// aggregate-vs-recount agreement, per-shard layout invariants — after every applied
 /// interaction.
 fn assert_pair_index_sound<P: Protocol>(protocol: P, n: usize, seed: u64, max_steps: u64) {
+    assert_pair_index_sound_every(protocol, n, seed, max_steps, 4, 1);
+}
+
+/// [`assert_pair_index_sound`] at `shards` shards, validating after every `every`-th
+/// applied interaction and in the final state (the oracle enumerates `O(n²)` pairs,
+/// so populations large enough to span several bitset words need a stride).
+fn assert_pair_index_sound_every<P: Protocol>(
+    protocol: P,
+    n: usize,
+    seed: u64,
+    max_steps: u64,
+    shards: usize,
+    every: u64,
+) {
     let config = SimulationConfig::new(n)
         .with_seed(seed)
         .with_max_steps(max_steps)
         .with_sharded_sampling()
-        .with_shards(4);
+        .with_shards(shards);
     let mut sim = Simulation::new(protocol, config);
     sim.world().validate_pair_index().expect("initial index");
-    for _ in 0..max_steps {
+    for applied in 1..=max_steps {
         if sim.world().is_stable() || !sim.step() {
             break;
         }
-        sim.world()
-            .validate_pair_index()
-            .unwrap_or_else(|e| panic!("after {} steps: {e}", sim.stats().steps));
-        assert!(sim.world().check_invariants());
+        if applied % every == 0 {
+            sim.world()
+                .validate_pair_index()
+                .unwrap_or_else(|e| panic!("after {} steps: {e}", sim.stats().steps));
+            assert!(sim.world().check_invariants());
+        }
     }
+    sim.world()
+        .validate_pair_index()
+        .unwrap_or_else(|e| panic!("final state after {} steps: {e}", sim.stats().steps));
+    assert!(sim.world().check_invariants());
 }
 
 #[test]
@@ -348,6 +368,22 @@ fn pair_index_matches_oracle_on_counting_with_class_churn_across_shards() {
 fn pair_index_matches_oracle_on_merge_heavy_line() {
     assert_pair_index_sound(GlobalLine::new(), 10, 3, 2_000);
     assert_pair_index_sound(GlobalLine::new(), 13, 11, 2_000);
+}
+
+// At n ≥ 130 every bucket spans several 64-bit words (intra sets ~6n bits), so
+// insert/remove walk real Fenwick paths and every sampled pair goes through a
+// multi-level select descent — at n ≤ 13 all of it fits in one word.
+
+#[test]
+fn pair_index_matches_oracle_on_a_line_spanning_several_bitset_words() {
+    for shards in [1, 3] {
+        assert_pair_index_sound_every(GlobalLine::new(), 150, 5, 100_000, shards, 15);
+    }
+}
+
+#[test]
+fn pair_index_matches_oracle_on_counting_spanning_several_bitset_words() {
+    assert_pair_index_sound_every(CountingOnALine::new(2), 130, 9, 100_000, 3, 25);
 }
 
 #[test]
