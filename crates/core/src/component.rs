@@ -7,9 +7,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a, used as a *deterministic* hasher for component occupancy maps.
 ///
-/// The interaction index and the enumerated permissible set iterate these maps, so their
-/// iteration order feeds into which candidate interaction a scan reports first and into
-/// the order of the sampler's enumerated set. `RandomState` would make seeded executions
+/// The pair index and the enumerated permissible set iterate these maps, so their
+/// iteration order could feed into which pair a walk reports first and into the order
+/// of the sampler's enumerated set. `RandomState` would make seeded executions
 /// differ between runs; a fixed hash function keeps them reproducible.
 #[derive(Default)]
 pub struct DeterministicHasher(u64);

@@ -12,17 +12,16 @@
 //! overwrite of that slot within the epoch, so undoing it last reinstates the
 //! original value.
 //!
-//! Three kinds of state deliberately take a **snapshot** in the epoch frame instead
-//! of per-mutation records, because they are small, interior-mutable, or maintained
-//! as running scalars: the dirty-frontier memoisation of the interaction index, the
-//! per-shard pending queues of the pair index, and the `O(1)` component bookkeeping
-//! scalars (`bond_count`, `Σ|component|²`, live component count, cross-shard event
+//! Two kinds of state deliberately take a **snapshot** in the epoch frame instead of
+//! per-mutation records, because they are small, interior-mutable, or maintained as
+//! running scalars: the per-shard pending queues of the pair index, and the `O(1)`
+//! component bookkeeping scalars (`bond_count`, `Σ|component|²`, live component count, cross-shard event
 //! counter). The permissible-pair index itself keeps its own operation log (see
 //! `crate::index`), whose position is recorded here so a rollback can unwind the
 //! index to the exact sub-index layouts and aggregate counts of the checkpoint.
 //!
 //! Two things are intentionally **not** rolled back: monotone work counters
-//! ([`crate::IndexStats`] — they report lifetime work, and the rolled-back applies
+//! ([`crate::IndexStats`] — they report lifetime work, and the rolled-back queries
 //! genuinely happened), and the configuration *version*, which is bumped once per
 //! rollback instead of rewound — versions must stay monotone so that version-keyed
 //! caches (sampler batches, enumeration caches) re-derive from the restored state
@@ -34,7 +33,7 @@
 //! stays open.
 
 use crate::world::PairMode;
-use crate::{Component, CoreError, Interaction, NodeId, Placement};
+use crate::{Component, CoreError, NodeId, Placement};
 use nc_geometry::Dir;
 
 /// An opaque handle to an open checkpoint, returned by [`crate::World::checkpoint`]
@@ -83,11 +82,6 @@ pub(crate) struct EpochFrame {
     pub(crate) sum_sq_sizes: u64,
     pub(crate) live_components: usize,
     pub(crate) cross_shard_events: u64,
-    // --- interaction-index frontier snapshot (memoisation, small) -----------------
-    pub(crate) dirty: Vec<bool>,
-    pub(crate) queues: Vec<Vec<NodeId>>,
-    pub(crate) candidate: Option<Interaction>,
-    pub(crate) quiescent: bool,
     // --- pair-index routing snapshot ----------------------------------------------
     pub(crate) pending: Vec<Vec<NodeId>>,
     pub(crate) pairs_mode: PairMode,

@@ -1,160 +1,40 @@
-//! The incremental indexes of the runtime: the *interaction index* (dirty frontier)
-//! that makes stability detection and effective-pair lookup amortised `O(active)`
-//! instead of `O(n² · ports²)`, and — further down in this module — the sharded
-//! *permissible-pair index* that maintains exact permissible/effective pair counts for
-//! the sharded geometric-jump sampler.
-//!
-//! # Design (interaction index)
-//!
-//! A pair of node-ports can only *become* effective when something about one of its
-//! endpoints changes: a state, the bond between the two ports, or the geometry of an
-//! endpoint's component. [`crate::World::apply`] translates every delta it produces into
-//! *dirty* marks on exactly the nodes whose pairs may have become effective:
-//!
-//! * a state change or a bond flip marks the two participants;
-//! * a merge marks every *moved* node (the members of the absorbed component — the
-//!   surviving component's cells only gain neighbours, which can remove permissible
-//!   pairs but never create effective ones);
-//! * a split marks every member of the pre-split component (both halves shrink, which
-//!   can unlock merge placements for all of them).
-//!
-//! A stability query drains the dirty queues: each dirty node is scanned against the
-//! whole population; a node is cleaned only when its scan finds nothing. Because every
-//! effective pair must keep at least one dirty endpoint (or be the cached candidate from
-//! a previous scan), empty queues with no valid candidate prove stability. Each dirty
-//! mark is therefore paid for **once**, regardless of how often stability is queried —
-//! which is what lets [`crate::Simulation::run_until_stable`] check for stability after
-//! every step and stop exactly at stabilisation.
-//!
-//! Since the sharding refactor each shard owns its slice of the dirty frontier (one
-//! queue per contiguous node-id range, drained in shard order, which at one shard is
-//! byte-identical to the previous single queue), and the interior mutability that lets
-//! read-only queries (`is_stable` takes `&self`) update the memoisation is a [`Mutex`]
-//! plus an atomic version counter instead of the former `RefCell`/`Cell` pair — so
-//! [`crate::World`] is `Sync` and concurrent read-side queries are safe.
+//! The sharded incremental *permissible-pair index*: exact permissible/effective pair
+//! counts of the configuration, maintained in `O(changed)` per world delta, plus
+//! uniform draws from either set. It serves the sharded geometric-jump sampler and is
+//! the one oracle behind [`crate::World::is_stable`] and
+//! [`crate::World::find_effective_interaction`]: a configuration is stable iff its
+//! effective count is zero (with the multi×multi class enumerated on demand, see
+//! below).
 
 use crate::component::{Component, DeterministicState};
 use crate::rank_set::{RankSet, EMPTY};
 use crate::shard::{ShardMap, PARALLEL_FLUSH_MIN};
-use crate::{Interaction, NodeId, Placement, Protocol};
+use crate::{NodeId, Placement, Protocol};
 use nc_geometry::{Dim, Dir};
 use nc_obs::{Telemetry, TraceEventKind};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
-/// Counters describing how much work the index has done (and saved).
+/// Work counters of the world's stability oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Nodes marked dirty since creation (includes re-marks of already-dirty nodes).
-    pub dirty_marks: u64,
-    /// Full per-node scans performed while draining the dirty queues.
+    /// Exhaustive `O(n² · ports²)` fallback scans run by [`crate::World::is_stable`] or
+    /// [`crate::World::find_effective_interaction`]: only when the pair index cannot
+    /// answer (class-table overflow, or a multi×multi cross universe over budget).
+    /// Zero whenever the pair index answered every query.
     pub node_scans: u64,
-    /// Queries answered by revalidating the cached candidate interaction.
-    pub candidate_hits: u64,
-    /// Queries answered immediately by the quiescent flag (configuration known stable).
-    pub quiescent_hits: u64,
-}
-
-/// The mutable part of the index (see the module docs for the invariant).
-pub(crate) struct IndexState {
-    /// Per-node dirty flag; `true` iff the node is in its shard's queue.
-    pub(crate) dirty: Vec<bool>,
-    /// Per-shard queues of nodes whose pairs must be rescanned before stability can be
-    /// concluded. Drained in shard order; with one shard this is the historical single
-    /// queue.
-    pub(crate) queues: Vec<Vec<NodeId>>,
-    /// The most recently found effective interaction; revalidated in `O(1)` before any
-    /// scan work happens.
-    pub(crate) candidate: Option<Interaction>,
-    /// `true` once a drain proved that no effective pair exists; reset by any dirty mark.
-    pub(crate) quiescent: bool,
-    /// Work counters.
-    pub(crate) stats: IndexStats,
-}
-
-/// Interior-mutable wrapper so `&World` queries can memoise their progress. `Sync`:
-/// the drain state sits behind a [`Mutex`], the version counter is atomic.
-pub(crate) struct InteractionIndex {
-    inner: Mutex<IndexState>,
-    /// Monotonically increasing configuration version: bumped on every observable world
-    /// change so that samplers can cache derived structures (e.g. the enumerated
-    /// permissible set) and invalidate them precisely. The version starts at a
-    /// process-unique value (see `new`), so versions from two different worlds never
-    /// collide — a scheduler driven against several worlds cannot replay a cached
-    /// structure into the wrong one.
-    version: AtomicU64,
-}
-
-impl InteractionIndex {
-    /// Creates the index for the given shard layout with every node dirty (nothing
-    /// proven yet).
-    pub(crate) fn new(map: ShardMap) -> InteractionIndex {
-        // Disjoint per-world version ranges: each world claims a 2⁴⁰-wide window, far
-        // beyond any realistic number of configuration changes.
-        static NEXT_WORLD: AtomicU64 = AtomicU64::new(0);
-        let base = NEXT_WORLD.fetch_add(1, Ordering::Relaxed) << 40;
-        let n: usize = (0..map.count()).map(|s| map.range(s).len()).sum();
-        let queues = (0..map.count())
-            .map(|s| map.range(s).map(|i| NodeId::new(i as u32)).collect())
-            .collect();
-        InteractionIndex {
-            inner: Mutex::new(IndexState {
-                dirty: vec![true; n],
-                queues,
-                candidate: None,
-                quiescent: false,
-                stats: IndexStats::default(),
-            }),
-            version: AtomicU64::new(base),
-        }
-    }
-
-    /// The current configuration version.
-    pub(crate) fn version(&self) -> u64 {
-        self.version.load(Ordering::Relaxed)
-    }
-
-    /// Records an observable world change (invalidates samplers' caches).
-    pub(crate) fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks a node dirty in its shard's queue: some pair involving it may have become
-    /// effective.
-    pub(crate) fn mark_dirty(&self, map: ShardMap, node: NodeId) {
-        let mut state = self.lock();
-        state.stats.dirty_marks += 1;
-        state.quiescent = false;
-        if !state.dirty[node.index()] {
-            state.dirty[node.index()] = true;
-            state.queues[map.shard_of(node)].push(node);
-        }
-    }
-
-    /// Exclusive access to the drain state for the scan loop in `World`.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, IndexState> {
-        crate::lock::relock(&self.inner)
-    }
-
-    /// A snapshot of the work counters.
-    pub(crate) fn stats(&self) -> IndexStats {
-        self.lock().stats
-    }
 }
 
 // =======================================================================================
 // The sharded incremental permissible-pair index
 // =======================================================================================
 //
-// While the dirty-frontier index above answers "does *some* effective pair exist?",
-// the sharded sampler needs the exact *counts* of permissible and effective
-// pairs of a frozen configuration — and the ability to draw uniformly from either set —
-// without re-enumerating `O(n²·ports²)` candidates per configuration version. The
-// [`PairIndex`] below maintains those counts in `O(changed)` per world delta, fed from
-// the same delta stream that feeds the dirty frontier (state writes, bond flips,
-// merges, splits).
+// The sharded sampler needs the exact *counts* of permissible and effective pairs of a
+// frozen configuration — and the ability to draw uniformly from either set — without
+// re-enumerating `O(n²·ports²)` candidates per configuration version; stability is the
+// special case "effective count is zero". The [`PairIndex`] below maintains those
+// counts in `O(changed)` per world delta, fed from the world's delta stream (state
+// writes, bond flips, merges, splits).
 //
 // # Decomposition
 //
@@ -183,7 +63,7 @@ impl InteractionIndex {
 //
 // Exactness of the merge case is worth spelling out: when a component grows, pairs
 // anchored at its *unmoved* members can silently lose permissibility (the new cells
-// block previously valid placements), which is why class 4 cannot ride the dirty
+// block previously valid placements), which is why class 4 cannot ride the delta
 // stream. Classes 1–3 are immune: intra adjacency is rigid under merges, and the
 // singleton classes only depend on the facing cell of one port — the world marks the
 // neighbours of every newly inserted cell as touched, which is exactly the set whose
@@ -1885,53 +1765,6 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn test_map(n: usize, shards: usize) -> ShardMap {
-        ShardMap::new(n, shards)
-    }
-
-    #[test]
-    fn marks_deduplicate_but_count() {
-        let index = InteractionIndex::new(test_map(3, 1));
-        {
-            let mut state = index.lock();
-            state.queues.iter_mut().for_each(Vec::clear);
-            state.dirty.fill(false);
-            state.quiescent = true;
-        }
-        index.mark_dirty(test_map(3, 1), NodeId::new(1));
-        index.mark_dirty(test_map(3, 1), NodeId::new(1));
-        let state = index.lock();
-        assert_eq!(state.queues[0], vec![NodeId::new(1)]);
-        assert!(state.dirty[1] && !state.dirty[0]);
-        assert!(!state.quiescent);
-        assert_eq!(state.stats.dirty_marks, 2);
-    }
-
-    #[test]
-    fn dirty_marks_route_to_the_owning_shard() {
-        let map = test_map(8, 4);
-        let index = InteractionIndex::new(map);
-        {
-            let mut state = index.lock();
-            state.queues.iter_mut().for_each(Vec::clear);
-            state.dirty.fill(false);
-        }
-        index.mark_dirty(map, NodeId::new(0));
-        index.mark_dirty(map, NodeId::new(7));
-        let state = index.lock();
-        assert_eq!(state.queues[0], vec![NodeId::new(0)]);
-        assert_eq!(state.queues[3], vec![NodeId::new(7)]);
-        assert!(state.queues[1].is_empty() && state.queues[2].is_empty());
-    }
-
-    #[test]
-    fn versions_increase() {
-        let index = InteractionIndex::new(test_map(1, 1));
-        let v0 = index.version();
-        index.bump_version();
-        assert_eq!(index.version(), v0 + 1);
-    }
 
     #[test]
     fn pair_unranking_is_a_bijection() {

@@ -1,7 +1,7 @@
 //! Poison-recovering mutex access.
 //!
-//! The sharded world takes its internal mutexes (interaction index, pair index,
-//! per-shard pending queues) from scoped worker threads. When one worker panics while
+//! The sharded world takes its internal mutexes (pair index, per-shard pending
+//! queues) from scoped worker threads. When one worker panics while
 //! holding a guard, `std` marks the mutex *poisoned* and every later `lock()` returns
 //! `Err(PoisonError)`. Turning that into a fresh panic (`.expect("lock poisoned")`)
 //! converts a single root-cause panic into a storm of secondary panics on other

@@ -572,9 +572,10 @@ impl Scheduler for UniformScheduler {
     }
 }
 
-/// A deterministic scheduler that always picks an *effective* interaction if one exists,
-/// through the incremental interaction index (amortised `O(active)` instead of a full
-/// scan). Useful to fast-forward constructions in unit tests where the probabilistic
+/// A deterministic scheduler that always picks an *effective* interaction if one exists:
+/// the first pair of the permissible-pair index's canonical effective walk
+/// ([`World::find_effective_interaction`]), so greedy executions are identical across
+/// shard counts. Useful to fast-forward constructions in unit tests where the probabilistic
 /// schedule is irrelevant; it is fair on every execution it completes because it only
 /// stops when no effective interaction remains.
 #[derive(Debug, Default, Clone, Copy)]

@@ -1,6 +1,6 @@
 //! Node sharding: the partition of the population into contiguous id ranges that the
-//! sharded runtime structures (dirty frontier, permissible-pair sub-indices, pending
-//! queues) are sliced by.
+//! sharded runtime structures (permissible-pair sub-indices, pending queues) are
+//! sliced by.
 //!
 //! # Why contiguous ranges
 //!

@@ -3,7 +3,7 @@
 use crate::scheduler::{SamplingMode, Scheduler, UniformScheduler};
 use crate::shard::trace_lane;
 use crate::snapshot::{Snapshot, SnapshotProtocol, SnapshotWriter, FORMAT_VERSION, MAGIC};
-use crate::{CoreError, ExecutionStats, IndexStats, Protocol, World};
+use crate::{CoreError, ExecutionStats, Protocol, World};
 use nc_geometry::Shape;
 use nc_obs::{Phase, PhaseProfile, Telemetry, TraceEventKind};
 
@@ -111,11 +111,6 @@ pub struct RunReport {
     /// Whether the final configuration is stable (always true when `reason` is
     /// [`StopReason::Stable`], checked explicitly for the other reasons only when cheap).
     pub stabilized: bool,
-    /// Work counters of the world's incremental interaction index at the end of the
-    /// run (cumulative over the world's lifetime): how much scanning the dirty
-    /// frontier performed and how often the candidate / quiescent memoisation answered
-    /// queries outright.
-    pub index: IndexStats,
     /// Per-phase wall-clock profile accumulated over the simulation's lifetime.
     /// All zero unless telemetry was attached via [`Simulation::set_telemetry`],
     /// so report equality checks between instrumented and plain runs must
@@ -176,7 +171,7 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
     /// uninterrupted run's, in every sampling mode and at every shard count (pinned
     /// by the crash-injection suite in `tests/crash_resume.rs`).
     ///
-    /// Because work counters ([`IndexStats`]) are excluded,
+    /// Because work counters ([`crate::IndexStats`]) are excluded,
     /// byte equality of two snapshots is exactly "same execution state": the crash
     /// harness uses whole-snapshot comparison as its trajectory oracle.
     ///
@@ -449,9 +444,9 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// Runs until the configuration is stable (no effective interaction remains).
     ///
     /// With adaptive or sharded sampling, stability is re-checked whenever the
-    /// configuration version changed, through the incremental interaction index whose
-    /// dirty-frontier amortisation bounds the total checking work by the applied deltas
-    /// — so the run stops **exactly** at the stabilization step. Sharded sampling
+    /// configuration version changed, through the permissible-pair index's `O(1)`
+    /// effective count ([`World::is_stable`]) — so the run stops **exactly** at the
+    /// stabilization step. Sharded sampling
     /// additionally credits whole runs of ineffective selections in bulk (see
     /// [`SamplingMode::Sharded`]), so the reported step counts keep the same
     /// distribution while the wall-clock cost is `O(1)` per *effective* step.
@@ -574,7 +569,6 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
             effective_steps: self.stats.effective_steps - start.effective_steps,
             reason,
             stabilized: stabilized || reason == StopReason::Stable,
-            index: self.world.index_stats(),
             phases: self.obs.phase_profile(),
         }
     }

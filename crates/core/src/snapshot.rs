@@ -54,12 +54,10 @@
 //!   cross-shard-event counter (deterministic given the trajectory).
 //!
 //! Everything else is genuinely derived state and is rebuilt conservatively:
-//! `halted` flags (a pure function of states), the dirty frontier (fresh all-dirty —
-//! the uniform samplers never read `find_effective_interaction`, and `is_stable` is
-//! a state-determined boolean), and per-version count caches (recomputed without
-//! consuming randomness). Work counters ([`crate::IndexStats`]) are *not* persisted,
-//! mirroring the delta-log policy:
-//! they report lifetime work, not logical state. That exclusion is what lets the
+//! `halted` flags (a pure function of states) and per-version count caches
+//! (recomputed without consuming randomness). Work counters ([`crate::IndexStats`])
+//! are *not* persisted, mirroring the delta-log policy: they report lifetime work, not
+//! logical state. That exclusion is what lets the
 //! crash harness use whole-snapshot byte equality as its trajectory oracle.
 
 use crate::error::CoreError;

@@ -1,19 +1,18 @@
 //! The configuration of the system: node states, bonds, and rigid component embeddings.
 //!
-//! Since the interaction-index refactor the world also maintains incremental metadata:
-//! a per-node halted cache, a monotone configuration [`World::version`], and the dirty
-//! frontier of [`crate::index`] that makes [`World::is_stable`] and
-//! [`World::find_effective_interaction`] amortised `O(active)` instead of a full
-//! `O(n² · ports²)` rescan.
+//! The world also maintains incremental metadata: a per-node halted cache, a monotone
+//! configuration [`World::version`], and the lazily built permissible-pair index of
+//! [`crate::index`], which answers [`World::is_stable`] from its `O(1)` effective count
+//! and [`World::find_effective_interaction`] from its canonical pair walk instead of a
+//! full `O(n² · ports²)` rescan.
 //!
 //! # Sharded interior state
 //!
 //! The population is partitioned into contiguous node-id **shards**
 //! ([`crate::shard::ShardMap`]; count from [`crate::SimulationConfig::shards`] /
-//! `NC_SHARDS`). Each shard owns its slice of the dirty frontier, its sub-index of the
-//! permissible-pair index, and its **pending queue** — the cross-shard routing queue
-//! through which merges and splits hand re-derivation work to the shards of the touched
-//! nodes (a merge moving nodes of shard A next to cells owned by shard B queues B's
+//! `NC_SHARDS`). Each shard owns its sub-index of the permissible-pair index and its
+//! **pending queue** — the cross-shard routing queue through which merges and splits
+//! hand re-derivation work to the shards of the touched nodes (a merge moving nodes of shard A next to cells owned by shard B queues B's
 //! neighbours on B's queue, under B's lock only — components migrate between shards
 //! without a world-wide lock). All interior mutability is `Mutex`/atomic based, so
 //! `World: Sync` holds and read-side queries (`is_stable`, sampling) may run
@@ -22,7 +21,7 @@
 //! invariance notes in [`crate::index`].
 
 use crate::delta::{DeltaLog, Epoch, EpochFrame, WorldRecord};
-use crate::index::{BaseCounts, GeomView, IndexStats, InteractionIndex, PairIndex};
+use crate::index::{BaseCounts, GeomView, IndexStats, PairIndex};
 use crate::lock::relock;
 use crate::shard::{trace_lane, ShardMap, PARALLEL_CROSS_MIN};
 use crate::stats::ShardStats;
@@ -65,8 +64,8 @@ pub(crate) fn transition_effective<P: Protocol>(
     })
 }
 
-/// Lifecycle of the permissible-pair index: built lazily on first use (so executions
-/// that never sample in sharded mode pay nothing), abandoned permanently when the
+/// Lifecycle of the permissible-pair index: built lazily on first use — a sharded draw
+/// or a stability query — so executions that need neither pay nothing; abandoned permanently when the
 /// protocol's live state diversity overflows the class table. The mode only ever
 /// advances (`Disabled → Active → Overflowed`), which is what lets a rollback infer
 /// what happened mid-epoch from the (checkpointed, current) mode pair alone.
@@ -150,9 +149,9 @@ pub struct InteractionOutcome {
 /// A configuration `(C_V, C_E)` of the model together with the rigid embedding of every
 /// connected component, for a fixed protocol.
 ///
-/// `World<P>` is `Sync`: all interior mutability (the dirty frontier, the sharded
-/// permissible-pair index and its pending queues) is `Mutex`/atomic based, so read-side
-/// queries may run from several threads concurrently.
+/// `World<P>` is `Sync`: all interior mutability (the sharded permissible-pair index and
+/// its pending queues, the work counters) is `Mutex`/atomic based, so read-side queries
+/// may run from several threads concurrently.
 pub struct World<P: Protocol> {
     protocol: P,
     dim: Dim,
@@ -170,11 +169,16 @@ pub struct World<P: Protocol> {
     halted_count: usize,
     /// The partition of node ids into contiguous shards (see [`crate::shard`]).
     shard_map: ShardMap,
-    /// The incremental interaction index (per-shard dirty frontier + configuration
-    /// version).
-    index: InteractionIndex,
+    /// Monotone configuration version: bumped on every observable change so samplers
+    /// can cache derived structures and invalidate them precisely. It starts at a
+    /// process-unique base (see [`World::with_shards`]), so versions of two worlds never
+    /// collide — a scheduler driven against several worlds cannot replay a cached
+    /// structure into the wrong one.
+    version: u64,
+    /// Exhaustive fallback scans run by the stability queries (see [`IndexStats`]).
+    fallback_scans: AtomicU64,
     /// The sharded incremental permissible-pair index (exact pair counts for the
-    /// sharded sampler). Lazily activated.
+    /// sharded sampler and the stability queries). Lazily activated.
     pairs: Mutex<PairCell<P::State>>,
     /// Per-shard pending queues of nodes to re-derive: the cross-shard merge/split
     /// routing queues. A mutation only takes the locks of the shards it actually
@@ -238,6 +242,10 @@ impl<P: Protocol> World<P> {
             .map(|i| Some(Component::singleton(NodeId::new(i as u32))))
             .collect();
         let shard_map = ShardMap::new(n, shards);
+        // Disjoint per-world version ranges: each world claims a 2⁴⁰-wide window, far
+        // beyond any realistic number of configuration changes.
+        static NEXT_WORLD: AtomicU64 = AtomicU64::new(0);
+        let version = NEXT_WORLD.fetch_add(1, Ordering::Relaxed) << 40;
         World {
             rotations: Rotation::all(dim),
             protocol,
@@ -251,7 +259,8 @@ impl<P: Protocol> World<P> {
             halted,
             halted_count,
             shard_map,
-            index: InteractionIndex::new(shard_map),
+            version,
+            fallback_scans: AtomicU64::new(0),
             pairs: Mutex::new(PairCell {
                 mode: PairMode::Disabled,
                 index: PairIndex::new(shard_map),
@@ -291,11 +300,6 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shard_map.count()
-    }
-
-    /// Marks `node` dirty in its shard's frontier queue.
-    fn mark_dirty(&self, node: NodeId) {
-        self.index.mark_dirty(self.shard_map, node);
     }
 
     /// Records the pre-write state *and* halted flag of `node` (the two are always
@@ -341,13 +345,15 @@ impl<P: Protocol> World<P> {
     /// enumerated permissible set — and invalidate them precisely.
     #[must_use]
     pub fn version(&self) -> u64 {
-        self.index.version()
+        self.version
     }
 
-    /// Work counters of the interaction index (scans performed, candidate reuse, …).
+    /// Work counters of the stability oracle (exhaustive fallback scans).
     #[must_use]
     pub fn index_stats(&self) -> IndexStats {
-        self.index.stats()
+        IndexStats {
+            node_scans: self.fallback_scans.load(Ordering::Relaxed),
+        }
     }
 
     /// The population size `n`.
@@ -392,8 +398,7 @@ impl<P: Protocol> World<P> {
         self.record_state(node.index());
         self.states[node.index()] = state;
         self.refresh_halted(node.index());
-        self.index.bump_version();
-        self.mark_dirty(node);
+        self.version += 1;
         self.pair_touch(node);
         self.flush_pairs();
     }
@@ -620,9 +625,7 @@ impl<P: Protocol> World<P> {
         if outcome.effective {
             self.refresh_halted(a.index());
             self.refresh_halted(b.index());
-            self.index.bump_version();
-            self.mark_dirty(a);
-            self.mark_dirty(b);
+            self.version += 1;
             self.pair_touch(a);
             self.pair_touch(b);
             self.flush_pairs();
@@ -697,9 +700,6 @@ impl<P: Protocol> World<P> {
             placement.rot = rotation.compose(placement.rot);
             self.comp_of[node.index()] = surviving_id;
             surviving.insert(node, new_pos);
-            // Moved nodes sit in a grown component with fresh relative geometry: pairs
-            // involving them may have become effective.
-            self.index.mark_dirty(self.shard_map, node);
             moved.push((node, new_pos));
         }
         // Component-size bookkeeping: (a+b)² replaces a² + b².
@@ -792,8 +792,7 @@ impl<P: Protocol> World<P> {
         let mut new_comp = Component::empty();
         for node in old_members {
             // Both halves shrank, which can unlock merge placements for every old
-            // member: mark them all dirty (each touch routed to the member's shard).
-            self.mark_dirty(node);
+            // member: re-derive them all (each touch routed to the member's shard).
             self.pair_touch(node);
             if self.comp_of[node.index()] == comp_id && !reached(&self.scratch_stamp, node) {
                 let pos = self.placements[node.index()].pos;
@@ -868,9 +867,7 @@ impl<P: Protocol> World<P> {
         self.links[a.index()][pa.index()] = Some((b, pb));
         self.links[b.index()][pb.index()] = Some((a, pa));
         self.bond_count += 1;
-        self.index.bump_version();
-        self.mark_dirty(a);
-        self.mark_dirty(b);
+        self.version += 1;
         self.pair_touch(a);
         self.pair_touch(b);
         self.flush_pairs();
@@ -905,75 +902,31 @@ impl<P: Protocol> World<P> {
         })
     }
 
-    /// Scans one node against the whole population for an effective interaction.
-    fn scan_node_for_effective(&self, x: NodeId) -> Option<Interaction> {
-        if self.halted[x.index()] {
-            return None;
-        }
-        let ports = self.dim.dirs();
-        for yi in 0..self.len() {
-            if yi == x.index() || self.halted[yi] {
-                continue;
-            }
-            let y = NodeId::new(yi as u32);
-            for &pa in ports {
-                for &pb in ports {
-                    if let Some(found) = self.effective_interaction_at(x, pa, y, pb) {
-                        return Some(found);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// Finds an effective permissible interaction, using the incremental index.
-    ///
-    /// Amortised cost: each node dirtied by an [`World::apply`] delta is scanned at most
-    /// once (against the whole population) across *all* queries, so a query sequence
-    /// interleaved with applies costs `O(Σ dirtied · n · ports²)` in total instead of
-    /// `O(n² · ports²)` per query. Queries on an unchanged configuration are `O(1)`
-    /// (cached candidate revalidation, or the quiescent flag once stability is proven).
-    ///
-    /// The per-shard queues are drained in shard order (deterministic for a given
-    /// configuration history); with one shard this is the historical single-queue
-    /// behaviour.
+    /// Finds an effective permissible interaction: the first pair of the pair index's
+    /// canonical effective walk (a function of the configuration alone, so the same
+    /// for every shard count), else the first effective multi×multi cross pair. Builds
+    /// the pair index on first use. Falls back to the exhaustive scan — counted in
+    /// [`World::index_stats`] — only on class-table overflow or when the multi×multi
+    /// universe exceeds its enumeration budget.
     #[must_use]
     pub fn find_effective_interaction(&self) -> Option<Interaction> {
-        let mut index = self.index.lock();
-        if let Some(candidate) = index.candidate {
-            if let Some(fresh) =
-                self.effective_interaction_at(candidate.a, candidate.pa, candidate.b, candidate.pb)
-            {
-                index.stats.candidate_hits += 1;
-                index.candidate = Some(fresh);
-                return Some(fresh);
+        if let Some(summary) = self.pair_counts_sharded() {
+            if summary.effective_base > 0 {
+                return Some(self.sample_effective_base(0));
             }
-            index.candidate = None;
-        }
-        if index.quiescent {
-            index.stats.quiescent_hits += 1;
-            return None;
-        }
-        for shard in 0..index.queues.len() {
-            while let Some(&x) = index.queues[shard].last() {
-                index.stats.node_scans += 1;
-                if let Some(found) = self.scan_node_for_effective(x) {
-                    // `x` stays dirty: the found interaction will usually be applied,
-                    // and `x` may have further effective pairs to report afterwards.
-                    index.candidate = Some(found);
-                    return Some(found);
-                }
-                index.queues[shard].pop();
-                index.dirty[x.index()] = false;
+            if let Some(pairs) = self.enumerate_cross_multi(self.cross_multi_budget()) {
+                return pairs
+                    .into_iter()
+                    .find_map(|(i, effective)| effective.then_some(i));
             }
         }
-        index.quiescent = true;
-        None
+        self.fallback_scans.fetch_add(1, Ordering::Relaxed);
+        self.find_effective_interaction_scan()
     }
 
-    /// The pre-index full scan, kept as the reference implementation: `O(n² · ports²)`.
-    /// Used by the equivalence and property suites to validate the indexed path.
+    /// The exhaustive full scan: `O(n² · ports²)`. The fallback of
+    /// [`World::find_effective_interaction`] and the reference the equivalence and
+    /// property suites validate the indexed path against.
     #[must_use]
     pub fn find_effective_interaction_scan(&self) -> Option<Interaction> {
         let ports = self.dim.dirs();
@@ -1253,15 +1206,6 @@ impl<P: Protocol> World<P> {
         if !self.delta.recording() {
             self.delta.reset_records();
         }
-        let (dirty, queues, candidate, quiescent) = {
-            let state = self.index.lock();
-            (
-                state.dirty.clone(),
-                state.queues.clone(),
-                state.candidate,
-                state.quiescent,
-            )
-        };
         let pending: Vec<Vec<NodeId>> = self
             .pair_pending
             .iter()
@@ -1290,10 +1234,6 @@ impl<P: Protocol> World<P> {
             sum_sq_sizes: self.sum_sq_sizes,
             live_components: self.live_components,
             cross_shard_events: self.cross_shard_events.load(Ordering::Relaxed),
-            dirty,
-            queues,
-            candidate,
-            quiescent,
             pending,
             pairs_mode,
         };
@@ -1307,11 +1247,11 @@ impl<P: Protocol> World<P> {
 
     /// Rolls the world back to the state it had when `epoch` was opened (discarding
     /// any checkpoints opened after it): world records are undone in strict reverse,
-    /// the `O(1)` bookkeeping scalars, dirty-frontier memoisation and pending queues
-    /// are restored from the frame's snapshots, and the permissible-pair index is
-    /// unwound through its operation log — so the per-shard sub-index layouts and the
-    /// running aggregates come back exactly, not just equivalently (asserted by the
-    /// delta-log exactness suite via [`World::validate_pair_index`]).
+    /// the `O(1)` bookkeeping scalars and pending queues are restored from the frame's
+    /// snapshots, and the permissible-pair index is unwound through its operation log —
+    /// so the per-shard sub-index layouts and the running aggregates come back exactly,
+    /// not just equivalently (asserted by the delta-log exactness suite via
+    /// [`World::validate_pair_index`]).
     ///
     /// The configuration version is **bumped**, not rewound: version-keyed sampler
     /// caches must re-derive from the restored state, and equality of versions — not
@@ -1347,13 +1287,6 @@ impl<P: Protocol> World<P> {
         self.live_components = frame.live_components;
         self.cross_shard_events
             .store(frame.cross_shard_events, Ordering::Relaxed);
-        {
-            let mut state = self.index.lock();
-            state.dirty = frame.dirty;
-            state.queues = frame.queues;
-            state.candidate = frame.candidate;
-            state.quiescent = frame.quiescent;
-        }
         for (queue, saved) in self.pair_pending.iter().zip(frame.pending) {
             *relock(queue) = saved;
         }
@@ -1410,7 +1343,7 @@ impl<P: Protocol> World<P> {
             cell.index.set_logging(false);
             cell.index.clear_oplog();
         }
-        self.index.bump_version();
+        self.version += 1;
         // The unwind itself ran muted (the flag was raised by `checkpoint`); unmute
         // only once the outermost epoch is gone.
         self.obs.set_muted(self.delta.recording());
@@ -1441,8 +1374,8 @@ impl<P: Protocol> World<P> {
     /// Encodes the sampler-visible runtime state of the configuration: the scalar
     /// bookkeeping, every node's state/placement/links, the component-slot layout
     /// with each component's membership order, and — when the permissible-pair index
-    /// is active — its pinned class-table layout. Derived state (halted flags, the
-    /// dirty frontier, count caches) is deliberately omitted; see the module docs of
+    /// is active — its pinned class-table layout. Derived state (halted flags, count
+    /// caches) is deliberately omitted; see the module docs of
     /// [`crate::snapshot`] for what is recomputed on resume and why that is exact.
     pub(crate) fn snapshot_encode(&self, out: &mut crate::SnapshotWriter)
     where
@@ -1530,7 +1463,7 @@ impl<P: Protocol> World<P> {
     /// before insertion, the stored scalar bookkeeping compared against a recount,
     /// and the full embedding invariant suite run at the end — malformed input yields
     /// a typed [`CoreError`], never a panic. Halted flags are recomputed from the
-    /// decoded states; the dirty frontier starts conservatively all-dirty.
+    /// decoded states.
     ///
     /// # Errors
     /// [`CoreError::SnapshotTruncated`] or [`CoreError::SnapshotCorrupt`].
@@ -1964,31 +1897,30 @@ impl<P: Protocol> World<P> {
     /// Whether the configuration is stable: no permissible interaction is effective, so
     /// the configuration (and in particular its output shape) can never change again.
     ///
-    /// While the permissible-pair index is active (sharded executions), the
-    /// answer comes from the incrementally maintained aggregate effective count in
-    /// `O(1)` instead of draining the dirty frontier, whose per-node scans are
-    /// `O(n·ports²)`. Otherwise, and whenever the multi×multi cross budget is exceeded,
-    /// the dirty-frontier index answers (see [`World::find_effective_interaction`] for
-    /// the amortised cost).
+    /// The answer comes from the permissible-pair index (built on first use, in any
+    /// sampling mode): its incrementally maintained effective count in `O(1)`, plus
+    /// the multi×multi cross pairs enumerated under the cross budget when the base
+    /// classes are quiescent. Only on class-table overflow or an over-budget
+    /// multi×multi universe does the exhaustive scan answer (counted in
+    /// [`World::index_stats`]).
     #[must_use]
     pub fn is_stable(&self) -> bool {
-        if self.pairs_active.load(Ordering::Relaxed) {
-            if let Some(summary) = self.pair_counts_sharded() {
-                if summary.effective_base > 0 {
-                    return false;
-                }
-                // Base classes are quiescent; only multi×multi pairs could still act.
-                if let Some(any) = self.any_effective_cross_multi(self.cross_multi_budget()) {
-                    return !any;
-                }
+        if let Some(summary) = self.pair_counts_sharded() {
+            if summary.effective_base > 0 {
+                return false;
+            }
+            // Base classes are quiescent; only multi×multi pairs could still act.
+            if let Some(any) = self.any_effective_cross_multi(self.cross_multi_budget()) {
+                return !any;
             }
         }
-        self.find_effective_interaction().is_none()
+        self.fallback_scans.fetch_add(1, Ordering::Relaxed);
+        self.is_stable_scan()
     }
 
-    /// Stability through the exhaustive pre-index scan: `O(n² · ports²)`. Kept as the
-    /// reference implementation for the equivalence suite and for the faithful legacy
-    /// execution path of [`crate::Simulation::run_until_stable`].
+    /// Stability through the exhaustive scan: `O(n² · ports²)`. The fallback of
+    /// [`World::is_stable`], the reference the equivalence suite checks it against, and
+    /// the faithful legacy execution path of [`crate::Simulation::run_until_stable`].
     #[must_use]
     pub fn is_stable_scan(&self) -> bool {
         self.find_effective_interaction_scan().is_none()
@@ -2226,6 +2158,38 @@ mod tests {
         assert!(world.check_invariants());
         // The grabbed node sits to the right of the old head in the component frame.
         assert_eq!(world.placement(free).pos, Coord::new2(1, 0));
+    }
+
+    #[test]
+    fn versions_increase_on_every_change_and_never_rewind() {
+        let mut world = World::new(Chain, 3);
+        let v0 = world.version();
+        world.set_state(NodeId::new(2), C::Body);
+        let v1 = world.version();
+        assert!(v1 > v0, "set_state bumps the version");
+        let ineffective = world
+            .interaction(NodeId::new(1), Dir::Up, NodeId::new(2), Dir::Up)
+            .unwrap();
+        assert!(!world.apply(&ineffective).effective);
+        assert_eq!(world.version(), v1, "an ineffective apply changes nothing");
+        let epoch = world.checkpoint();
+        let grab = world
+            .interaction(NodeId::new(0), Dir::Right, NodeId::new(1), Dir::Left)
+            .unwrap();
+        assert!(world.apply(&grab).effective);
+        let v2 = world.version();
+        assert!(v2 > v1, "an effective apply bumps the version");
+        world.rollback(epoch).unwrap();
+        assert!(
+            world.version() > v2,
+            "rollback bumps the version instead of rewinding"
+        );
+        let other = World::new(Chain, 3);
+        assert_ne!(
+            other.version() >> 40,
+            world.version() >> 40,
+            "disjoint windows"
+        );
     }
 
     #[test]

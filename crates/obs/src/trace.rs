@@ -29,12 +29,12 @@ pub enum TraceEventKind {
     Merge,
     /// A component split.
     Split,
-    /// The interaction index allocated a component class.
+    /// The pair index allocated a state class.
     ClassAlloc {
         /// The class id handed out.
         class: u32,
     },
-    /// The interaction index retired a component class.
+    /// The pair index retired a state class.
     ClassRetire {
         /// The class id retired.
         class: u32,

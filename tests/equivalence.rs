@@ -1,4 +1,4 @@
-//! Equivalence and soundness suite for the interaction-index runtime.
+//! Equivalence and soundness suite for the indexed runtime.
 //!
 //! Three layers of guarantees are checked here:
 //!
@@ -7,11 +7,12 @@
 //!    reference), and the adaptive sampler produces executions with the same terminal
 //!    behaviour (same final shapes / halting guarantees) on `GlobalLine`, `Square` and
 //!    `CountingOnALine` across population sizes.
-//! 2. **Index soundness** — after every single `apply`, the incremental
+//! 2. **Index soundness** — after every configuration change, the pair-index backed
 //!    `find_effective_interaction` agrees with the exhaustive
 //!    `find_effective_interaction_scan` about whether an effective interaction exists,
 //!    and `check_invariants()` holds; exercised on merge-heavy, split-heavy and
-//!    halting protocols.
+//!    halting protocols, and on the two inputs where the exhaustive fallback answers
+//!    (class-table overflow, an over-budget multi×multi universe).
 //! 3. **Enumeration exactness** — `enumerate_permissible` produces exactly the
 //!    permissible pairs that brute-force enumeration finds, with no duplicates.
 
@@ -222,16 +223,103 @@ impl Protocol for BondCycle {
     }
 }
 
-/// Drives a simulation step by step, asserting after **every** apply that the indexed
-/// effective-interaction lookup agrees with the exhaustive scan and that the embedding
-/// invariants hold.
-fn assert_index_agrees_throughout<P: Protocol>(protocol: P, n: usize, seed: u64, steps: u64) {
+/// `n` distinct initial states (one per node id); an even state bonds to an odd one
+/// and nothing else changes. Past 64 nodes the live state diversity overflows the pair
+/// index's class table, so every stability query takes the exhaustive fallback.
+struct DistinctStates;
+
+impl Protocol for DistinctStates {
+    type State = u32;
+
+    fn initial_state(&self, node: NodeId, _n: usize) -> u32 {
+        node.index() as u32
+    }
+
+    fn transition(
+        &self,
+        a: &u32,
+        _pa: Dir,
+        b: &u32,
+        _pb: Dir,
+        bonded: bool,
+    ) -> Option<Transition<u32>> {
+        (!bonded && a.is_multiple_of(2) && !b.is_multiple_of(2)).then_some(Transition {
+            a: *a,
+            b: *b,
+            bond: true,
+        })
+    }
+}
+
+/// Free nodes pair up into bonded dimers; two paired nodes of different dimers then
+/// retire each other (halted `Done`) without bonding. Once nobody is free the base
+/// classes are quiescent while `n/2` dimers span `(n/2 choose 2) · 4` multi×multi node
+/// pairs — over the `64 · n` enumeration budget for `n ≥ 140` — so only the exhaustive
+/// fallback can find the remaining retirements.
+struct Dimers;
+
+#[derive(Clone, PartialEq, Debug)]
+enum DimerState {
+    Free,
+    Paired,
+    Done,
+}
+
+impl Protocol for Dimers {
+    type State = DimerState;
+
+    fn initial_state(&self, _node: NodeId, _n: usize) -> DimerState {
+        DimerState::Free
+    }
+
+    fn transition(
+        &self,
+        a: &DimerState,
+        _pa: Dir,
+        b: &DimerState,
+        _pb: Dir,
+        bonded: bool,
+    ) -> Option<Transition<DimerState>> {
+        let (a, b, bond) = match (a, b, bonded) {
+            (DimerState::Free, DimerState::Free, false) => {
+                (DimerState::Paired, DimerState::Paired, true)
+            }
+            (DimerState::Paired, DimerState::Paired, false) => {
+                (DimerState::Done, DimerState::Done, false)
+            }
+            _ => return None,
+        };
+        Some(Transition { a, b, bond })
+    }
+
+    fn is_halted(&self, state: &DimerState) -> bool {
+        matches!(state, DimerState::Done)
+    }
+}
+
+/// Drives a simulation step by step, asserting after **every** configuration change
+/// that the indexed effective-interaction lookup agrees with the exhaustive scan and
+/// that the embedding invariants hold. Returns the world's exhaustive fallback count
+/// (`index_stats().node_scans`).
+fn assert_index_agrees_throughout<P: Protocol>(
+    protocol: P,
+    n: usize,
+    seed: u64,
+    steps: u64,
+) -> u64 {
     let mut sim = Simulation::new(protocol, SimulationConfig::new(n).with_seed(seed));
+    let mut checked_version = None;
     for step in 0..steps {
         if !sim.step() {
             break;
         }
         let world = sim.world();
+        // Both lookups are functions of the configuration: an unchanged version cannot
+        // change either answer.
+        if checked_version == Some(world.version()) {
+            continue;
+        }
+        checked_version = Some(world.version());
         assert!(world.check_invariants(), "invariants broken at step {step}");
         let indexed = world.find_effective_interaction().is_some();
         let scanned = world.find_effective_interaction_scan().is_some();
@@ -239,23 +327,51 @@ fn assert_index_agrees_throughout<P: Protocol>(protocol: P, n: usize, seed: u64,
             indexed, scanned,
             "index and scan disagree at step {step} (seed {seed}, n = {n})"
         );
+        assert_eq!(
+            world.is_stable(),
+            !scanned,
+            "is_stable disagrees at step {step}"
+        );
         if !indexed {
             break;
         }
     }
+    sim.world().index_stats().node_scans
 }
 
 #[test]
 fn index_agrees_with_scan_on_merge_heavy_runs() {
-    assert_index_agrees_throughout(GlobalLine::new(), 8, 13, 3_000);
-    assert_index_agrees_throughout(Square::new(), 9, 4, 3_000);
+    assert_eq!(
+        assert_index_agrees_throughout(GlobalLine::new(), 8, 13, 3_000),
+        0
+    );
+    assert_eq!(
+        assert_index_agrees_throughout(Square::new(), 9, 4, 3_000),
+        0
+    );
 }
 
 #[test]
 fn index_agrees_with_scan_on_split_and_halt_heavy_runs() {
     for seed in [1u64, 2, 3] {
-        assert_index_agrees_throughout(BondCycle, 9, seed, 3_000);
+        assert_eq!(assert_index_agrees_throughout(BondCycle, 9, seed, 3_000), 0);
     }
+}
+
+#[test]
+fn index_agrees_with_scan_through_the_exhaustive_fallback() {
+    // Class-table overflow: 70 distinct live states.
+    let overflow_scans = assert_index_agrees_throughout(DistinctStates, 70, 3, 400);
+    assert!(
+        overflow_scans > 0,
+        "class overflow must answer through the fallback"
+    );
+    // Over-budget multi×multi universe: 80 dimers at n = 160 once everyone is paired.
+    let budget_scans = assert_index_agrees_throughout(Dimers, 160, 5, 1_000_000);
+    assert!(
+        budget_scans > 0,
+        "an over-budget universe must answer through the fallback"
+    );
 }
 
 #[test]
@@ -288,11 +404,10 @@ fn stability_is_detected_immediately_after_the_last_effective_step() {
     let stats = sim.stats();
     assert_eq!(stats.merges, 5);
     assert!(world.is_stable());
-    // Index statistics prove the amortisation did happen: far fewer node scans than
-    // steps × n would imply, and at least one quiescent-flag short-circuit at the end.
-    let index_stats = world.index_stats();
-    assert!(index_stats.node_scans > 0);
-    assert!(index_stats.quiescent_hits > 0 || index_stats.candidate_hits > 0);
+    assert!(world.is_stable_scan());
+    // A stable configuration is recognised before any further step is taken.
+    let again = sim.run_until_stable();
+    assert_eq!((again.reason, again.steps), (StopReason::Stable, 0));
 }
 
 // ---------------------------------------------------------------------------------------

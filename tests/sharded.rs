@@ -28,10 +28,10 @@
 //!    overflow, and beyond it the sampler degrades to the adaptive strategy.
 //! 5. **Concurrency** — `World` is `Sync`; concurrent read-side queries are safe.
 
-use shape_constructors::core::scheduler::{Scheduler, UniformScheduler};
+use shape_constructors::core::scheduler::{GreedyScheduler, Scheduler, UniformScheduler};
 use shape_constructors::core::{
-    ExecutionStats, NodeId, Protocol, SamplingMode, Simulation, SimulationConfig, StopReason,
-    Transition, World,
+    ExecutionStats, Interaction, NodeId, Protocol, SamplingMode, Simulation, SimulationConfig,
+    StopReason, Transition, World,
 };
 use shape_constructors::geometry::Dir;
 use shape_constructors::protocols::counting_line::{final_count, CountingOnALine};
@@ -124,6 +124,31 @@ fn square_is_shard_count_invariant() {
             }
         }
     }
+}
+
+/// The interaction sequence the greedy scheduler drives `world` through to stability.
+fn greedy_sequence<P: Protocol>(mut world: World<P>) -> Vec<Interaction> {
+    let mut sequence = Vec::new();
+    while let Some(interaction) = GreedyScheduler.next_interaction(&world) {
+        assert!(
+            world.apply(&interaction).effective,
+            "greedy picks are effective"
+        );
+        sequence.push(interaction);
+    }
+    assert!(world.is_stable_scan());
+    sequence
+}
+
+#[test]
+fn greedy_executions_are_shard_count_invariant() {
+    // The greedy pick is the first pair of the pair index's canonical walk, which is a
+    // function of the configuration alone.
+    let [one, four] =
+        [1usize, 4].map(|s| greedy_sequence(World::with_shards(GlobalLine::new(), 12, s)));
+    assert_eq!(one, four, "GlobalLine n = 12");
+    let [one, four] = [1usize, 4].map(|s| greedy_sequence(World::with_shards(Square::new(), 9, s)));
+    assert_eq!(one, four, "Square n = 9");
 }
 
 #[test]
@@ -796,7 +821,7 @@ fn world_is_sync_and_serves_concurrent_queries() {
     assert_sync::<World<Square>>();
     assert_sync::<World<CountingOnALine>>();
     // Concurrent read-side queries against one world: stability checks and effective
-    // lookups from four threads while the dirty frontier memoises under its lock.
+    // lookups from four threads, all served by the pair index under its lock.
     let world = frozen_line_world(12, 5, 4);
     std::thread::scope(|scope| {
         for _ in 0..4 {
