@@ -85,8 +85,26 @@ pub struct IndexStats {
 // a running total of the effective pair count, updated with an exact `O(classes·ports)`
 // delta on every single registration change — the "sum of per-shard rates" the sharded
 // sampler composes its geometric jumps from. Class-pair effectiveness lives in dense
-// tables filled when a class is allocated, so both the delta maintenance and the
-// uniform sampling walk touch plain arrays, never a hash map.
+// tables, so both the delta maintenance and the uniform sampling walk touch plain
+// arrays, never a hash map.
+//
+// The tables are filled lazily, one class pair at a time ([`PairIndex::ensure_pair`]),
+// because only free-port/singleton × singleton cells are ever read: the rates, the
+// sampling walks and the effective-set expansion skip every cell with an empty bucket
+// on either side. A per-class `filled` bitmask records which pairs hold valid entries,
+// and the registrations keep one invariant — every pair of a class registered as a
+// singleton or free port with a class holding singletons is filled:
+//
+// * `register_singleton(c)` fills `c` against every class with a registration, itself
+//   included;
+// * `register_free_port(c)` fills `c` against every class holding singletons;
+// * a slot's row and column bits are cleared whenever its tenant changes (allocation
+//   in `class_for`, and the rollback of an allocation or of a retirement), and a
+//   rebuild starts with every bit clear.
+//
+// Protocols whose leader takes a fresh state on almost every effective step (the
+// counters of Counting-on-a-Line) thus pay for the handful of singleton classes it
+// meets, not for every live class.
 //
 // # Shard-count invariance (the parallel-equivalence property)
 //
@@ -454,11 +472,18 @@ pub(crate) struct PairIndex<S> {
     /// Running effective count of class 3 (singleton × singleton) pairs.
     class3_eff: u64,
     /// Dense per-(class, port, class) bitmask over the peer port: bit `pb` set ⇔ an
-    /// unbonded cross pair of those states/ports is effective. Filled when a class is
-    /// allocated; lets the aggregate deltas and the sampling walk avoid hashing.
+    /// unbonded cross pair of those states/ports is effective. Valid only for the
+    /// class pairs marked in `filled`; lets the aggregate deltas and the sampling walk
+    /// avoid hashing.
     effmask: Vec<u8>,
     /// Dense per-class-pair count of effective ordered port pairs (`Σ popcount`).
     epc: Vec<u16>,
+    /// Per class: bit `cb` set ⇔ the pair `(class, cb)` has valid `effmask`/`epc`
+    /// entries in both orientations (see [`PairIndex::ensure_pair`]).
+    filled: Vec<u64>,
+    /// Class pairs filled since the index was built (a work counter for the tests).
+    #[cfg(test)]
+    pair_fills: u64,
     /// Effectiveness memo for the *recount* path ([`PairIndex::counts`]), kept
     /// hash-based and independent of the dense tables so the two computations
     /// cross-validate each other.
@@ -501,6 +526,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             class3_eff: 0,
             effmask: Vec::new(),
             epc: Vec::new(),
+            filled: Vec::new(),
+            #[cfg(test)]
+            pair_fills: 0,
             memo: HashMap::default(),
             oplog: Vec::new(),
             logging: false,
@@ -561,6 +589,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.s = vec![0; CLASS_CAP];
         self.effmask = vec![0; CLASS_CAP * PORT_CAP * CLASS_CAP];
         self.epc = vec![0; CLASS_CAP * CLASS_CAP];
+        self.filled = vec![0; CLASS_CAP];
         let all: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
         self.flush_batch(view, protocol, &all)
     }
@@ -646,6 +675,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.s = vec![0; CLASS_CAP];
         self.effmask = vec![0; CLASS_CAP * PORT_CAP * CLASS_CAP];
         self.epc = vec![0; CLASS_CAP * CLASS_CAP];
+        self.filled = vec![0; CLASS_CAP];
         self.classes = slots
             .into_iter()
             .map(|slot| {
@@ -660,9 +690,6 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.live_ids = (0..self.classes.len() as u32)
             .filter(|&id| self.classes[id as usize].is_some())
             .collect();
-        for &id in &self.live_ids.clone() {
-            self.fill_class_tables(protocol, view.dim, id);
-        }
         let pinned_live = self.live_ids.clone();
         let pinned_free = self.free_class_slots.clone();
         let pinned_len = self.classes.len();
@@ -691,6 +718,13 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
     /// Number of free singleton nodes (= singleton components).
     pub(crate) fn singleton_count(&self) -> usize {
         self.singleton_total as usize
+    }
+
+    /// `(class pairs filled since the build, live classes holding singletons)`.
+    #[cfg(test)]
+    pub(crate) fn pair_fill_stats(&self) -> (u64, usize) {
+        let singleton_classes = self.live_ids.iter().filter(|&&c| self.s[c as usize] > 0);
+        (self.pair_fills, singleton_classes.count())
     }
 
     /// The incrementally maintained aggregate counts (exact at every configuration).
@@ -780,7 +814,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         let xi = x.index();
         let dim = view.dim;
         let halted = view.halted[xi];
-        let class = match self.class_for(protocol, dim, &view.states[xi], halted) {
+        let class = match self.class_for(&view.states[xi], halted) {
             Ok(class) => class,
             Err(ClassOverflow) => {
                 // If `x` is the sole member of its current class, that class is about
@@ -798,7 +832,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                 self.log(|| IndexOp::NodeClass { x, old });
                 self.node_class[xi] = NONE;
                 self.release_class(old);
-                self.class_for(protocol, dim, &view.states[xi], halted)?
+                self.class_for(&view.states[xi], halted)?
             }
         };
         let old_class = self.node_class[xi];
@@ -818,7 +852,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         }
         if facts.singleton != self.reg_singleton[xi] {
             if facts.singleton {
-                self.register_singleton(dim, class, x);
+                self.register_singleton(protocol, dim, class, x);
             } else {
                 self.drop_singleton_reg(dim, x);
             }
@@ -827,7 +861,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             let free = !facts.singleton && facts.free_mask & (1 << pa.index()) != 0;
             let registered = self.reg_free[xi] & (1 << pa.index()) != 0;
             if free && !registered {
-                self.register_free_port(class, x, pa);
+                self.register_free_port(protocol, dim, class, x, pa);
             } else if !free && registered {
                 self.drop_free_port_reg(x, pa);
             }
@@ -893,13 +927,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             .expect("class id must be live")
     }
 
-    fn class_for<P: Protocol<State = S>>(
-        &mut self,
-        protocol: &P,
-        dim: Dim,
-        state: &S,
-        halted: bool,
-    ) -> Result<u32, ClassOverflow> {
+    fn class_for(&mut self, state: &S, halted: bool) -> Result<u32, ClassOverflow> {
         for &id in &self.live_ids {
             if self.class(id).state == *state {
                 return Ok(id);
@@ -926,44 +954,56 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             class: id,
             reused_slot,
         });
-        self.fill_class_tables(protocol, dim, id);
+        self.clear_filled(id);
         Ok(id)
     }
 
-    /// Fills the dense effectiveness tables of class `id` against every live class
-    /// (including itself). Called on allocation, and again when a rollback resurrects
-    /// a freed class whose rows a slot-reusing allocation may have overwritten.
-    /// Totals of the class are zero at both call sites, so filling cannot disturb the
-    /// running aggregate.
-    fn fill_class_tables<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim, id: u32) {
-        debug_assert!(self.s[id as usize] == 0 && self.g[id as usize] == [0; PORT_CAP]);
-        for &other in &self.live_ids.clone() {
-            // `transition_effective` resolves the unordered pair by trying the
-            // first-argument order first, so effectiveness is not automatically
-            // symmetric in the two (state, port) roles: the tables are stored
-            // *directionally* (`epc[x][y] = Σ eff(x, pa, y, pb)`), and every consumer
-            // picks the same canonical orientation as the recount and the sampling
-            // walks (lower live class id first).
-            let mut pairs_fwd = 0u16;
-            let mut pairs_rev = 0u16;
-            for &pa in dim.dirs() {
-                let mut mask_new_other = 0u8;
-                let mut mask_other_new = 0u8;
-                for &pb in dim.dirs() {
-                    if self.raw_cross_effective(protocol, id, pa, other, pb) {
-                        mask_new_other |= 1 << pb.index();
-                    }
-                    if self.raw_cross_effective(protocol, other, pa, id, pb) {
-                        mask_other_new |= 1 << pb.index();
-                    }
+    /// Fills both orientations of the class pair `(ca, cb)` in the dense tables, unless
+    /// they are already valid for the slots' current tenants. Entries depend only on
+    /// the two classes' states, so filling never disturbs the running aggregate.
+    fn ensure_pair<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim, ca: u32, cb: u32) {
+        if self.filled[ca as usize] & (1 << cb) != 0 {
+            return;
+        }
+        // `transition_effective` resolves the unordered pair by trying the first-argument
+        // order first, so effectiveness is not automatically symmetric in the two
+        // (state, port) roles: the tables are stored *directionally*
+        // (`epc[x][y] = Σ eff(x, pa, y, pb)`), and every consumer picks the same
+        // canonical orientation as the recount and the sampling walks (lower live class
+        // id first).
+        let mut pairs_fwd = 0u16;
+        let mut pairs_rev = 0u16;
+        for &pa in dim.dirs() {
+            let mut mask_fwd = 0u8;
+            let mut mask_rev = 0u8;
+            for &pb in dim.dirs() {
+                if self.raw_cross_effective(protocol, ca, pa, cb, pb) {
+                    mask_fwd |= 1 << pb.index();
                 }
-                self.effmask[Self::mask_at(id, pa, other)] = mask_new_other;
-                self.effmask[Self::mask_at(other, pa, id)] = mask_other_new;
-                pairs_fwd += u16::from(mask_new_other.count_ones() as u8);
-                pairs_rev += u16::from(mask_other_new.count_ones() as u8);
+                if self.raw_cross_effective(protocol, cb, pa, ca, pb) {
+                    mask_rev |= 1 << pb.index();
+                }
             }
-            self.epc[id as usize * CLASS_CAP + other as usize] = pairs_fwd;
-            self.epc[other as usize * CLASS_CAP + id as usize] = pairs_rev;
+            self.effmask[Self::mask_at(ca, pa, cb)] = mask_fwd;
+            self.effmask[Self::mask_at(cb, pa, ca)] = mask_rev;
+            pairs_fwd += u16::from(mask_fwd.count_ones() as u8);
+            pairs_rev += u16::from(mask_rev.count_ones() as u8);
+        }
+        self.epc[ca as usize * CLASS_CAP + cb as usize] = pairs_fwd;
+        self.epc[cb as usize * CLASS_CAP + ca as usize] = pairs_rev;
+        self.filled[ca as usize] |= 1 << cb;
+        self.filled[cb as usize] |= 1 << ca;
+        #[cfg(test)]
+        {
+            self.pair_fills += 1;
+        }
+    }
+
+    /// Forgets every filled pair of slot `id`: its tenant changed.
+    fn clear_filled(&mut self, id: u32) {
+        self.filled[id as usize] = 0;
+        for row in &mut self.filled {
+            *row &= !(1 << id);
         }
     }
 
@@ -1061,9 +1101,24 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         sum
     }
 
-    fn register_singleton(&mut self, dim: Dim, class: u32, x: NodeId) {
+    fn register_singleton<P: Protocol<State = S>>(
+        &mut self,
+        protocol: &P,
+        dim: Dim,
+        class: u32,
+        x: NodeId,
+    ) {
         debug_assert!(!self.reg_singleton[x.index()]);
         self.log(|| IndexOp::RegSingleton { x, class });
+        // A singleton pairs with every free port and every singleton (its own class
+        // included).
+        for i in 0..self.live_ids.len() {
+            let other = self.live_ids[i];
+            let registered = self.s[other as usize] > 0 || self.g[other as usize] != [0; PORT_CAP];
+            if other == class || registered {
+                self.ensure_pair(protocol, dim, class, other);
+            }
+        }
         // Deltas are computed against the *pre-registration* totals: the new singleton
         // pairs with every existing free port and singleton.
         self.class2_eff += self.singleton_class2_rate(dim, class);
@@ -1095,8 +1150,22 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         self.class3_eff -= self.singleton_class3_rate(class);
     }
 
-    fn register_free_port(&mut self, class: u32, x: NodeId, pa: Dir) {
+    fn register_free_port<P: Protocol<State = S>>(
+        &mut self,
+        protocol: &P,
+        dim: Dim,
+        class: u32,
+        x: NodeId,
+        pa: Dir,
+    ) {
         self.log(|| IndexOp::RegFreePort { x, pa, class });
+        // A free port pairs with every singleton.
+        for i in 0..self.live_ids.len() {
+            let other = self.live_ids[i];
+            if self.s[other as usize] > 0 {
+                self.ensure_pair(protocol, dim, class, other);
+            }
+        }
         self.class2_eff += self.free_port_rate(class, pa);
         self.g[class as usize][pa.index()] += 1;
         self.free_total += 1;
@@ -1210,14 +1279,14 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                     self.drop_singleton_reg(dim, x);
                 }
                 IndexOp::DropSingleton { x, class } => {
-                    self.register_singleton(dim, class, x);
+                    self.register_singleton(protocol, dim, class, x);
                 }
                 IndexOp::RegFreePort { x, pa, class } => {
                     debug_assert_eq!(self.node_class[x.index()], class);
                     self.drop_free_port_reg(x, pa);
                 }
                 IndexOp::DropFreePort { x, pa, class } => {
-                    self.register_free_port(class, x, pa);
+                    self.register_free_port(protocol, dim, class, x, pa);
                 }
                 IndexOp::IntraInsert { x, pa } => self.intra_remove((x, pa)),
                 IndexOp::IntraRemove { x, pa } => self.intra_insert((x, pa)),
@@ -1249,6 +1318,7 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                     self.memo.retain(|&key, _| {
                         (key >> 40) as u32 != class && ((key >> 8) & 0xFF_FFFF) as u32 != class
                     });
+                    self.clear_filled(class);
                 }
                 IndexOp::ReleaseDec { class } => {
                     self.class_mut(class).refs += 1;
@@ -1267,9 +1337,10 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
                         refs: 1,
                     });
                     // A slot-reusing allocation after the release may have overwritten
-                    // this id's dense effectiveness rows; refill them against the
-                    // restored live set.
-                    self.fill_class_tables(protocol, dim, class);
+                    // this id's dense effectiveness rows. The class has no
+                    // registrations yet: undoing its members' drops, which come next,
+                    // refills the pairs they need.
+                    self.clear_filled(class);
                 }
             }
         }
@@ -1631,7 +1702,13 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             }
         }
         for (i, &ca) in self.live_ids.iter().enumerate() {
+            if self.s[ca as usize] == 0 {
+                continue;
+            }
             for &cb in &self.live_ids[i..] {
+                if self.s[cb as usize] == 0 {
+                    continue;
+                }
                 for &pa in dim.dirs() {
                     let mask = self.effmask[Self::mask_at(ca, pa, cb)];
                     for &pb in dim.dirs() {
@@ -1765,6 +1842,143 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Simulation, SimulationConfig, Transition};
+
+    /// The transition rules of Counting-on-a-Line (the protocol crate's
+    /// `CountingOnALine`, restated because this crate cannot depend on it): the
+    /// leader's counters give it a fresh state class on almost every effective step,
+    /// and every recruited tape cell gets a class of its own.
+    struct CountingLine {
+        head_start: u64,
+    }
+
+    #[derive(Clone, PartialEq, Debug)]
+    enum Counting {
+        Leader {
+            r0: u64,
+            r1: u64,
+            debt: u64,
+            cells: u32,
+        },
+        Halted,
+        Tape {
+            index: u32,
+            r0_bit: bool,
+            r1_bit: bool,
+        },
+        Q0,
+        Q1,
+        Q2,
+    }
+
+    impl Protocol for CountingLine {
+        type State = Counting;
+
+        fn initial_state(&self, node: NodeId, _n: usize) -> Counting {
+            if node.index() == 0 {
+                Counting::Leader {
+                    r0: 0,
+                    r1: 0,
+                    debt: 0,
+                    cells: 0,
+                }
+            } else {
+                Counting::Q0
+            }
+        }
+
+        fn transition(
+            &self,
+            a: &Counting,
+            pa: Dir,
+            b: &Counting,
+            pb: Dir,
+            bonded: bool,
+        ) -> Option<Transition<Counting>> {
+            let &Counting::Leader {
+                r0,
+                r1,
+                debt,
+                cells,
+            } = a
+            else {
+                return None;
+            };
+            let leader = |r0, r1, debt, cells| Counting::Leader {
+                r0,
+                r1,
+                debt,
+                cells,
+            };
+            let step = |a, b, bond| Some(Transition { a, b, bond });
+            if r0 == r1 && r0 >= self.head_start {
+                return step(Counting::Halted, b.clone(), bonded);
+            }
+            match b {
+                Counting::Q0 if !bonded && pa == Dir::Right && pb == Dir::Left => {
+                    // The tape (leader cell included) is full: recruit the q0.
+                    if 64 - (r0 + 1).leading_zeros() > cells + 1 {
+                        let tape = Counting::Tape {
+                            index: cells,
+                            r0_bit: ((r0 + 1) >> cells) & 1 == 1,
+                            r1_bit: (r1 >> cells) & 1 == 1,
+                        };
+                        step(tape, leader(r0 + 1, r1, debt + 1, cells + 1), true)
+                    } else {
+                        step(leader(r0 + 1, r1, debt, cells), Counting::Q1, false)
+                    }
+                }
+                Counting::Q1 if !bonded && r0 >= self.head_start => {
+                    step(leader(r0, r1 + 1, debt, cells), Counting::Q2, false)
+                }
+                Counting::Q2 if !bonded && debt > 0 => {
+                    step(leader(r0, r1, debt - 1, cells), Counting::Q1, false)
+                }
+                _ => None,
+            }
+        }
+
+        fn is_halted(&self, state: &Counting) -> bool {
+            matches!(state, Counting::Halted)
+        }
+    }
+
+    /// Lazy class-pair tables: over a run, the effective steps fill at most one class
+    /// pair per singleton class plus one each. A typical step fills the fresh leader
+    /// class against the q0/q1/q2 classes; the rare step that re-allocates a singleton
+    /// class fills it against the tape cells too, which the budget absorbs. Eager
+    /// tables filled every fresh leader class against every live class, tape cells
+    /// included: `O(live classes)` per step.
+    #[test]
+    fn counting_fills_at_most_singleton_classes_plus_one_pairs_per_step() {
+        for seed in [1, 2] {
+            let config = SimulationConfig::new(1024)
+                .with_seed(seed)
+                .with_sharded_sampling()
+                .with_shards(1);
+            let mut sim = Simulation::new(CountingLine { head_start: 1 }, config);
+            // The first call builds the index, filling the initial classes' pairs.
+            assert!(sim.step());
+            let (start, _) = sim.world().pair_fill_stats();
+            let mut budget = 0;
+            while !sim.world().any_halted() {
+                assert!(sim.step());
+                let (_, singleton_classes) = sim.world().pair_fill_stats();
+                budget += singleton_classes as u64 + 1;
+            }
+            let (end, _) = sim.world().pair_fill_stats();
+            assert!(
+                sim.stats().effective_steps > 1_000,
+                "seed {seed}: run too short"
+            );
+            assert!(
+                end - start <= budget,
+                "seed {seed}: {} pair fills over {} effective steps exceed the budget {budget}",
+                end - start,
+                sim.stats().effective_steps - 1,
+            );
+        }
+    }
 
     #[test]
     fn pair_unranking_is_a_bijection() {

@@ -356,6 +356,14 @@ impl<P: Protocol> World<P> {
         }
     }
 
+    /// `(class pairs filled, live classes holding singletons)` of the pair index:
+    /// the lazy-fill work counter and the bound it is held to. Test-only, so it shows
+    /// up in no report.
+    #[cfg(test)]
+    pub(crate) fn pair_fill_stats(&self) -> (u64, usize) {
+        relock(&self.pairs).index.pair_fill_stats()
+    }
+
     /// The population size `n`.
     #[must_use]
     pub fn len(&self) -> usize {

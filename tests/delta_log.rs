@@ -149,6 +149,54 @@ fn rollback_is_exact_across_class_churn() {
     assert_rollback_exact_per_apply(CountingOnALine::new(2), 10, 9, 3_000);
 }
 
+/// Multi-apply epochs under class churn: checkpoint, apply 2–8 counting steps, roll
+/// back, then replay them outside any epoch. The leader takes a fresh state on almost
+/// every effective step, so each apply retires the class slot the previous one
+/// allocated and the next apply reuses it: the rollback must unwind slot-reusing
+/// allocations and retirements in one go, and the pair index's class-pair tables must
+/// still be valid for every pair the restored registrations read.
+#[test]
+fn multi_apply_rollback_is_exact_across_class_slot_reuse() {
+    for (n, seed, shards) in [(10, 9, 4), (16, 5, 1), (24, 41, 2)] {
+        let mut world = World::with_shards(CountingOnALine::new(2), n, shards);
+        let mut scheduler = UniformScheduler::with_mode(seed, SamplingMode::Sharded);
+        world.validate_pair_index().expect("initial index");
+        for round in 0..150 {
+            let pre = fingerprint(&world);
+            let mark = world.checkpoint();
+            let mut applied = Vec::new();
+            for _ in 0..2 + round % 7 {
+                let Some(interaction) = scheduler.next_interaction(&world) else {
+                    break;
+                };
+                world.apply(&interaction);
+                applied.push(interaction);
+            }
+            let post = fingerprint(&world);
+            world.rollback(mark).expect("epoch is open");
+            assert_eq!(
+                fingerprint(&world),
+                pre,
+                "n={n} round {round}: rollback of {} applies must restore the world",
+                applied.len()
+            );
+            world
+                .validate_pair_index()
+                .unwrap_or_else(|e| panic!("n={n} round {round}: index wrong after rollback: {e}"));
+            for interaction in &applied {
+                world.apply(interaction);
+            }
+            assert_eq!(fingerprint(&world), post, "n={n} round {round}: replay");
+            world
+                .validate_pair_index()
+                .unwrap_or_else(|e| panic!("n={n} round {round}: index wrong after replay: {e}"));
+            if applied.is_empty() {
+                break;
+            }
+        }
+    }
+}
+
 #[test]
 fn rollback_is_exact_across_line_and_square_growth() {
     assert_rollback_exact_per_apply(GlobalLine::new(), 16, 3, 2_000);
