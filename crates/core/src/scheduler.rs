@@ -72,6 +72,13 @@
 //! the selection ordinal — see there for why that keying, and not a per-shard-id one,
 //! is what makes executions byte-identical across 1/2/4 shards).
 //!
+//! A step allowance can end inside a jump. The sampler then credits the allowance and
+//! keeps the rest of the jump; the next call on the same configuration lands it,
+//! re-deriving the effective-pair draw from the same substream, so a budgeted run
+//! that is continued equals an unbudgeted run step for step. If the configuration
+//! changed in between, the rest is dropped and a fresh jump is drawn from the next
+//! substream — exact in law, because the geometric is memoryless.
+//!
 //! Two situations make the index unusable and fall back to the adaptive strategy,
 //! which realises the same per-step distribution, just more slowly: a protocol whose
 //! live state diversity overflows the index's class table (permanent fallback), and
@@ -81,6 +88,12 @@
 use crate::{Interaction, Protocol, World};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
+
+/// Top bit of the snapshot's pending-jump word (the config's last `u64`): when set,
+/// the low 63 bits hold the remaining length of a jump cut short by a step
+/// allowance. Words without it mean no pending jump — 0, and the small speculation
+/// window that snapshots written before that mode's retirement stored there.
+const PENDING_JUMP_TAG: u64 = 1 << 63;
 
 /// How the uniform scheduler realises the uniform distribution over permissible pairs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -144,8 +157,9 @@ pub trait Scheduler {
     /// sampled jump would overshoot the allowance credits exactly `max_steps` skipped
     /// selections (drained via [`Scheduler::drain_skipped_steps`]) and returns `None`
     /// — the faithful behaviour of a step-budgeted run that spent its whole remaining
-    /// budget on ineffective selections. Non-batching schedulers take one selection
-    /// per call and ignore the bound.
+    /// budget on ineffective selections — and keeps the rest of the jump for the next
+    /// call, so a budgeted run that is continued equals an unbudgeted one.
+    /// Non-batching schedulers take one selection per call and ignore the bound.
     fn next_interaction_bounded<P: Protocol>(
         &mut self,
         world: &World<P>,
@@ -172,11 +186,18 @@ pub struct UniformScheduler {
     mode: SamplingMode,
     /// The base seed (kept for deriving the sharded mode's per-selection substreams).
     seed: u64,
-    /// Selection-attempt ordinal of the sharded mode: each draw attempt uses the
-    /// substream keyed by this counter, which advances on every attempt (including
-    /// budget-exhausted ones, where the memorylessness of the geometric makes a fresh
-    /// draw on the next attempt distributionally exact).
+    /// Selection ordinal of the sharded mode: each jump (and each selection of a
+    /// stable configuration) draws from the substream keyed by this counter, which
+    /// advances once the jump lands on its effective selection. A jump cut short by
+    /// the step allowance keeps its ordinal, so the continuation re-derives the same
+    /// effective-pair draw.
     sharded_draws: u64,
+    /// Selections still to go of a jump cut short by the step allowance, including
+    /// its effective one (0: none pending). Only valid while the configuration is at
+    /// `jump_version`; a changed configuration drops it and moves to a fresh ordinal,
+    /// which the memorylessness of the geometric keeps exact.
+    jump_left: u64,
+    jump_version: u64,
     /// Safety valve: give up after this many rejected samples (only reachable for n = 1,
     /// or in legacy mode for configurations with a vanishing permissible set).
     max_attempts: u32,
@@ -236,6 +257,8 @@ impl UniformScheduler {
             mode,
             seed,
             sharded_draws: 0,
+            jump_left: 0,
+            jump_version: 0,
             max_attempts: 10_000_000,
             collapsed: false,
             cache: Vec::new(),
@@ -398,9 +421,10 @@ impl UniformScheduler {
 
     /// One sharded selection: sample the geometric jump to the next effective
     /// selection, credit the skipped ineffective ones, and return a uniform effective
-    /// pair — or, within `max_steps` of budget, stop early. Served from the `O(1)`
-    /// aggregate counts, drawing jump + index from the per-selection substream; see
-    /// the module docs for why this realises the exact per-step uniform distribution.
+    /// pair — or, within `max_steps` of budget, credit the allowance and keep the
+    /// rest of the jump for the next call. Served from the `O(1)` aggregate counts,
+    /// drawing jump + index from the per-selection substream; see the module docs for
+    /// why this realises the exact per-step uniform distribution.
     fn next_sharded<P: Protocol>(
         &mut self,
         world: &World<P>,
@@ -422,22 +446,63 @@ impl UniformScheduler {
         if self.batch_permissible == 0 {
             return None;
         }
+        if self.jump_left > 0 {
+            if self.jump_version == version && self.batch_effective > 0 {
+                return self.continue_jump(world, max_steps);
+            }
+            // The configuration changed under the interrupted jump: by memorylessness
+            // a fresh jump from a fresh substream is exact.
+            self.jump_left = 0;
+            self.sharded_draws += 1;
+        }
         let mut sub = crate::rng::substream(self.seed, self.sharded_draws);
-        self.sharded_draws += 1;
         if self.batch_effective == 0 {
             // The configuration is stable: every further selection is ineffective, so
             // there is no effective selection to jump to. Draw single uniform
             // permissible selections, one per call, exactly like the other modes.
+            self.sharded_draws += 1;
             let idx = sub.gen_range(0..self.batch_permissible);
             return Some(self.pick_permissible(world, idx));
         }
         let p = self.batch_effective as f64 / self.batch_permissible as f64;
         let jump = crate::rng::geometric(&mut sub, p);
+        self.land_jump(world, sub, jump, max_steps)
+    }
+
+    /// Resumes the jump an earlier call cut short: re-derives its substream (the
+    /// geometric draw is repeated only to reach the same stream position, its value
+    /// is the original jump's) and lands the remaining `jump_left` selections.
+    #[cold]
+    fn continue_jump<P: Protocol>(
+        &mut self,
+        world: &World<P>,
+        max_steps: u64,
+    ) -> Option<Interaction> {
+        let mut sub = crate::rng::substream(self.seed, self.sharded_draws);
+        let p = self.batch_effective as f64 / self.batch_permissible as f64;
+        let _ = crate::rng::geometric(&mut sub, p);
+        let jump = std::mem::take(&mut self.jump_left);
+        self.land_jump(world, sub, jump, max_steps)
+    }
+
+    /// Credits a jump of `jump` selections whose draws come from `sub`: past the
+    /// `max_steps` allowance it credits the allowance and keeps the rest pending;
+    /// otherwise it credits the `jump − 1` skips and returns a uniform effective pair.
+    fn land_jump<P: Protocol>(
+        &mut self,
+        world: &World<P>,
+        mut sub: StdRng,
+        jump: u64,
+        max_steps: u64,
+    ) -> Option<Interaction> {
         if jump > max_steps {
             // The whole remaining step budget is spent on ineffective selections.
             self.pending_skips += max_steps;
+            self.jump_left = jump - max_steps;
+            self.jump_version = world.version();
             return None;
         }
+        self.sharded_draws += 1;
         self.pending_skips += jump - 1;
         let idx = sub.gen_range(0..self.batch_effective);
         Some(self.pick_effective(world, idx))
@@ -462,6 +527,17 @@ impl UniformScheduler {
     }
 
     // --- snapshots (see `crate::snapshot` for the format and the exactness notes) ------
+
+    /// The snapshot's pending-jump word: the remaining length of a jump cut short,
+    /// under [`PENDING_JUMP_TAG`], or 0 when none is pending. (A remainder past
+    /// 2⁶³ − 1 selections is clamped; no population the index can hold draws one.)
+    pub(crate) fn pending_jump_word(&self) -> u64 {
+        if self.jump_left == 0 {
+            0
+        } else {
+            PENDING_JUMP_TAG | self.jump_left.min(PENDING_JUMP_TAG - 1)
+        }
+    }
 
     /// Encodes the resumability-critical scheduler state: the RNG stream position,
     /// the sharded substream ordinal, the sticky adaptive/sharded flags, whether the
@@ -489,17 +565,30 @@ impl UniformScheduler {
     }
 
     /// Decodes the counterpart of [`UniformScheduler::snapshot_encode`], rebuilding a
-    /// scheduler that continues the interrupted RNG streams exactly. `seed` and
-    /// `mode` come from the snapshot's persisted configuration.
+    /// scheduler that continues the interrupted RNG streams exactly. `seed`, `mode`
+    /// and `pending_jump` (see [`UniformScheduler::pending_jump_word`]) come from the
+    /// snapshot's persisted configuration.
     ///
     /// # Errors
     /// [`crate::CoreError::SnapshotTruncated`] or [`crate::CoreError::SnapshotCorrupt`].
     pub(crate) fn snapshot_decode<P: Protocol>(
         seed: u64,
         mode: SamplingMode,
+        pending_jump: u64,
         world: &World<P>,
         r: &mut crate::SnapshotReader<'_>,
     ) -> crate::Result<UniformScheduler> {
+        let jump_left = if pending_jump & PENDING_JUMP_TAG == 0 {
+            0
+        } else {
+            let left = pending_jump & !PENDING_JUMP_TAG;
+            if left == 0 || mode != SamplingMode::Sharded {
+                return Err(crate::CoreError::SnapshotCorrupt {
+                    what: "pending jump that is empty or outside the jump sampler",
+                });
+            }
+            left
+        };
         let mut state = [0u64; 4];
         for word in &mut state {
             *word = r.u64()?;
@@ -522,6 +611,8 @@ impl UniformScheduler {
         scheduler.collapsed = collapsed;
         scheduler.batch_overflow = batch_overflow;
         scheduler.pending_skips = pending_skips;
+        scheduler.jump_left = jump_left;
+        scheduler.jump_version = world.version();
         if cache_warm {
             scheduler.warm_cache(world)?;
         }
@@ -752,6 +843,46 @@ mod tests {
             n - 1,
             "every bonded pair must be reachable"
         );
+    }
+
+    #[test]
+    fn a_cut_jump_continues_on_its_configuration_and_drops_on_a_new_one() {
+        // 15 effective pairs among ~2000 permissible ones: jumps of ~130 selections.
+        let mut world = World::new(Chain, 16);
+        let mut whole = UniformScheduler::with_mode(5, SamplingMode::Sharded);
+        let expected = whole.next_interaction(&world);
+        let expected_skips = whole.drain_skipped_steps();
+        assert!(
+            expected_skips > 0,
+            "the pinned seed must draw a jump to cut"
+        );
+
+        // Cut at every selection, the jump lands on the same pair after the same skips.
+        let mut cut = UniformScheduler::with_mode(5, SamplingMode::Sharded);
+        let mut skips = 0;
+        let landed = loop {
+            let picked = cut.next_interaction_bounded(&world, 1);
+            skips += cut.drain_skipped_steps();
+            if picked.is_some() {
+                break picked;
+            }
+            assert_eq!(cut.sharded_draws, 0, "a cut jump keeps its ordinal");
+        };
+        assert_eq!((landed, skips), (expected, expected_skips));
+        assert_eq!((cut.sharded_draws, cut.jump_left), (1, 0));
+
+        // A configuration change drops the rest and draws from the next ordinal.
+        assert_eq!(cut.next_interaction_bounded(&world, 1), None);
+        assert!(cut.jump_left > 0);
+        let step = world
+            .find_effective_interaction()
+            .expect("the chain can grow");
+        assert!(world.apply(&step).effective);
+        let picked = cut.next_interaction(&world).expect("pairs exist");
+        assert_eq!((cut.sharded_draws, cut.jump_left), (3, 0));
+        assert!(world
+            .permissibility(picked.a, picked.pa, picked.b, picked.pb)
+            .is_some());
     }
 
     #[test]

@@ -93,7 +93,8 @@ pub enum StopReason {
     Predicate,
     /// Every node reached a halted state.
     AllHalted,
-    /// The step budget was exhausted before the requested condition held.
+    /// The step budget (or the call's drawn-selection allowance) was exhausted
+    /// before the requested condition held.
     StepBudget,
     /// The scheduler produced no interaction (population of a single node).
     NoInteraction,
@@ -189,8 +190,9 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
         out.u64(self.config.max_steps);
         out.u8(self.config.sampling.snapshot_tag());
         out.u64(self.config.shards as u64);
-        // Reserved word of format v1 (once the retired speculation window).
-        out.u64(0);
+        // Format v1's once-reserved word (the retired speculation window): the rest
+        // of a jump that a step allowance cut short, or 0.
+        out.u64(self.scheduler.pending_jump_word());
         out.u64(self.stats.steps);
         out.u64(self.stats.effective_steps);
         out.u64(self.stats.skipped_steps);
@@ -241,8 +243,9 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
         let max_steps = r.u64()?;
         let sampling = SamplingMode::from_snapshot_tag(r.u8()?)?;
         let shards = usize::try_from(r.u64()?).map_err(|_| corrupt("shard count out of range"))?;
-        // Reserved word of format v1: older snapshots stored a speculation window here.
-        r.u64()?;
+        // The pending-jump word (older snapshots stored a speculation window here,
+        // which decodes as none).
+        let pending_jump = r.u64()?;
         if shards == 0 {
             return Err(corrupt("shard count is zero"));
         }
@@ -256,7 +259,8 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
             splits: r.u64()?,
         };
         let world = World::snapshot_decode(protocol, n, shards, &mut r)?;
-        let scheduler = UniformScheduler::snapshot_decode(seed, sampling, &world, &mut r)?;
+        let scheduler =
+            UniformScheduler::snapshot_decode(seed, sampling, pending_jump, &world, &mut r)?;
         if r.remaining() != 0 {
             return Err(corrupt("trailing bytes after the snapshot body"));
         }
@@ -400,7 +404,9 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     }
 
     /// Executes up to `steps` scheduler steps (counting bulk credits); returns
-    /// how many were actually executed.
+    /// how many were actually executed. A geometric jump that would overshoot is
+    /// cut at `steps` and continued by the next call, so chunked runs equal one
+    /// unchunked run.
     pub fn run_steps(&mut self, steps: u64) -> u64 {
         let start = self.stats.steps;
         while self.stats.steps - start < steps {
@@ -415,13 +421,29 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// Runs until the given predicate on the configuration holds (checked after every
     /// step and once before the first), until the step budget is exhausted, or until the
     /// scheduler runs dry.
-    pub fn run_until(&mut self, mut predicate: impl FnMut(&World<P>) -> bool) -> RunReport {
+    pub fn run_until(&mut self, predicate: impl FnMut(&World<P>) -> bool) -> RunReport {
+        self.run_until_within(u64::MAX, predicate)
+    }
+
+    /// [`Simulation::run_until`] that also stops, with [`StopReason::StepBudget`], once
+    /// this call has drawn `max_drawn` selections
+    /// ([`ExecutionStats::drawn_selections`]). That bound counts the selections the
+    /// scheduler actually draws, so it is a bound on work: under the jump sampler the
+    /// run stops right after an applied selection, never inside a jump, and a run
+    /// continued call after call takes the trajectory of one uninterrupted call.
+    pub fn run_until_within(
+        &mut self,
+        max_drawn: u64,
+        mut predicate: impl FnMut(&World<P>) -> bool,
+    ) -> RunReport {
         let start = self.stats;
         let mut reason = StopReason::StepBudget;
         if predicate(&self.world) {
             reason = StopReason::Predicate;
         } else {
-            while self.stats.steps - start.steps < self.config.max_steps {
+            while self.stats.steps - start.steps < self.config.max_steps
+                && self.stats.drawn_selections() - start.drawn_selections() < max_drawn
+            {
                 let left = self.config.max_steps - (self.stats.steps - start.steps);
                 match self.step_within(left) {
                     StepOutcome::Applied => {
@@ -458,9 +480,18 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// step by up to a constant factor, exactly as the pre-index implementation did.
     /// This is the baseline the scheduler n-sweep benchmarks against.
     pub fn run_until_stable(&mut self) -> RunReport {
+        self.run_until_stable_within(u64::MAX)
+    }
+
+    /// [`Simulation::run_until_stable`] that also stops, with
+    /// [`StopReason::StepBudget`], once this call has drawn `max_drawn` selections
+    /// (see [`Simulation::run_until_within`]).
+    pub fn run_until_stable_within(&mut self, max_drawn: u64) -> RunReport {
         match self.config.sampling {
-            SamplingMode::Adaptive | SamplingMode::Sharded => self.run_until_stable_indexed(),
-            SamplingMode::Legacy => self.run_until_stable_legacy(),
+            SamplingMode::Adaptive | SamplingMode::Sharded => {
+                self.run_until_stable_indexed(max_drawn)
+            }
+            SamplingMode::Legacy => self.run_until_stable_legacy(max_drawn),
         }
     }
 
@@ -482,7 +513,7 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
         Ok(report)
     }
 
-    fn run_until_stable_indexed(&mut self) -> RunReport {
+    fn run_until_stable_indexed(&mut self, max_drawn: u64) -> RunReport {
         let start = self.stats;
         // The configuration version gates re-checking: an unchanged version means the
         // previous "unstable" verdict still holds, so ineffective steps cost nothing.
@@ -495,7 +526,9 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
                 }
                 checked_version = Some(version);
             }
-            if self.stats.steps - start.steps >= self.config.max_steps {
+            if self.stats.steps - start.steps >= self.config.max_steps
+                || self.stats.drawn_selections() - start.drawn_selections() >= max_drawn
+            {
                 return self.report_since(start, StopReason::StepBudget, false);
             }
             let left = self.config.max_steps - (self.stats.steps - start.steps);
@@ -509,17 +542,19 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
         }
     }
 
-    fn run_until_stable_legacy(&mut self) -> RunReport {
+    fn run_until_stable_legacy(&mut self, max_drawn: u64) -> RunReport {
         let start = self.stats;
         let mut interval = (self.config.n as u64).max(16) * 8;
+        // Legacy sampling credits no skips, so every step is a drawn selection.
+        let budget = self.config.max_steps.min(max_drawn);
         loop {
             if self.world.is_stable_scan() {
                 return self.report_since(start, StopReason::Stable, true);
             }
-            if self.stats.steps - start.steps >= self.config.max_steps {
+            if self.stats.steps - start.steps >= budget {
                 return self.report_since(start, StopReason::StepBudget, false);
             }
-            let budget_left = self.config.max_steps - (self.stats.steps - start.steps);
+            let budget_left = budget - (self.stats.steps - start.steps);
             let chunk = interval.min(budget_left);
             let executed = self.run_steps(chunk);
             if executed < chunk {

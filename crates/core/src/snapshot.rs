@@ -11,7 +11,7 @@
 //! magic   b"NCSS"                              4 bytes
 //! version u16                                  format version (currently 1)
 //! name    u16 length + UTF-8 bytes             protocol name (replay dispatch)
-//! config  n, seed, max_steps, sampling tag, shards, reserved u64
+//! config  n, seed, max_steps, sampling tag, shards, pending-jump word u64
 //! stats   the 7 ExecutionStats counters
 //! sched   RNG state, substream ordinal, adaptive/sharded flags, pending skips
 //! world   states, placements, comp_of, links, component slots, pinned class table
@@ -25,9 +25,11 @@
 //! Two parts of the v1 layout outlive the retired batched and speculative sampling
 //! modes. Sampling tags 2 and 4 named them; decoding either is a typed
 //! [`CoreError::SnapshotCorrupt`], and the tags are never reused. The config's last
-//! `u64` held the speculation window; it is now a reserved word, written as 0 and
-//! ignored on read, so snapshots written before the retirement (such as the
-//! committed replay fixture, which stores 8 there) keep decoding unchanged.
+//! `u64` held the speculation window; it now holds the remaining length of a
+//! geometric jump that a step allowance cut short, tagged with the top bit, or 0
+//! when none is pending. Untagged values decode as "none", so snapshots written
+//! before the retirement (such as the committed replay fixture, which stores 8
+//! there) keep decoding unchanged.
 //!
 //! # Exactness: what is persisted and what is recomputed
 //!
@@ -46,10 +48,12 @@
 //!   snapshot pins the slot assignment and the free-slot stack, and the restore
 //!   re-registers every node against that pinned table, rebuilding refcounts,
 //!   buckets and running aggregates exactly;
-//! * the scheduler's RNG state, its substream ordinal (`sharded_draws`), the sticky
-//!   adaptive/sharded flags (`collapsed`, `batch_overflow`), and whether its
-//!   enumeration cache was warm for the frozen configuration (the cache *contents*
-//!   are deterministically re-enumerated on resume);
+//! * the scheduler's RNG state, its substream ordinal (`sharded_draws`), the rest of
+//!   an interrupted jump (its effective-pair draw is re-derived from the same
+//!   ordinal's substream on resume), the sticky adaptive/sharded flags (`collapsed`,
+//!   `batch_overflow`), and whether its enumeration cache was warm for the frozen
+//!   configuration (the cache *contents* are deterministically re-enumerated on
+//!   resume);
 //! * the [`ExecutionStats`] counters (logical step accounting) and the
 //!   cross-shard-event counter (deterministic given the trajectory).
 //!

@@ -36,6 +36,14 @@ impl ExecutionStats {
         }
     }
 
+    /// Selections the scheduler drew one by one: `steps − skipped_steps`. Equal to
+    /// `steps` outside `SamplingMode::Sharded`; under the jump sampler it counts one
+    /// per applied interaction, so it tracks the work an execution costs.
+    #[must_use]
+    pub fn drawn_selections(&self) -> u64 {
+        self.steps - self.skipped_steps
+    }
+
     /// Merges the counters of another stats block into this one.
     pub fn absorb(&mut self, other: &ExecutionStats) {
         self.steps += other.steps;

@@ -4,12 +4,15 @@
 //! service [--port P] [--workers W] [--slice S] [--seed SEED] [--smoke]
 //! ```
 //!
-//! Default mode binds `127.0.0.1:P` (an ephemeral port when `--port 0`), prints the
-//! bound address, and serves until killed. `--smoke` is the CI gate: bind an
-//! ephemeral port, then act as the service's own HTTP client — submit one Square
-//! job plus a crash-injected twin, poll both to completion over real sockets,
-//! fetch the reports, and require the crash-recovered report to be byte-identical
-//! to the uncrashed one. The gate then scrapes `GET /metrics` and fails on a
+//! `--slice` is the number of drawn selections per slice (default 50 000; see
+//! `WorkerConfig::slice`). Default mode binds `127.0.0.1:P` (an ephemeral port
+//! when `--port 0`), prints the bound address, and serves until killed. `--smoke`
+//! is the CI gate: bind an ephemeral port, then act as the service's own HTTP
+//! client — submit one Square job plus a crash-injected twin, poll both to
+//! completion over real sockets, fetch the reports, and require the
+//! crash-recovered report to be byte-identical to the uncrashed one. A sharded
+//! line n=1024 job, which crosses several slice boundaries, must serve the report
+//! of one unsliced in-process run. The gate then scrapes `GET /metrics` and fails on a
 //! structurally ill-formed exposition or any missing required family
 //! (`nc_service::metrics::REQUIRED_FAMILIES`). Exits 0 on success, 1 with a
 //! diagnostic on any failure.
@@ -23,6 +26,7 @@ use std::time::Duration;
 use nc_service::client;
 use nc_service::http::{serve, ServiceHandle};
 use nc_service::worker::{spawn_pool, WorkerConfig};
+use nc_service::{JobReport, JobRunner, JobSpec, SliceOutcome};
 use tiny_http::Server;
 
 struct Args {
@@ -164,8 +168,10 @@ fn smoke(addr: SocketAddr) -> Result<(), String> {
 
     let clean = submit("protocol=square&n=16&seed=11&tenant=smoke")?;
     let crashed = submit("protocol=square&n=16&seed=11&tenant=smoke&crash_after_slices=1")?;
+    let sharded_body = "protocol=line&n=1024&seed=11&mode=sharded&tenant=smoke";
+    let sharded = submit(sharded_body)?;
 
-    for id in [clean, crashed] {
+    for id in [clean, crashed, sharded] {
         let last = client::poll_until(
             addr,
             &format!("/jobs/{id}"),
@@ -203,6 +209,38 @@ fn smoke(addr: SocketAddr) -> Result<(), String> {
         ));
     }
 
+    // A sharded job's report is a function of its spec alone: the sliced service
+    // run must equal one unsliced in-process run.
+    let spec = JobSpec::parse(sharded_body).map_err(|e| format!("sharded spec: {e}"))?;
+    let mut runner = JobRunner::start(&spec);
+    let SliceOutcome::Finished { completed } = runner.advance(u64::MAX, spec.step_budget) else {
+        return Err("the unsliced in-process sharded run did not finish".to_string());
+    };
+    let unsliced = format!(
+        "{}\n",
+        JobReport::from_runner(&spec, &runner, completed).to_json()
+    );
+    let sharded_report = report(sharded)?;
+    if sharded_report != unsliced {
+        return Err(format!(
+            "sliced sharded report diverged from the unsliced run:\n  served:    {sharded_report}  unsliced:  {unsliced}"
+        ));
+    }
+    let sharded_status = client::request(addr, "GET", &format!("/jobs/{sharded}"), "")
+        .map_err(|e| format!("status: {e}"))?;
+    let slices: Option<u64> = sharded_status
+        .body
+        .split("\"slices\": ")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|n| n.parse().ok());
+    if slices.is_none_or(|slices| slices < 4) {
+        return Err(format!(
+            "the sharded job must run in at least 4 slices: {}",
+            sharded_status.body
+        ));
+    }
+
     let crashed_status = client::request(addr, "GET", &format!("/jobs/{crashed}"), "")
         .map_err(|e| format!("status: {e}"))?;
     if !crashed_status.body.contains("\"crashes\": 1") {
@@ -232,8 +270,8 @@ fn smoke(addr: SocketAddr) -> Result<(), String> {
         }
     }
     for evidence in [
-        "service_jobs_submitted_total 2",
-        "service_jobs_done_total 2",
+        "service_jobs_submitted_total 3",
+        "service_jobs_done_total 3",
         "service_crashes_total 1",
         "service_retries_total 1",
     ] {
@@ -246,7 +284,7 @@ fn smoke(addr: SocketAddr) -> Result<(), String> {
     }
 
     println!(
-        "service: smoke PASSED (clean and crash-recovered reports identical; /metrics well-formed, {} families)",
+        "service: smoke PASSED (clean and crash-recovered reports identical; sliced sharded report equals the unsliced run; /metrics well-formed, {} families)",
         nc_service::metrics::REQUIRED_FAMILIES.len()
     );
     Ok(())

@@ -3,19 +3,30 @@
 //! A [`JobRunner`] owns a running [`Simulation`] of one of the three snapshot-capable
 //! reference protocols, type-erased behind an enum so the queue and workers never
 //! carry protocol type parameters. Workers call [`JobRunner::advance`] with a slice
-//! allowance; between slices they checkpoint ([`JobRunner::checkpoint_bytes`]) and
-//! park the job, so no single job starves the queue and a crashed worker loses at
-//! most one slice of progress.
+//! allowance of *drawn selections*; between slices they checkpoint
+//! ([`JobRunner::checkpoint_bytes`]) and park the job, so no single job starves the
+//! queue and a crashed worker loses at most one slice of progress.
 //!
-//! # Determinism across crash/resume
+//! # The slice unit
 //!
-//! The slice arithmetic uses only state that survives a resume: the lifetime step
-//! count carried by [`ExecutionStats`](nc_core::ExecutionStats) and the immutable
-//! spec. A run that crashes and resumes from its last checkpoint therefore computes
-//! the **same** per-slice allowances at the same lifetime step counts as an
-//! uninterrupted run, drives the same byte-identical trajectory (the PR 5 snapshot
-//! guarantee), and lands on the same [`JobReport`] — pinned by the crash-recovery
-//! suite and the `--smoke` gate.
+//! A slice allowance counts the selections the scheduler draws one by one
+//! ([`ExecutionStats::drawn_selections`](nc_core::ExecutionStats::drawn_selections),
+//! `steps − skipped_steps`), not the steps it credits. Under the jump sampler that is
+//! one per applied interaction, however many ineffective selections a geometric jump
+//! credits, so a slice costs about the same wall clock at any stage of a
+//! construction. Under adaptive and legacy sampling every step is drawn, and the unit
+//! is the step. The lifetime `step_budget` stays in credited steps.
+//!
+//! # Determinism across slicing and crash/resume
+//!
+//! A slice ends right after an applied selection, so it never cuts a geometric jump;
+//! only the lifetime budget can, and the scheduler continues such a jump exactly. A
+//! sharded job's report is therefore a function of the spec alone, whatever the
+//! slice length. In every mode a run that crashes and resumes from its last
+//! checkpoint starts the same slice from the same state as the uninterrupted run,
+//! drives the same byte-identical trajectory (the PR 5 snapshot guarantee), and
+//! lands on the same [`JobReport`] — pinned by the crash-recovery suite and the
+//! `--smoke` gate.
 
 use nc_core::snapshot::Snapshot;
 use nc_core::{Simulation, SimulationConfig, StopReason};
@@ -109,38 +120,31 @@ impl JobRunner {
         }
     }
 
-    /// Runs one slice: up to `slice` scheduler steps, clipped to whatever remains of
-    /// the job's lifetime `step_budget`. The slice allowance is a function of the
-    /// lifetime step count only, so crashed-and-resumed runs recompute identical
-    /// slice boundaries (see the module docs).
+    /// Runs one slice: up to `slice` drawn selections, and no more scheduler steps
+    /// than remain of the job's lifetime `step_budget`. A slice starts and ends
+    /// between applied selections, so resumed runs cross the same slice boundaries
+    /// as uninterrupted ones (see the module docs).
     pub fn advance(&mut self, slice: u64, step_budget: u64) -> SliceOutcome {
         let lifetime = self.stats().steps;
         if lifetime >= step_budget {
             return SliceOutcome::BudgetExhausted;
         }
-        let allowance = slice.min(step_budget - lifetime);
+        let budget_left = step_budget - lifetime;
         let report = match self {
             JobRunner::Line(sim) => {
-                sim.config_mut().max_steps = allowance;
-                sim.run_until_stable()
+                sim.config_mut().max_steps = budget_left;
+                sim.run_until_stable_within(slice)
             }
             JobRunner::Square(sim) => {
-                sim.config_mut().max_steps = allowance;
-                sim.run_until_stable()
+                sim.config_mut().max_steps = budget_left;
+                sim.run_until_stable_within(slice)
             }
             JobRunner::Counting(sim) => {
-                sim.config_mut().max_steps = allowance;
-                sim.run_until_any_halted()
+                sim.config_mut().max_steps = budget_left;
+                sim.run_until_within(slice, |w| w.any_halted())
             }
         };
         match report.reason {
-            StopReason::Stable | StopReason::AllHalted => SliceOutcome::Finished {
-                completed: self.outcome_holds(),
-            },
-            // A dry scheduler (single-node population) can never progress further.
-            StopReason::NoInteraction => SliceOutcome::Finished {
-                completed: self.outcome_holds(),
-            },
             StopReason::StepBudget => {
                 if self.stats().steps >= step_budget {
                     SliceOutcome::BudgetExhausted
@@ -148,8 +152,12 @@ impl JobRunner {
                     SliceOutcome::Yielded
                 }
             }
-            // run_until_stable / run_until_any_halted never return Predicate.
-            StopReason::Predicate => SliceOutcome::Finished {
+            // Stability, the counting predicate (a halted node), or a dry scheduler
+            // (single-node population, which can never progress further).
+            StopReason::Stable
+            | StopReason::Predicate
+            | StopReason::AllHalted
+            | StopReason::NoInteraction => SliceOutcome::Finished {
                 completed: self.outcome_holds(),
             },
         }
@@ -243,36 +251,67 @@ impl JobReport {
 mod tests {
     use super::*;
     use crate::job::{JobSpec, ProtocolKind};
+    use nc_core::SamplingMode;
+
+    /// The report of one unsliced engine run of `spec`: the protocol driven straight
+    /// to its stopping condition by the `Simulation` API.
+    fn engine_report(spec: &JobSpec) -> String {
+        let mut runner = JobRunner::start(spec);
+        let report = match &mut runner {
+            JobRunner::Line(sim) => sim.run_until_stable(),
+            JobRunner::Square(sim) => sim.run_until_stable(),
+            JobRunner::Counting(sim) => sim.run_until_any_halted(),
+        };
+        assert!(report.condition_met() && runner.outcome_holds());
+        JobReport::from_runner(spec, &runner, true).to_json()
+    }
 
     #[test]
     fn sliced_execution_matches_an_unsliced_run() {
-        let spec = JobSpec::new(ProtocolKind::Square, 16);
-        // Unsliced reference.
-        let mut reference = JobRunner::start(&spec);
-        let outcome = reference.advance(spec.step_budget, spec.step_budget);
-        assert_eq!(outcome, SliceOutcome::Finished { completed: true });
-
-        // Sliced run: tiny slices, checkpoint round-trip between every slice.
-        let mut runner = JobRunner::start(&spec);
-        let mut slices = 0;
-        let completed = loop {
-            match runner.advance(64, spec.step_budget) {
-                SliceOutcome::Finished { completed } => break completed,
-                SliceOutcome::Yielded => {
-                    let bytes = runner.checkpoint_bytes().expect("checkpoint");
-                    runner = JobRunner::resume(&spec, &bytes).expect("resume");
-                    slices += 1;
-                    assert!(slices < 100_000, "square(16) must converge");
+        // Every protocol, adaptive and jump sampling, at 1 and 4 shards: slices of
+        // 1, 7 and 50 000 drawn selections and an unbounded one, with a checkpoint
+        // round trip between slices, all serve the report of one engine run.
+        for (protocol, n) in [
+            (ProtocolKind::Line, 16),
+            (ProtocolKind::Square, 9),
+            (ProtocolKind::Counting, 8),
+        ] {
+            for mode in [SamplingMode::Adaptive, SamplingMode::Sharded] {
+                for shards in [1, 4] {
+                    let mut spec = JobSpec::new(protocol, n);
+                    spec.mode = mode;
+                    spec.shards = shards;
+                    let reference = engine_report(&spec);
+                    for slice in [1, 7, 50_000, u64::MAX] {
+                        let label = format!("{protocol:?} {mode:?} shards={shards} slice={slice}");
+                        let mut runner = JobRunner::start(&spec);
+                        let mut slices = 1;
+                        let completed = loop {
+                            match runner.advance(slice, spec.step_budget) {
+                                SliceOutcome::Finished { completed } => break completed,
+                                SliceOutcome::Yielded => {
+                                    let bytes = runner.checkpoint_bytes().expect("checkpoint");
+                                    runner = JobRunner::resume(&spec, &bytes).expect("resume");
+                                    slices += 1;
+                                }
+                                SliceOutcome::BudgetExhausted => panic!("{label}: budget"),
+                            }
+                        };
+                        // Every slice but the last draws exactly `slice` selections.
+                        assert_eq!(
+                            slices,
+                            runner.stats().drawn_selections().div_ceil(slice),
+                            "{label}: slices"
+                        );
+                        assert_eq!(
+                            JobReport::from_runner(&spec, &runner, completed).to_json(),
+                            reference,
+                            "{label}: slicing plus checkpoint round trips must not change the report"
+                        );
+                    }
                 }
-                SliceOutcome::BudgetExhausted => panic!("budget must suffice"),
             }
-        };
-        assert!(completed);
-        assert_eq!(
-            JobReport::from_runner(&spec, &runner, true),
-            JobReport::from_runner(&spec, &reference, true),
-            "slicing plus checkpoint round-trips must not change the trajectory"
-        );
+        }
     }
 
     #[test]

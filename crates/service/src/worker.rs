@@ -28,9 +28,12 @@ use crate::runner::{JobReport, JobRunner, SliceOutcome};
 /// Tuning of a worker pool.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerConfig {
-    /// Scheduler steps per slice. Small slices interleave tenants finely but
-    /// checkpoint more often; the slice length is part of the deterministic slice
-    /// arithmetic, so all workers of one service must share it.
+    /// Drawn selections per slice (`steps − skipped_steps`: every step under
+    /// adaptive and legacy sampling, one per applied interaction under the jump
+    /// sampler). Small slices interleave tenants finely but checkpoint more often.
+    /// Reports do not depend on it, except under legacy sampling, whose doubling
+    /// stability-check interval restarts with every slice; so all workers of one
+    /// service share it.
     pub slice: u64,
     /// How long an idle worker sleeps before re-polling the queue.
     pub idle_poll: Duration,

@@ -7,8 +7,8 @@
 //! argument, end to end:
 //!
 //! 1. workers checkpoint through the PR 5 snapshot format at every slice boundary,
-//!    and slice boundaries are a pure function of lifetime step counts (which the
-//!    snapshot carries), so crashed and uncrashed runs share their boundaries;
+//!    and a slice is a fixed number of drawn selections counted from the state the
+//!    checkpoint restores, so crashed and uncrashed runs share their boundaries;
 //! 2. `Simulation::resume` restores a trajectory byte-identical to the
 //!    uninterrupted run's (the PR 5 guarantee, pinned by `tests/crash_resume.rs`);
 //! 3. therefore the deterministic `JobReport` of a crashed-and-recovered job must
@@ -77,15 +77,19 @@ fn report_json(queue: &JobQueue, id: JobId) -> String {
 #[test]
 fn killed_worker_resumes_to_byte_identical_reports_across_protocols_and_modes() {
     // Clean twin and crash-injected twin for every (protocol, mode) cell; the
-    // crash point varies so early and late kills are both exercised.
-    let cells: [(ProtocolKind, SamplingMode, usize, u64); 4] = [
-        (ProtocolKind::Line, SamplingMode::Adaptive, 1, 1),
-        (ProtocolKind::Square, SamplingMode::Sharded, 4, 2),
-        (ProtocolKind::Square, SamplingMode::Sharded, 1, 3),
-        (ProtocolKind::Counting, SamplingMode::Adaptive, 1, 1),
+    // crash point varies so early and late kills are both exercised. A slice counts
+    // drawn selections, and the jump sampler draws one per effective step, so a
+    // sharded Square n=16 job takes a few dozen: its cells run at a slice short
+    // enough to cross more than `crash_after` boundaries.
+    let cells: [(ProtocolKind, SamplingMode, usize, u64, u64); 4] = [
+        (ProtocolKind::Line, SamplingMode::Adaptive, 1, 1, 96),
+        (ProtocolKind::Square, SamplingMode::Sharded, 4, 2, 4),
+        (ProtocolKind::Square, SamplingMode::Sharded, 1, 3, 4),
+        (ProtocolKind::Counting, SamplingMode::Adaptive, 1, 1, 96),
     ];
-    let mut specs = Vec::new();
-    for (protocol, mode, shards, crash_after) in cells {
+    let mut done = 0;
+    let mut crashes = 0;
+    for (cell, (protocol, mode, shards, crash_after, slice)) in cells.into_iter().enumerate() {
         let n = if protocol == ProtocolKind::Counting {
             8
         } else {
@@ -99,26 +103,28 @@ fn killed_worker_resumes_to_byte_identical_reports_across_protocols_and_modes() 
         let mut crashed = clean.clone();
         crashed.tenant = "crashed".to_string();
         crashed.crash_after_slices = Some(crash_after);
-        specs.push(clean);
-        specs.push(crashed);
-    }
-    let (queue, stats) = run_pool(specs, 3, 96);
-    for cell in 0..4 {
-        let clean = report_json(&queue, (cell * 2) as JobId);
-        let crashed_id = (cell * 2 + 1) as JobId;
-        let crashed = report_json(&queue, crashed_id);
+        let (queue, stats) = run_pool(vec![clean, crashed], 3, slice);
+        let clean = report_json(&queue, 0);
+        let crashed = report_json(&queue, 1);
         assert_eq!(
             crashed, clean,
             "cell {cell}: crash-recovered report must match the uncrashed twin byte for byte"
         );
-        let record = queue.get(crashed_id).expect("record");
+        let record = queue.get(1).expect("record");
         assert_eq!(
             record.crashes, 1,
             "cell {cell}: the injection fires exactly once"
         );
+        assert!(
+            record.slices > crash_after,
+            "cell {cell}: the crashed job must run past its crash point ({} slices)",
+            record.slices
+        );
+        done += stats.done;
+        crashes += stats.crashes;
     }
-    assert_eq!(stats.crashes, 4, "one absorbed crash per injected cell");
-    assert_eq!(stats.done, 8);
+    assert_eq!(crashes, 4, "one absorbed crash per injected cell");
+    assert_eq!(done, 8);
 }
 
 #[test]

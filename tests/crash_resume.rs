@@ -326,3 +326,90 @@ fn resuming_with_the_wrong_protocol_is_a_typed_mismatch() {
         }
     );
 }
+
+// ---------------------------------------------------------------------------------------
+// 4. Jumps cut short by a step budget continue exactly
+// ---------------------------------------------------------------------------------------
+
+/// The config's pending-jump word of a snapshot of the named protocol: it follows
+/// the sampling tag (see `retired_sampling_mode_tags_are_typed_rejections` for the
+/// layout prefix) and the shard count.
+fn pending_jump_word(bytes: &[u8], protocol_name: &str) -> u64 {
+    let at = 4 + 2 + 2 + protocol_name.len() + 3 * 8 + 1 + 8;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
+}
+
+/// Runs `protocol` under the jump sampler in `run_steps` chunks of every length in
+/// {1, 7, 50 000} credited steps, with a checkpoint → resume at every chunk
+/// boundary, for at most `max_chunks` chunks and always short of the reference
+/// run's stopping step; then runs to the stopping condition (stability, or a halted
+/// node when `halting`). The final statistics and checkpoint bytes must equal one
+/// unbudgeted run's, and some boundary must have cut a jump short.
+fn assert_chunked_runs_continue_exactly<P: SnapshotProtocol>(
+    make: impl Fn() -> P,
+    n: usize,
+    seed: u64,
+    halting: bool,
+    max_chunks: u64,
+) {
+    let finish = |sim: &mut Simulation<P>| {
+        if halting {
+            sim.run_until_any_halted()
+        } else {
+            sim.run_until_stable()
+        }
+    };
+    for shards in [1, 4] {
+        let cfg = config(
+            n,
+            seed,
+            Layout {
+                sampling: SamplingMode::Sharded,
+                shards,
+            },
+        );
+        let mut reference = Simulation::new(make(), cfg);
+        assert!(finish(&mut reference).condition_met());
+        let reference_bytes = reference.checkpoint().expect("checkpoint").into_bytes();
+        let name = make().name().to_string();
+        for chunk in [1, 7, 50_000] {
+            let label = format!("{name} n={n} shards={shards} chunk={chunk}");
+            let mut sim = Simulation::new(make(), cfg);
+            let mut cut_jumps = 0;
+            let mut chunks = 0;
+            while chunks < max_chunks && sim.stats().steps + chunk < reference.stats().steps {
+                assert_eq!(sim.run_steps(chunk), chunk, "{label}");
+                let bytes = sim.checkpoint().expect("checkpoint");
+                if pending_jump_word(bytes.as_bytes(), &name) != 0 {
+                    cut_jumps += 1;
+                }
+                sim = Simulation::resume(make(), &bytes)
+                    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+                chunks += 1;
+            }
+            assert!(cut_jumps > 0, "{label}: no chunk boundary cut a jump");
+            assert!(finish(&mut sim).condition_met(), "{label}");
+            assert_eq!(sim.stats(), reference.stats(), "{label}");
+            assert_eq!(
+                sim.checkpoint().expect("checkpoint").as_bytes(),
+                &reference_bytes[..],
+                "{label}: final checkpoints differ"
+            );
+        }
+    }
+}
+
+#[test]
+fn global_line_budget_cut_jumps_continue_exactly() {
+    assert_chunked_runs_continue_exactly(GlobalLine::new, 256, 5, false, 200);
+}
+
+#[test]
+fn square_budget_cut_jumps_continue_exactly() {
+    assert_chunked_runs_continue_exactly(Square::new, 36, 5, false, 200);
+}
+
+#[test]
+fn counting_on_a_line_budget_cut_jumps_continue_exactly() {
+    assert_chunked_runs_continue_exactly(|| CountingOnALine::new(2), 128, 5, true, 200);
+}
