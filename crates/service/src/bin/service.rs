@@ -19,13 +19,13 @@
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
 use nc_service::client;
 use nc_service::http::{serve, ServiceHandle};
-use nc_service::worker::{spawn_pool, WorkerConfig};
+use nc_service::worker::{spawn_pool, stop_pool, WorkerConfig};
 use nc_service::{JobReport, JobRunner, JobSpec, SliceOutcome};
 use tiny_http::Server;
 
@@ -103,7 +103,7 @@ fn main() -> ExitCode {
         } else {
             args.slice
         },
-        idle_poll: Duration::from_millis(2),
+        ..WorkerConfig::default()
     };
     let workers = spawn_pool(&service, &stop, config, args.workers);
     println!(
@@ -118,13 +118,13 @@ fn main() -> ExitCode {
         let http_thread =
             std::thread::spawn(move || serve(&server, &service_for_http, &stop_for_http));
         let result = smoke(addr);
-        stop.store(true, Ordering::SeqCst);
+        stop_pool(&service, &stop);
         stopper.stop();
         let _ = http_thread.join();
         result
     } else {
         serve(&server, &service, &stop);
-        stop.store(true, Ordering::SeqCst);
+        stop_pool(&service, &stop);
         Ok(())
     };
     for worker in workers {

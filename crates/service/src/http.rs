@@ -27,7 +27,8 @@
 //! single crash instead of an outage.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use tiny_http::{Method, Response, Server};
 
@@ -41,6 +42,9 @@ use crate::stats::{escape_json, rows_json, ServiceStats};
 pub struct ServiceHandle {
     /// The job queue (submission, status, cancel).
     pub queue: Arc<Mutex<JobQueue>>,
+    /// Wakes idle workers when claimable work appears. Paired with `queue`:
+    /// notify and wait only while holding its guard.
+    pub work: Arc<Condvar>,
     /// The live counters.
     pub stats: Arc<Mutex<ServiceStats>>,
     /// The metric families behind `GET /metrics`.
@@ -53,6 +57,7 @@ impl ServiceHandle {
     pub fn new(seed: u64) -> ServiceHandle {
         ServiceHandle {
             queue: Arc::new(Mutex::new(JobQueue::new(seed))),
+            work: Arc::new(Condvar::new()),
             stats: Arc::new(Mutex::new(ServiceStats::default())),
             metrics: Arc::new(ServiceMetrics::new()),
         }
@@ -102,6 +107,7 @@ fn dispatch(service: &ServiceHandle, method: Method, url: &str, body: &[u8]) -> 
             match JobSpec::parse(body) {
                 Ok(spec) => {
                     let id = queue.submit(spec);
+                    service.work.notify_one();
                     recover_lock(&service.stats, &service.metrics).submitted += 1;
                     service.metrics.jobs_submitted.inc();
                     json(201, format!("{{\"id\": {id}}}\n"))
@@ -165,9 +171,15 @@ fn parse_id(token: &str) -> Option<JobId> {
     token.parse().ok()
 }
 
+/// How long [`serve`] pauses after an accept error before it accepts again.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
 /// The accept loop: serves routed requests until `stop` is raised (the server's own
 /// stopper is raised alongside by the caller). Peer write errors are ignored — the
-/// client hung up; there is nobody to answer. Each request leaves one access-log
+/// client hung up; there is nobody to answer. An accept error that the server does
+/// not skip itself (descriptor exhaustion, say) is counted in
+/// `service_http_accept_errors_total` and followed by a short pause, never by an
+/// exit: only the server's stop ends the loop. Each request leaves one access-log
 /// line on stderr (method, path, status, response bytes) — stdout stays reserved
 /// for the binary's own protocol output, so `--smoke` stdout is unaffected.
 pub fn serve(server: &Server, service: &ServiceHandle, stop: &Arc<AtomicBool>) {
@@ -186,7 +198,10 @@ pub fn serve(server: &Server, service: &ServiceHandle, stop: &Arc<AtomicBool>) {
                 let _ = request.respond(response);
             }
             Ok(None) => break,
-            Err(_) => break,
+            Err(_) => {
+                service.metrics.http_accept_errors.inc();
+                std::thread::sleep(ACCEPT_ERROR_PAUSE);
+            }
         }
     }
 }

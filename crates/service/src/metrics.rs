@@ -11,8 +11,9 @@
 //!   runs render these byte-identically ([`ServiceMetrics::render_deterministic`],
 //!   pinned by `tests/metrics.rs`).
 //! * **Wall-clock** — measurements: slice latency histograms, worker busy time,
-//!   idle polls. Marked via [`Registry::mark_wall_clock`] and excluded from the
-//!   deterministic render; they still appear in the full Prometheus scrape.
+//!   idle polls, accept errors. Marked via [`Registry::mark_wall_clock`] and
+//!   excluded from the deterministic render; they still appear in the full
+//!   Prometheus scrape.
 //!
 //! The module also owns the poisoned-lock recovery policy of the HTTP and
 //! worker tiers ([`recover_lock`]): instead of degrading every request after a
@@ -29,6 +30,7 @@ use crate::queue::{backoff_for, Claim, JobQueue, SliceResult};
 /// fail if any is missing from a scrape.
 pub const REQUIRED_FAMILIES: &[&str] = &[
     "service_http_requests_total",
+    "service_http_accept_errors_total",
     "service_lock_poison_recoveries_total",
     "service_jobs_submitted_total",
     "service_jobs_done_total",
@@ -53,6 +55,9 @@ pub struct ServiceMetrics {
     registry: Registry,
     /// `service_http_requests_total{status}` — responses served, by status code.
     pub http_requests: Arc<CounterVec>,
+    /// `service_http_accept_errors_total` — accept errors the HTTP loop paused
+    /// on instead of exiting.
+    pub http_accept_errors: Arc<Counter>,
     /// `service_lock_poison_recoveries_total` — poisoned locks recovered
     /// (see [`recover_lock`]).
     pub lock_poison_recoveries: Arc<Counter>,
@@ -85,7 +90,9 @@ pub struct ServiceMetrics {
     pub slice_latency: Arc<HistogramVec>,
     /// `service_worker_busy_microseconds_total` — wall clock spent in slices.
     pub worker_busy_micros: Arc<Counter>,
-    /// `service_worker_idle_polls_total` — empty claim polls by idle workers.
+    /// `service_worker_idle_polls_total` — failed claims by idle workers; each
+    /// is followed by a wait that a submission or requeue cuts short, or that
+    /// times out.
     pub worker_idle_polls: Arc<Counter>,
 }
 
@@ -100,6 +107,10 @@ impl ServiceMetrics {
                 "service_http_requests_total",
                 "Responses served, by HTTP status code.",
                 "status",
+            ),
+            http_accept_errors: registry.counter(
+                "service_http_accept_errors_total",
+                "Accept errors the HTTP loop paused on instead of exiting.",
             ),
             lock_poison_recoveries: registry.counter(
                 "service_lock_poison_recoveries_total",
@@ -160,12 +171,15 @@ impl ServiceMetrics {
             ),
             worker_idle_polls: registry.counter(
                 "service_worker_idle_polls_total",
-                "Queue polls that found no eligible job.",
+                "Failed claims by idle workers, each followed by a wait for work.",
             ),
             registry,
         };
-        // Measurements (and thread-timing artifacts like idle polls) are not
-        // reproducible across runs; everything else must be.
+        // Measurements (and thread-timing artifacts like idle polls and accept
+        // errors) are not reproducible across runs; everything else must be.
+        metrics
+            .registry
+            .mark_wall_clock("service_http_accept_errors_total");
         metrics
             .registry
             .mark_wall_clock("service_slice_microseconds");
@@ -282,6 +296,7 @@ mod tests {
             "service_slice_microseconds",
             "service_worker_busy_microseconds_total",
             "service_worker_idle_polls_total",
+            "service_http_accept_errors_total",
         ] {
             assert!(
                 !det.contains(wall_clock),

@@ -5,6 +5,10 @@
 //! runs **one** slice and requeues, so a heavy job cannot starve other tenants — the
 //! queue's weighted draw decides what runs next after every slice.
 //!
+//! An idle worker waits on the service's `work` condition variable under the same
+//! queue guard as its failed claim. A submission or a requeue notifies it while
+//! holding that guard, so it cannot slip in between the claim and the wait.
+//!
 //! Crash handling: the slice body runs under `catch_unwind`. A panic — whether
 //! injected by the job's `crash_after_slices` knob or a genuine bug — is recovered
 //! with [`nc_core::panic_message`] (the PR 9 panic-payload fix: `&str`, `String` and
@@ -16,13 +20,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::http::ServiceHandle;
 use crate::job::JobState;
 use crate::metrics::recover_lock;
-use crate::queue::{Claim, SliceResult};
+use crate::queue::{Claim, JobQueue, SliceResult};
 use crate::runner::{JobReport, JobRunner, SliceOutcome};
 
 /// Tuning of a worker pool.
@@ -35,7 +39,9 @@ pub struct WorkerConfig {
     /// stability-check interval restarts with every slice; so all workers of one
     /// service share it.
     pub slice: u64,
-    /// How long an idle worker sleeps before re-polling the queue.
+    /// The longest an idle worker waits before it polls the queue again. A
+    /// submission or a requeue cuts the wait short; the timeout remains the tick
+    /// of the backoff clock, since each poll advances the queue's picks.
     pub idle_poll: Duration,
 }
 
@@ -111,22 +117,37 @@ pub fn run_slice(claim: &Claim, slice: u64) -> (SliceResult, f64) {
 
 /// Claims and executes one slice: poll, run, report, with every observable
 /// recorded (service counters *and* the `/metrics` families). Returns whether a
-/// job was claimed. This is the single code path behind both the threaded
-/// [`worker_loop`] and the deterministic single-threaded [`drain`], so the two
-/// record identical metrics for identical claim sequences — the property the
-/// metrics determinism suite pins.
-pub fn service_step(service: &ServiceHandle, slice: u64) -> bool {
+/// job was claimed; when none was, `on_idle` receives the guard of the failed
+/// claim, so it can wait for work without missing a notification. This is the
+/// single code path behind both the threaded [`worker_loop`] and the
+/// deterministic single-threaded [`drain`], so the two record identical metrics
+/// for identical claim sequences — the property the metrics determinism suite
+/// pins.
+pub fn service_step(
+    service: &ServiceHandle,
+    slice: u64,
+    on_idle: impl FnOnce(MutexGuard<'_, JobQueue>),
+) -> bool {
     let metrics = &service.metrics;
-    let claim = recover_lock(&service.queue, metrics).claim_next();
-    let Some(claim) = claim else {
+    let mut queue = recover_lock(&service.queue, metrics);
+    let Some(claim) = queue.claim_next() else {
+        on_idle(queue);
         return false;
     };
+    drop(queue);
     metrics.record_claim(&claim);
     let (result, seconds) = run_slice(&claim, slice);
     metrics.record_slice(&claim, &result, seconds);
     recover_lock(&service.stats, metrics).record_slice(&claim.spec.tenant, &result);
     let crashed = matches!(result, SliceResult::Crashed { .. });
-    let state = recover_lock(&service.queue, metrics).complete_slice(claim.id, result, seconds);
+    let state = {
+        let mut queue = recover_lock(&service.queue, metrics);
+        let state = queue.complete_slice(claim.id, result, seconds);
+        if state == JobState::Queued {
+            service.work.notify_one();
+        }
+        state
+    };
     if crashed && state == JobState::Queued {
         metrics.record_retry(&claim);
     }
@@ -138,7 +159,7 @@ pub fn service_step(service: &ServiceHandle, slice: u64) -> bool {
 pub fn drain(service: &ServiceHandle, slice: u64) {
     let mut idle = 0u64;
     while recover_lock(&service.queue, &service.metrics).has_live_jobs() {
-        if service_step(service, slice) {
+        if service_step(service, slice, |_| ()) {
             idle = 0;
         } else {
             idle += 1;
@@ -150,19 +171,25 @@ pub fn drain(service: &ServiceHandle, slice: u64) {
     }
 }
 
-/// The worker loop: [`service_step`] until `stop` is raised. Meant to run on its
-/// own thread; any number of workers may share one service handle.
+/// The worker loop: [`service_step`] until `stop` is raised, waiting up to
+/// `config.idle_poll` for work after each failed claim. Meant to run on its own
+/// thread; any number of workers may share one service handle. Stop it with
+/// [`stop_pool`], which also wakes a waiting worker.
 pub fn worker_loop(service: &ServiceHandle, stop: &Arc<AtomicBool>, config: WorkerConfig) {
     while !stop.load(Ordering::SeqCst) {
-        if !service_step(service, config.slice) {
+        service_step(service, config.slice, |queue| {
             service.metrics.worker_idle_polls.inc();
-            std::thread::sleep(config.idle_poll);
-        }
+            // `stop_pool` raises the flag before it takes the queue lock to notify,
+            // so a flag read under the guard cannot miss the stop.
+            if !stop.load(Ordering::SeqCst) {
+                let _ = service.work.wait_timeout(queue, config.idle_poll);
+            }
+        });
     }
 }
 
-/// Spawns `workers` threads running [`worker_loop`]; join the handles after raising
-/// `stop` to shut the pool down.
+/// Spawns `workers` threads running [`worker_loop`]; call [`stop_pool`] and join
+/// the handles to shut the pool down.
 #[must_use]
 pub fn spawn_pool(
     service: &ServiceHandle,
@@ -177,6 +204,14 @@ pub fn spawn_pool(
             std::thread::spawn(move || worker_loop(&service, &stop, config))
         })
         .collect()
+}
+
+/// Raises `stop` and wakes every waiting worker of the pool, so each returns
+/// after its current slice instead of at the end of its idle wait.
+pub fn stop_pool(service: &ServiceHandle, stop: &AtomicBool) {
+    stop.store(true, Ordering::SeqCst);
+    let _queue = recover_lock(&service.queue, &service.metrics);
+    service.work.notify_all();
 }
 
 #[cfg(test)]
@@ -310,5 +345,118 @@ mod tests {
             assert_eq!(record.state, JobState::Done, "job {id}");
             assert!(record.report.as_ref().expect("report").completed);
         }
+    }
+
+    /// An idle wait long enough that only a notification can explain a job
+    /// finishing within [`WAKE_DEADLINE`].
+    const LONG_IDLE: WorkerConfig = WorkerConfig {
+        slice: 50_000,
+        idle_poll: Duration::from_secs(30),
+    };
+    const WAKE_DEADLINE: Duration = Duration::from_secs(10);
+
+    fn post_job(service: &ServiceHandle, body: &str) -> crate::job::JobId {
+        let response =
+            crate::http::route(service, tiny_http::Method::Post, "/jobs", body.as_bytes());
+        assert_eq!(response.status_code(), 201, "{body}");
+        let text = String::from_utf8_lossy(response.data()).to_string();
+        text.trim()
+            .trim_start_matches("{\"id\": ")
+            .trim_end_matches('}')
+            .parse()
+            .expect("numeric id")
+    }
+
+    /// Waits until no job is live, failing after [`WAKE_DEADLINE`].
+    fn wait_until_drained(service: &ServiceHandle, started: Instant) -> Duration {
+        while service.queue.lock().expect("queue").has_live_jobs() {
+            assert!(
+                started.elapsed() < WAKE_DEADLINE,
+                "work sat queued while workers waited out their idle timeout"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        started.elapsed()
+    }
+
+    fn stop_and_join(
+        service: &ServiceHandle,
+        stop: &AtomicBool,
+        handles: Vec<std::thread::JoinHandle<()>>,
+    ) {
+        let started = Instant::now();
+        stop_pool(service, stop);
+        for handle in handles {
+            handle.join().expect("worker joins");
+        }
+        assert!(
+            started.elapsed() < WAKE_DEADLINE,
+            "stop_pool must wake waiting workers"
+        );
+    }
+
+    #[test]
+    fn an_idle_pool_is_woken_by_a_submission_not_by_its_timeout() {
+        let service = ServiceHandle::new(21);
+        let stop = Arc::new(AtomicBool::new(false));
+        let handles = spawn_pool(&service, &stop, LONG_IDLE, 2);
+        // Let both workers fail their first claim and start waiting.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        let id = post_job(&service, "protocol=square&n=9&seed=3");
+        let took = wait_until_drained(&service, started);
+        assert!(took < LONG_IDLE.idle_poll / 10, "took {took:?}");
+        assert_eq!(
+            service
+                .queue
+                .lock()
+                .expect("queue")
+                .get(id)
+                .expect("record")
+                .state,
+            JobState::Done
+        );
+        stop_and_join(&service, &stop, handles);
+    }
+
+    #[test]
+    fn a_burst_from_several_threads_loses_no_wake_up() {
+        let service = ServiceHandle::new(22);
+        let stop = Arc::new(AtomicBool::new(false));
+        let handles = spawn_pool(&service, &stop, LONG_IDLE, 2);
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        let submitters: Vec<_> = (0..4u64)
+            .map(|client| {
+                let service = service.clone();
+                std::thread::spawn(move || {
+                    (0..8u64)
+                        .map(|i| {
+                            let body = format!(
+                                "protocol=line&n=8&seed={}&tenant=t{client}",
+                                client * 8 + i
+                            );
+                            post_job(&service, &body)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let ids: Vec<_> = submitters
+            .into_iter()
+            .flat_map(|submitter| submitter.join().expect("submitter joins"))
+            .collect();
+        wait_until_drained(&service, started);
+        let queue = service.queue.lock().expect("queue");
+        assert_eq!(ids.len(), 32);
+        for id in ids {
+            assert_eq!(
+                queue.get(id).expect("record").state,
+                JobState::Done,
+                "job {id}"
+            );
+        }
+        drop(queue);
+        stop_and_join(&service, &stop, handles);
     }
 }
