@@ -10,7 +10,7 @@
 //! same distribution as one-at-a-time draws; see the geometric-jump invariant in
 //! `nc_core::scheduler`), so steps/sec across modes compares like for like. The three
 //! sharded rows of one (protocol, n) cell run the same seed at 1, 2 and 4 shards and
-//! must report **identical step counts** — the parallel-equivalence property the
+//! must report **identical step counts** — the shard-count invariance the
 //! sharded runtime guarantees (shard count is layout, not semantics).
 //!
 //! ```text
@@ -405,7 +405,7 @@ fn smoke(protos: &[Proto], seed: u64) {
             .any(|r| (r.steps, r.effective_steps) != (sharded[0].steps, sharded[0].effective_steps))
         {
             failures.push(format!(
-                "{}: sharded step counts differ across shard counts (parallel equivalence broken)",
+                "{}: sharded step counts differ across shard counts (shard-count invariance broken)",
                 proto.name()
             ));
         }
@@ -607,7 +607,7 @@ fn main() {
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (parallel equivalence); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), indexed at 512 (square) and 1024 (line, counting); larger sizes (line 16384/65536/262144, square 16384, counting 16384/65536) run sharded rows only\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (shard-count invariance); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), indexed at 512 (square) and 1024 (line, counting); larger sizes (line 16384/65536/262144, square 16384, counting 16384/65536) run sharded rows only\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write bench artifact");

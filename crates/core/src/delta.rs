@@ -12,13 +12,14 @@
 //! overwrite of that slot within the epoch, so undoing it last reinstates the
 //! original value.
 //!
-//! Two kinds of state deliberately take a **snapshot** in the epoch frame instead of
-//! per-mutation records, because they are small, interior-mutable, or maintained as
-//! running scalars: the per-shard pending queues of the pair index, and the `O(1)`
-//! component bookkeeping scalars (`bond_count`, `Σ|component|²`, live component count, cross-shard event
-//! counter). The permissible-pair index itself keeps its own operation log (see
-//! `crate::index`), whose position is recorded here so a rollback can unwind the
-//! index to the exact sub-index layouts and aggregate counts of the checkpoint.
+//! The `O(1)` component bookkeeping scalars (`bond_count`, `Σ|component|²`, live
+//! component count, cross-shard event counter) take a **snapshot** in the epoch frame
+//! instead of per-mutation records, because they are maintained as running scalars.
+//! The pair index's queue of nodes to re-derive needs neither: every public mutator
+//! flushes it before returning, so it is empty at every checkpoint and rollback. The
+//! permissible-pair index itself keeps its own operation log (see `crate::index`),
+//! whose position is recorded here so a rollback can unwind the index to the exact
+//! sub-index layouts and aggregate counts of the checkpoint.
 //!
 //! Two things are intentionally **not** rolled back: monotone work counters
 //! ([`crate::IndexStats`] — they report lifetime work, and the rolled-back queries
@@ -82,8 +83,7 @@ pub(crate) struct EpochFrame {
     pub(crate) sum_sq_sizes: u64,
     pub(crate) live_components: usize,
     pub(crate) cross_shard_events: u64,
-    // --- pair-index routing snapshot ----------------------------------------------
-    pub(crate) pending: Vec<Vec<NodeId>>,
+    /// Lifecycle of the pair index at checkpoint time.
     pub(crate) pairs_mode: PairMode,
 }
 

@@ -8,7 +8,7 @@
 
 use crate::component::{Component, DeterministicState};
 use crate::rank_set::{RankSet, EMPTY};
-use crate::shard::{ShardMap, PARALLEL_FLUSH_MIN};
+use crate::shard::ShardMap;
 use crate::{NodeId, Placement, Protocol};
 use nc_geometry::{Dim, Dir};
 use nc_obs::{Telemetry, TraceEventKind};
@@ -106,7 +106,7 @@ pub struct IndexStats {
 // counters of Counting-on-a-Line) thus pay for the handful of singleton classes it
 // meets, not for every live class.
 //
-// # Shard-count invariance (the parallel-equivalence property)
+// # Shard-count invariance
 //
 // Every ordering the samplers can observe is canonical in the *configuration*, not in
 // the shard layout:
@@ -164,8 +164,7 @@ pub(crate) fn pair_key(a: NodeId, pa: Dir, b: NodeId, pb: Dir) -> u64 {
 
 /// A read-only view of the world geometry the pair index derives its entries from.
 /// Bundled so the index can live beside the `World` fields it reads without borrow
-/// conflicts; `Sync` (all fields are shared slices), so the flush can fan the
-/// geometry derivation out across shards.
+/// conflicts.
 pub(crate) struct GeomView<'a, S> {
     pub(crate) dim: Dim,
     pub(crate) states: &'a [S],
@@ -229,8 +228,7 @@ pub(crate) struct IntraEntry {
 }
 
 /// The geometry-derived facts a re-derivation of one node needs: computed read-only
-/// (and therefore in parallel across shards when a flush batch is large), applied to
-/// the index sequentially in ascending node order.
+/// from the [`GeomView`], then applied to the index.
 struct NodeFacts {
     singleton: bool,
     /// Bit `p` set ⇔ the node is multi-component and its port `p` faces a free cell.
@@ -495,8 +493,8 @@ pub(crate) struct PairIndex<S> {
     logging: bool,
     /// Telemetry handle shared with the owning world (disabled by default): class
     /// allocations/retirements are sampler-visible, deterministic events — they
-    /// happen only on the strictly sequential `apply_facts` path of a flush, in
-    /// ascending node order — and are worth a step-indexed trace entry each.
+    /// happen in the ascending node order of a flush — and are worth a step-indexed
+    /// trace entry each.
     obs: Telemetry,
 }
 
@@ -504,7 +502,7 @@ pub(crate) struct PairIndex<S> {
 /// index for the rest of the execution.
 pub(crate) struct ClassOverflow;
 
-impl<S: Clone + PartialEq + Sync> PairIndex<S> {
+impl<S: Clone + PartialEq> PairIndex<S> {
     pub(crate) fn new(map: ShardMap) -> PairIndex<S> {
         PairIndex {
             map,
@@ -739,10 +737,9 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
         }
     }
 
-    /// Re-derives a batch of nodes (ascending, deduplicated). When the batch is large
-    /// the geometry derivation fans out to one task per shard on the vendored pool —
-    /// the application to the index stays sequential in ascending node order, so the
-    /// resulting structures are identical to a sequential flush.
+    /// Re-derives a batch of nodes (ascending, deduplicated), one after another in
+    /// ascending node order — the order that keeps class allocation independent of the
+    /// shard count.
     pub(crate) fn flush_batch<P: Protocol<State = S>>(
         &mut self,
         view: &GeomView<'_, S>,
@@ -753,64 +750,23 @@ impl<S: Clone + PartialEq + Sync> PairIndex<S> {
             nodes.windows(2).all(|w| w[0] < w[1]),
             "batch must be sorted"
         );
-        if nodes.len() >= PARALLEL_FLUSH_MIN && self.map.count() > 1 {
-            // Contiguous shard ranges + sorted batch ⇒ the batch splits into per-shard
-            // runs whose concatenation is the original order.
-            let map = self.map;
-            let mut parts: Vec<&[NodeId]> = Vec::with_capacity(map.count());
-            let mut rest = nodes;
-            for shard in 0..map.count() {
-                let end = rest.partition_point(|&x| map.shard_of(x) <= shard);
-                let (part, tail) = rest.split_at(end);
-                parts.push(part);
-                rest = tail;
-            }
-            let mut facts: Vec<Vec<NodeFacts>> = parts
-                .iter()
-                .map(|part| Vec::with_capacity(part.len()))
-                .collect();
-            rayon::scope(|scope| {
-                for (part, out) in parts.iter().zip(facts.iter_mut()) {
-                    scope.spawn(move |_| {
-                        out.extend(part.iter().map(|&x| derive_facts(view, x)));
-                    });
-                }
-            });
-            for (part, shard_facts) in parts.iter().zip(facts) {
-                for (&x, f) in part.iter().zip(shard_facts) {
-                    self.apply_facts(view, protocol, x, &f)?;
-                }
-            }
-            Ok(())
-        } else {
-            for &x in nodes {
-                self.reindex(view, protocol, x)?;
-            }
-            Ok(())
+        for &x in nodes {
+            self.reindex(view, protocol, x)?;
         }
+        Ok(())
     }
 
     /// Re-derives every registration of `x` from the current geometry. Idempotent; the
     /// world calls it (via [`PairIndex::flush_batch`]) for exactly the nodes a delta
     /// may have re-classified: participants, moved nodes, split members, and the
     /// neighbours of newly inserted cells.
-    pub(crate) fn reindex<P: Protocol<State = S>>(
+    fn reindex<P: Protocol<State = S>>(
         &mut self,
         view: &GeomView<'_, S>,
         protocol: &P,
         x: NodeId,
     ) -> Result<(), ClassOverflow> {
         let facts = derive_facts(view, x);
-        self.apply_facts(view, protocol, x, &facts)
-    }
-
-    fn apply_facts<P: Protocol<State = S>>(
-        &mut self,
-        view: &GeomView<'_, S>,
-        protocol: &P,
-        x: NodeId,
-        facts: &NodeFacts,
-    ) -> Result<(), ClassOverflow> {
         let xi = x.index();
         let dim = view.dim;
         let halted = view.halted[xi];

@@ -1,31 +1,39 @@
-//! Poison-recovering mutex access.
+//! The crate's only cross-thread primitives: poison-recovering mutex access and panic
+//! payload messages for the service tier's queue/stats locks and workers, and the
+//! process-wide world counter.
 //!
-//! The sharded world takes its internal mutexes (pair index, per-shard pending
-//! queues) from scoped worker threads. When one worker panics while
-//! holding a guard, `std` marks the mutex *poisoned* and every later `lock()` returns
-//! `Err(PoisonError)`. Turning that into a fresh panic (`.expect("lock poisoned")`)
-//! converts a single root-cause panic into a storm of secondary panics on other
-//! threads — the original message is buried under dozens of "lock poisoned" reports,
-//! and abort-on-double-panic can even take the process down before the root cause is
-//! printed.
+//! The simulator itself is single-threaded — a `World` is `Send` but never shared —
+//! so nothing in the engine takes a lock. The service does: its workers run slices
+//! under `catch_unwind` and report back under the queue lock. When one worker panics
+//! while holding a guard, `std` marks the mutex *poisoned* and every later `lock()`
+//! returns `Err(PoisonError)`. Turning that into a fresh panic (`.expect("lock
+//! poisoned")`) converts a single root-cause panic into a storm of secondary panics on
+//! other threads — the original message is buried under dozens of "lock poisoned"
+//! reports, and abort-on-double-panic can even take the process down before the root
+//! cause is printed.
 //!
 //! [`relock`] recovers the guard instead ([`PoisonError::into_inner`]), so only the
-//! first panic surfaces. Recovering is sound here because every critical section in
-//! this crate leaves the guarded structures in a consistent state or is followed by a
-//! validation pass (`check_invariants`, `validate_pair_index`) that the suites run
-//! after mutations — the poison flag adds no integrity information on top of that,
-//! it only records that *some* thread panicked, which the unwinding thread already
-//! reports.
+//! first panic surfaces. The poison flag adds no integrity information for the
+//! service's locks: it only records that *some* thread panicked, which the unwinding
+//! thread already reports, and the crashed slice is retried from its last checkpoint.
 
 use std::any::Any;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// A process-unique ordinal for each new world, from which it derives a disjoint
+/// configuration-version range. Atomic because worlds are built on every service
+/// worker thread.
+pub(crate) fn next_world_ordinal() -> u64 {
+    static NEXT_WORLD: AtomicU64 = AtomicU64::new(0);
+    NEXT_WORLD.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
 ///
 /// See the module docs for why recovery (rather than a secondary panic) is the right
-/// behaviour for this crate's internal locks. Public because the service tier shares
-/// the policy for its queue/stats locks: a crashed worker must not turn every later
-/// HTTP request into a 503 (callers there count recoveries in a
+/// behaviour. The service tier uses it for its queue/stats locks: a crashed worker must
+/// not turn every later HTTP request into a 503 (callers there count recoveries in a
 /// `lock_poison_recoveries` metric).
 pub fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)

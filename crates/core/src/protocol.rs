@@ -32,9 +32,9 @@ pub struct Transition<S> {
 /// information distributedly on a line; see the `nc-protocols` crate for both styles).
 ///
 /// Protocols (and their states) are `Send + Sync`: the transition function is a pure
-/// table lookup shared by every node, and the sharded world fans index maintenance out
-/// across threads while holding the protocol by shared reference. All protocols in this
-/// workspace are plain data; protocols owning shared computers hold them through `Arc`.
+/// table lookup shared by every node, and a world (with its protocol) moves to whichever
+/// service worker runs its next slice. All protocols in this workspace are plain data;
+/// protocols owning shared computers hold them through `Arc`.
 pub trait Protocol: Send + Sync {
     /// Per-node state type (`Q` plus any leader bookkeeping).
     type State: Clone + PartialEq + Debug + Send + Sync;

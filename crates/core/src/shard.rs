@@ -1,10 +1,9 @@
 //! Node sharding: the partition of the population into contiguous id ranges that the
-//! sharded runtime structures (permissible-pair sub-indices, pending queues) are
-//! sliced by.
+//! permissible-pair index's per-shard sub-indices are sliced by.
 //!
 //! # Why contiguous ranges
 //!
-//! The parallel-equivalence guarantee of the sharded runtime — same seed ⇒ identical
+//! The shard-count invariance of the sharded runtime — same seed ⇒ identical
 //! execution for 1, 2 or 4 shards — rests on every sampler-visible ordering being a
 //! function of the *configuration only*, never of the shard layout. Contiguous ranges
 //! make that composition trivial: every per-shard structure is a rank/select set
@@ -15,9 +14,9 @@
 //! property.
 //!
 //! The shard count is an execution-layout knob, not a semantic one: it controls how
-//! index maintenance is sliced (and, through the vendored `rayon` stand-in, how many
-//! tasks the maintenance fans out to), while the sampled trajectory stays byte-identical
-//! across shard counts.
+//! the index's sets are sliced, while the sampled trajectory stays byte-identical
+//! across shard counts. Maintenance is sequential whatever the count; CI runs the
+//! suite at 1 and 4 shards so the layout stays honest.
 
 use crate::NodeId;
 use std::ops::Range;
@@ -57,7 +56,7 @@ fn resolve_env(name: &str, fallback: usize, parse: fn(&str) -> Option<usize>) ->
         Some(value) => value,
         None => {
             eprintln!(
-                "warning: rejecting {name}={raw:?} (not a usable non-negative integer); \
+                "warning: rejecting {name}={raw:?} (not a positive integer); \
                  falling back to {name}={fallback}"
             );
             fallback
@@ -130,16 +129,6 @@ pub const TRACE_LANES: usize = 4;
 pub fn trace_lane(node: NodeId, n: usize) -> u32 {
     ShardMap::new(n, TRACE_LANES).shard_of(node) as u32
 }
-
-/// Minimum number of queued re-derivations before a flush fans the geometry derivation
-/// out to one task per shard. Below it the scoped-thread spawn overhead of the vendored
-/// pool dominates; per-interaction flushes (a handful of touched nodes) always stay
-/// sequential.
-pub(crate) const PARALLEL_FLUSH_MIN: usize = 512;
-
-/// Minimum multi×multi cross-component candidate universe (in node pairs) before the
-/// per-version enumeration fans out across component pairs.
-pub(crate) const PARALLEL_CROSS_MIN: u64 = 8_192;
 
 #[cfg(test)]
 mod tests {

@@ -72,8 +72,8 @@ pub struct ShardStats {
     pub free_ports: Vec<usize>,
     /// Intra-component pairs owned per shard (by smaller endpoint).
     pub intra_pairs: Vec<usize>,
-    /// Merges/splits whose two participants lived in different shards — the traffic
-    /// the cross-shard pending queues routed.
+    /// Merges/splits whose two participants lived in different shards (their
+    /// re-derivations touch the sub-indices of both shards).
     pub cross_shard_events: u64,
 }
 

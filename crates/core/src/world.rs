@@ -6,31 +6,26 @@
 //! and [`World::find_effective_interaction`] from its canonical pair walk instead of a
 //! full `O(n² · ports²)` rescan.
 //!
-//! # Sharded interior state
+//! # Sharded layout
 //!
 //! The population is partitioned into contiguous node-id **shards**
 //! ([`crate::shard::ShardMap`]; count from [`crate::SimulationConfig::shards`] /
-//! `NC_SHARDS`). Each shard owns its sub-index of the permissible-pair index and its
-//! **pending queue** — the cross-shard routing queue through which merges and splits
-//! hand re-derivation work to the shards of the touched nodes (a merge moving nodes of shard A next to cells owned by shard B queues B's
-//! neighbours on B's queue, under B's lock only — components migrate between shards
-//! without a world-wide lock). All interior mutability is `Mutex`/atomic based, so
-//! `World: Sync` holds and read-side queries (`is_stable`, sampling) may run
-//! concurrently; large maintenance batches fan out per shard on the vendored `rayon`
-//! pool. The sampled *trajectory* is byte-identical across shard counts — see the
+//! `NC_SHARDS`). Each shard owns its sub-index of the permissible-pair index; merges
+//! and splits whose participants live in different shards are counted as cross-shard
+//! events. Index maintenance is sequential and single-threaded: every mutation queues
+//! the nodes it re-classifies and flushes them, in ascending node order, before it
+//! returns. The sampled *trajectory* is byte-identical across shard counts — see the
 //! invariance notes in [`crate::index`].
 
 use crate::delta::{DeltaLog, Epoch, EpochFrame, WorldRecord};
 use crate::index::{BaseCounts, GeomView, IndexStats, PairIndex};
-use crate::lock::relock;
-use crate::shard::{trace_lane, ShardMap, PARALLEL_CROSS_MIN};
+use crate::shard::{trace_lane, ShardMap};
 use crate::stats::ShardStats;
 use crate::{Component, CoreError, NodeId, Placement, Protocol};
 use nc_geometry::{Coord, Dim, Dir, Rotation, Shape};
 use nc_obs::{Phase, Telemetry, TraceEventKind};
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Budget for cross-component enumeration work, in node pairs, as a multiple of the
 /// population size. One constant shared by the adaptive sampler's enumeration refusal,
@@ -149,9 +144,10 @@ pub struct InteractionOutcome {
 /// A configuration `(C_V, C_E)` of the model together with the rigid embedding of every
 /// connected component, for a fixed protocol.
 ///
-/// `World<P>` is `Sync`: all interior mutability (the sharded permissible-pair index and
-/// its pending queues, the work counters) is `Mutex`/atomic based, so read-side queries
-/// may run from several threads concurrently.
+/// `World<P>` is `Send` but not `Sync`: the lazily built pair index and the fallback
+/// counter sit in `RefCell`/`Cell`s, so the read-side queries (`is_stable`, sampling)
+/// can build the index behind `&self`. A world moves between threads (the service
+/// hands jobs to its workers) but is never shared between them.
 pub struct World<P: Protocol> {
     protocol: P,
     dim: Dim,
@@ -176,20 +172,19 @@ pub struct World<P: Protocol> {
     /// structure into the wrong one.
     version: u64,
     /// Exhaustive fallback scans run by the stability queries (see [`IndexStats`]).
-    fallback_scans: AtomicU64,
+    fallback_scans: Cell<u64>,
     /// The sharded incremental permissible-pair index (exact pair counts for the
     /// sharded sampler and the stability queries). Lazily activated.
-    pairs: Mutex<PairCell<P::State>>,
-    /// Per-shard pending queues of nodes to re-derive: the cross-shard merge/split
-    /// routing queues. A mutation only takes the locks of the shards it actually
-    /// touches, never a world-wide one.
-    pair_pending: Vec<Mutex<Vec<NodeId>>>,
-    /// Mirror of `pairs.mode == Active`, readable without a lock on the mutation hot
+    pairs: RefCell<PairCell<P::State>>,
+    /// Nodes to re-derive in the pair index, queued by a mutation and drained by the
+    /// [`World::flush_pairs`] that ends it — so it is empty between public calls.
+    pair_pending: Vec<NodeId>,
+    /// Mirror of `pairs.mode == Active`, readable without a borrow on the mutation hot
     /// path.
-    pairs_active: AtomicBool,
-    /// Merges/splits whose two participants lived in different shards — the events the
-    /// cross-shard queues exist for. Reported through [`World::shard_stats`].
-    cross_shard_events: AtomicU64,
+    pairs_active: Cell<bool>,
+    /// Merges/splits whose two participants lived in different shards. Reported
+    /// through [`World::shard_stats`] and persisted in snapshots.
+    cross_shard_events: u64,
     /// `Σ |component|²` over live components, maintained O(1) per merge/split; gives
     /// the cross-component node-pair universe `(n² − Σsz²)/2` without enumeration.
     sum_sq_sizes: u64,
@@ -244,8 +239,7 @@ impl<P: Protocol> World<P> {
         let shard_map = ShardMap::new(n, shards);
         // Disjoint per-world version ranges: each world claims a 2⁴⁰-wide window, far
         // beyond any realistic number of configuration changes.
-        static NEXT_WORLD: AtomicU64 = AtomicU64::new(0);
-        let version = NEXT_WORLD.fetch_add(1, Ordering::Relaxed) << 40;
+        let version = crate::lock::next_world_ordinal() << 40;
         World {
             rotations: Rotation::all(dim),
             protocol,
@@ -260,16 +254,14 @@ impl<P: Protocol> World<P> {
             halted_count,
             shard_map,
             version,
-            fallback_scans: AtomicU64::new(0),
-            pairs: Mutex::new(PairCell {
+            fallback_scans: Cell::new(0),
+            pairs: RefCell::new(PairCell {
                 mode: PairMode::Disabled,
                 index: PairIndex::new(shard_map),
             }),
-            pair_pending: (0..shard_map.count())
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            pairs_active: AtomicBool::new(false),
-            cross_shard_events: AtomicU64::new(0),
+            pair_pending: Vec::new(),
+            pairs_active: Cell::new(false),
+            cross_shard_events: 0,
             sum_sq_sizes: n as u64,
             live_components: n,
             scratch_stamp: vec![0; n],
@@ -285,7 +277,7 @@ impl<P: Protocol> World<P> {
     /// default) to turn all hooks back into early returns. Telemetry never touches
     /// the trajectory and is not persisted in snapshots.
     pub fn set_telemetry(&mut self, obs: Telemetry) {
-        relock(&self.pairs).index.set_telemetry(obs.clone());
+        self.pairs.get_mut().index.set_telemetry(obs.clone());
         self.obs = obs;
     }
 
@@ -336,10 +328,6 @@ impl<P: Protocol> World<P> {
         self.set_halted(node, halted);
     }
 
-    fn lock_pairs(&self) -> MutexGuard<'_, PairCell<P::State>> {
-        relock(&self.pairs)
-    }
-
     /// A monotone configuration version: bumped on every observable change (state write,
     /// bond flip, merge, split). Samplers use it to cache derived structures — e.g. the
     /// enumerated permissible set — and invalidate them precisely.
@@ -352,7 +340,7 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn index_stats(&self) -> IndexStats {
         IndexStats {
-            node_scans: self.fallback_scans.load(Ordering::Relaxed),
+            node_scans: self.fallback_scans.get(),
         }
     }
 
@@ -361,7 +349,7 @@ impl<P: Protocol> World<P> {
     /// up in no report.
     #[cfg(test)]
     pub(crate) fn pair_fill_stats(&self) -> (u64, usize) {
-        relock(&self.pairs).index.pair_fill_stats()
+        self.pairs.borrow().index.pair_fill_stats()
     }
 
     /// The population size `n`.
@@ -651,7 +639,7 @@ impl<P: Protocol> World<P> {
         let comp_b_id = self.comp_of[b.index()];
         debug_assert_ne!(comp_a_id, comp_b_id);
         if self.shard_map.shard_of(a) != self.shard_map.shard_of(b) {
-            self.cross_shard_events.fetch_add(1, Ordering::Relaxed);
+            self.cross_shard_events += 1;
         }
         let len = |c: &Option<Component>| c.as_ref().map_or(0, Component::len);
         let (absorbed_id, surviving_id, rotation, translation) =
@@ -686,11 +674,10 @@ impl<P: Protocol> World<P> {
         let surviving_len = surviving.len() as u64;
         let mut moved: Vec<(NodeId, Coord)> = Vec::with_capacity(absorbed.len());
         // Walk the absorbed members in their membership-vector order, not the
-        // occupancy map's hash order: the surviving `members` push order (and the
-        // pending-queue touch order below) is sampler-visible through cross-pair
-        // enumeration and class allocation, and the membership vector — unlike the
-        // hash map — is part of the serialized configuration, so a resumed run
-        // reproduces this walk exactly.
+        // occupancy map's hash order: the surviving `members` push order is
+        // sampler-visible through cross-pair enumeration, and the membership vector —
+        // unlike the hash map — is part of the serialized configuration, so a resumed
+        // run reproduces this walk exactly.
         for &node in absorbed.members() {
             let pos = self.placements[node.index()].pos;
             let new_pos = rotation.apply_coord(pos) + translation;
@@ -713,22 +700,19 @@ impl<P: Protocol> World<P> {
         // Component-size bookkeeping: (a+b)² replaces a² + b².
         self.sum_sq_sizes += 2 * absorbed_len * surviving_len;
         self.live_components -= 1;
-        if self.pairs_active.load(Ordering::Relaxed) {
+        if self.pairs_active.get() {
             // The moved nodes must be re-derived (new component, new adjacency, new
             // free-port flags), and so must the *unmoved* neighbours of every inserted
             // cell — their ports just got blocked, which is exactly the non-local
             // removal a grown component can cause in the singleton cross classes.
-            // Each touch is routed to the pending queue of the touched node's shard:
-            // this is the cross-shard migration path — a merge in one shard hands work
-            // to neighbouring shards under their queue locks only.
             let surviving = self.components[surviving_id]
                 .as_ref()
                 .expect("component slot of a live node must be occupied");
             for &(node, new_pos) in &moved {
-                self.pair_touch(node);
+                self.pair_pending.push(node);
                 for &d in self.dim.dirs() {
                     if let Some(neighbour) = surviving.node_at(new_pos + d.unit()) {
-                        self.pair_touch(neighbour);
+                        self.pair_pending.push(neighbour);
                     }
                 }
             }
@@ -781,7 +765,7 @@ impl<P: Protocol> World<P> {
         // re-derivation work between shards), mirroring the merge path.
         outcome.split = true;
         if self.shard_map.shard_of(a) != self.shard_map.shard_of(b) {
-            self.cross_shard_events.fetch_add(1, Ordering::Relaxed);
+            self.cross_shard_events += 1;
         }
         let old_members: Vec<NodeId> = self.components[comp_id]
             .as_ref()
@@ -800,7 +784,7 @@ impl<P: Protocol> World<P> {
         let mut new_comp = Component::empty();
         for node in old_members {
             // Both halves shrank, which can unlock merge placements for every old
-            // member: re-derive them all (each touch routed to the member's shard).
+            // member: re-derive them all.
             self.pair_touch(node);
             if self.comp_of[node.index()] == comp_id && !reached(&self.scratch_stamp, node) {
                 let pos = self.placements[node.index()].pos;
@@ -928,7 +912,7 @@ impl<P: Protocol> World<P> {
                     .find_map(|(i, effective)| effective.then_some(i));
             }
         }
-        self.fallback_scans.fetch_add(1, Ordering::Relaxed);
+        self.fallback_scans.set(self.fallback_scans.get() + 1);
         self.find_effective_interaction_scan()
     }
 
@@ -1036,12 +1020,11 @@ impl<P: Protocol> World<P> {
         Some(out)
     }
 
-    /// Queues `node` for re-derivation in the permissible-pair index, on the pending
-    /// queue of the shard owning `node` (no-op while the index is inactive). Only that
-    /// shard's queue lock is taken — this is the cross-shard merge/split routing.
-    fn pair_touch(&self, node: NodeId) {
-        if self.pairs_active.load(Ordering::Relaxed) {
-            relock(&self.pair_pending[self.shard_map.shard_of(node)]).push(node);
+    /// Queues `node` for re-derivation in the permissible-pair index (no-op while the
+    /// index is inactive).
+    fn pair_touch(&mut self, node: NodeId) {
+        if self.pairs_active.get() {
+            self.pair_pending.push(node);
         }
     }
 
@@ -1060,22 +1043,15 @@ impl<P: Protocol> World<P> {
 
     /// Re-derives the queued nodes in the permissible-pair index. Called at the end of
     /// every mutation; each queued node costs `O(ports · classes)`. The batch is
-    /// gathered from every shard's pending queue, sorted (ascending node id — the
-    /// canonical re-derivation order that keeps class allocation shard-count
-    /// independent) and handed to the index, which fans large batches out per shard.
-    fn flush_pairs(&self) {
-        if !self.pairs_active.load(Ordering::Relaxed) {
+    /// sorted (ascending node id — the canonical re-derivation order that keeps class
+    /// allocation shard-count independent), deduplicated and handed to the index.
+    fn flush_pairs(&mut self) {
+        if !self.pairs_active.get() || self.pair_pending.is_empty() {
             return;
         }
-        let mut pending: Vec<NodeId> = Vec::new();
-        for queue in &self.pair_pending {
-            pending.append(&mut relock(queue));
-        }
-        if pending.is_empty() {
-            return;
-        }
-        pending.sort_unstable();
-        pending.dedup();
+        self.pair_pending.sort_unstable();
+        self.pair_pending.dedup();
+        let pending = &self.pair_pending;
         let mut timer = self.obs.phase(Phase::Flush);
         timer.add_units(pending.len() as u64);
         self.obs.trace(
@@ -1084,17 +1060,17 @@ impl<P: Protocol> World<P> {
                 touched: pending.len() as u32,
             },
         );
-        let mut cell = self.lock_pairs();
-        let view = self.geom_view();
+        let mut cell = self.pairs.borrow_mut();
         if cell
             .index
-            .flush_batch(&view, &self.protocol, &pending)
+            .flush_batch(&self.geom_view(), &self.protocol, pending)
             .is_err()
         {
             cell.mode = PairMode::Overflowed;
             cell.index.clear();
-            self.pairs_active.store(false, Ordering::Relaxed);
+            self.pairs_active.set(false);
         }
+        self.pair_pending.clear();
     }
 
     /// Ensures the pair index is built and active, or reports why it cannot be
@@ -1111,7 +1087,7 @@ impl<P: Protocol> World<P> {
                     return false;
                 }
                 cell.mode = PairMode::Active;
-                self.pairs_active.store(true, Ordering::Relaxed);
+                self.pairs_active.set(true);
                 true
             }
         }
@@ -1133,7 +1109,7 @@ impl<P: Protocol> World<P> {
     /// [`World::validate_pair_index`]; the sampler reads the `O(1)` running aggregate
     /// ([`World::pair_counts_sharded`]).
     fn pair_counts(&self) -> Option<PairSummary> {
-        let mut cell = self.lock_pairs();
+        let mut cell = self.pairs.borrow_mut();
         if !self.ensure_pairs_active(&mut cell) {
             return None;
         }
@@ -1147,7 +1123,7 @@ impl<P: Protocol> World<P> {
     /// [`World::pair_counts`]; the two are asserted equal by
     /// [`World::validate_pair_index`].
     pub(crate) fn pair_counts_sharded(&self) -> Option<PairSummary> {
-        let mut cell = self.lock_pairs();
+        let mut cell = self.pairs.borrow_mut();
         if !self.ensure_pairs_active(&mut cell) {
             return None;
         }
@@ -1161,7 +1137,7 @@ impl<P: Protocol> World<P> {
     /// shard count. Must only be called right after [`World::pair_counts`] /
     /// [`World::pair_counts_sharded`] on the same (frozen) configuration version.
     pub(crate) fn sample_effective_base(&self, idx: u64) -> Interaction {
-        let cell = self.lock_pairs();
+        let cell = self.pairs.borrow();
         let (a, pa, b, pb) = cell.index.sample_effective(self.dim, idx);
         drop(cell);
         self.interaction(a, pa, b, pb)
@@ -1172,19 +1148,19 @@ impl<P: Protocol> World<P> {
     /// `0..permissible_base`). Same calling contract as
     /// [`World::sample_effective_base`].
     pub(crate) fn sample_permissible_base(&self, idx: u64) -> Interaction {
-        let cell = self.lock_pairs();
+        let cell = self.pairs.borrow();
         let (a, pa, b, pb) = cell.index.sample_permissible(self.dim, idx);
         drop(cell);
         self.interaction(a, pa, b, pb)
             .expect("pair-index permissible entry must be permissible")
     }
 
-    /// Per-shard load and routing statistics (node counts from the shard map, bucket
-    /// and intra-pair loads from the pair index when it is active, and the number of
-    /// cross-shard merge/split events routed through the pending queues).
+    /// Per-shard load statistics (node counts from the shard map, bucket and
+    /// intra-pair loads from the pair index when it is active) and the number of
+    /// cross-shard merge/split events.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
-        let cell = self.lock_pairs();
+        let cell = self.pairs.borrow();
         let loads = if matches!(cell.mode, PairMode::Active) {
             cell.index.shard_loads()
         } else {
@@ -1199,7 +1175,7 @@ impl<P: Protocol> World<P> {
             singletons: loads.iter().map(|&(s, _, _)| s).collect(),
             free_ports: loads.iter().map(|&(_, f, _)| f).collect(),
             intra_pairs: loads.iter().map(|&(_, _, i)| i).collect(),
-            cross_shard_events: self.cross_shard_events.load(Ordering::Relaxed),
+            cross_shard_events: self.cross_shard_events,
         }
     }
 
@@ -1214,13 +1190,11 @@ impl<P: Protocol> World<P> {
         if !self.delta.recording() {
             self.delta.reset_records();
         }
-        let pending: Vec<Vec<NodeId>> = self
-            .pair_pending
-            .iter()
-            .map(|q| relock(q).clone())
-            .collect();
+        // Every public mutator ends in `flush_pairs`, so no re-derivation work can be
+        // pending across a checkpoint (and a rollback has none to restore).
+        debug_assert!(self.pair_pending.is_empty());
         let (index_pos, pairs_mode) = {
-            let mut cell = relock(&self.pairs);
+            let cell = self.pairs.get_mut();
             let mode = cell.mode;
             let pos = if matches!(mode, PairMode::Active) {
                 if !cell.index.is_logging() {
@@ -1241,8 +1215,7 @@ impl<P: Protocol> World<P> {
             bond_count: self.bond_count,
             sum_sq_sizes: self.sum_sq_sizes,
             live_components: self.live_components,
-            cross_shard_events: self.cross_shard_events.load(Ordering::Relaxed),
-            pending,
+            cross_shard_events: self.cross_shard_events,
             pairs_mode,
         };
         let epoch = self.delta.open(frame);
@@ -1255,8 +1228,7 @@ impl<P: Protocol> World<P> {
 
     /// Rolls the world back to the state it had when `epoch` was opened (discarding
     /// any checkpoints opened after it): world records are undone in strict reverse,
-    /// the `O(1)` bookkeeping scalars and pending queues are restored from the frame's
-    /// snapshots, and the permissible-pair index is unwound through its operation log —
+    /// the `O(1)` bookkeeping scalars are restored from the frame's snapshots, and the permissible-pair index is unwound through its operation log —
     /// so the per-shard sub-index layouts and the running aggregates come back exactly,
     /// not just equivalently (asserted by the delta-log exactness suite via
     /// [`World::validate_pair_index`]).
@@ -1293,14 +1265,12 @@ impl<P: Protocol> World<P> {
         self.bond_count = frame.bond_count;
         self.sum_sq_sizes = frame.sum_sq_sizes;
         self.live_components = frame.live_components;
-        self.cross_shard_events
-            .store(frame.cross_shard_events, Ordering::Relaxed);
-        for (queue, saved) in self.pair_pending.iter().zip(frame.pending) {
-            *relock(queue) = saved;
-        }
+        self.cross_shard_events = frame.cross_shard_events;
+        // The queue was empty at checkpoint time (see `checkpoint`).
+        self.pair_pending.clear();
         let mut rebuilt = false;
         let still_active = {
-            let mut cell = relock(&self.pairs);
+            let cell = self.pairs.get_mut();
             match (frame.pairs_mode, cell.mode) {
                 (PairMode::Active, PairMode::Active) if !frame.index_rebuilt => {
                     cell.index
@@ -1339,7 +1309,7 @@ impl<P: Protocol> World<P> {
             }
             matches!(cell.mode, PairMode::Active)
         };
-        self.pairs_active.store(still_active, Ordering::Relaxed);
+        self.pairs_active.set(still_active);
         if rebuilt {
             // Outer frames' op positions point into the wiped log: their rollbacks
             // must rebuild too. New checkpoints restart the log from scratch.
@@ -1347,9 +1317,9 @@ impl<P: Protocol> World<P> {
         }
         if !self.delta.recording() {
             self.delta.reset_records();
-            let mut cell = relock(&self.pairs);
-            cell.index.set_logging(false);
-            cell.index.clear_oplog();
+            let index = &mut self.pairs.get_mut().index;
+            index.set_logging(false);
+            index.clear_oplog();
         }
         self.version += 1;
         // The unwind itself ran muted (the flag was raised by `checkpoint`); unmute
@@ -1369,9 +1339,9 @@ impl<P: Protocol> World<P> {
         let _frame = self.delta.take_frame(epoch)?;
         if !self.delta.recording() {
             self.delta.reset_records();
-            let mut cell = relock(&self.pairs);
-            cell.index.set_logging(false);
-            cell.index.clear_oplog();
+            let index = &mut self.pairs.get_mut().index;
+            index.set_logging(false);
+            index.clear_oplog();
         }
         self.obs.set_muted(self.delta.recording());
         Ok(())
@@ -1396,7 +1366,7 @@ impl<P: Protocol> World<P> {
         out.u64(self.bond_count as u64);
         out.u64(self.sum_sq_sizes);
         out.u64(self.live_components as u64);
-        out.u64(self.cross_shard_events.load(Ordering::Relaxed));
+        out.u64(self.cross_shard_events);
         for i in 0..self.len() {
             self.protocol.encode_state(&self.states[i], out);
             let placement = self.placements[i];
@@ -1438,7 +1408,7 @@ impl<P: Protocol> World<P> {
                 None => out.u8(0),
             }
         }
-        let cell = self.lock_pairs();
+        let cell = self.pairs.borrow();
         out.u8(match cell.mode {
             PairMode::Disabled => 0,
             PairMode::Active => 1,
@@ -1660,50 +1630,43 @@ impl<P: Protocol> World<P> {
         world.bond_count = bond_count as usize;
         world.sum_sq_sizes = sum_sq_sizes;
         world.live_components = live;
-        world
-            .cross_shard_events
-            .store(cross_shard_events, Ordering::Relaxed);
+        world.cross_shard_events = cross_shard_events;
         if !world.check_invariants() {
             return Err(corrupt("configuration violates the embedding invariants"));
         }
         match mode {
             PairMode::Disabled => {}
             PairMode::Overflowed => {
-                world.lock_pairs().mode = PairMode::Overflowed;
+                world.pairs.get_mut().mode = PairMode::Overflowed;
             }
             PairMode::Active => {
                 let (slots, free) = pinned.expect("decoded for the Active mode above");
                 let view = world.geom_view();
-                let mut cell = relock(&world.pairs);
+                let mut cell = world.pairs.borrow_mut();
                 cell.index
                     .restore_pinned(&view, &world.protocol, slots, free)
                     .map_err(|what| CoreError::SnapshotCorrupt { what })?;
                 cell.mode = PairMode::Active;
                 drop(cell);
-                world.pairs_active.store(true, Ordering::Relaxed);
+                world.pairs_active.set(true);
             }
         }
         Ok(world)
     }
 
-    /// The multi-node components of the configuration (with the candidate universe of
-    /// their pairwise node products), or `None` when the universe exceeds `budget`.
-    /// Shared ground truth for [`World::enumerate_cross_multi`] and the stability fast
-    /// path, so both agree on what counts as a multi component and when enumeration is
-    /// affordable.
-    fn cross_multi_components(&self, budget: u64) -> Option<(Vec<usize>, u64)> {
+    /// The multi-node components of the configuration, or `None` when the candidate
+    /// universe of their pairwise node products exceeds `budget`. Shared ground truth
+    /// for [`World::enumerate_cross_multi`] and the stability fast path, so both agree
+    /// on what counts as a multi component and when enumeration is affordable.
+    fn cross_multi_components(&self, budget: u64) -> Option<Vec<usize>> {
         let multi: Vec<usize> = (0..self.components.len())
             .filter(|&i| self.components[i].as_ref().is_some_and(|c| c.len() >= 2))
             .collect();
-        let mut universe = 0u64;
-        for (i, &ca) in multi.iter().enumerate() {
-            let size_a = self.components[ca].as_ref().map_or(0, Component::len) as u64;
-            for &cb in multi.iter().skip(i + 1) {
-                let size_b = self.components[cb].as_ref().map_or(0, Component::len) as u64;
-                universe = universe.saturating_add(size_a * size_b);
-            }
-        }
-        (universe <= budget).then_some((multi, universe))
+        let size = |c: usize| self.components[c].as_ref().map_or(0, Component::len) as u64;
+        let universe = Self::cross_component_pairs(&multi).fold(0u64, |acc, (ca, cb)| {
+            acc.saturating_add(size(ca) * size(cb))
+        });
+        (universe <= budget).then_some(multi)
     }
 
     /// The default budget for per-version multi×multi cross-pair work, in node pairs.
@@ -1739,39 +1702,13 @@ impl<P: Protocol> World<P> {
         false
     }
 
-    /// Runs `body` over the component-pair list, fanned out in chunks on the vendored
-    /// pool when the candidate universe is large, sequentially (one chunk holding the
-    /// whole list) otherwise. The single definition of the multi×multi
-    /// parallelisation policy, shared by enumeration and the stability fast path so
-    /// they cannot drift apart; chunk results come back in pair order.
-    fn map_cross_pair_chunks<T: Send + Default>(
-        &self,
-        multi: &[usize],
-        universe: u64,
-        body: impl Fn(&[(usize, usize)], &mut T) + Send + Sync,
-    ) -> Vec<T> {
-        let pairs: Vec<(usize, usize)> = multi
+    /// The pairs `(ca, cb)`, `ca` before `cb` in `multi`, in the canonical order the
+    /// multi×multi enumeration and the stability fast path both walk.
+    fn cross_component_pairs(multi: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+        multi
             .iter()
             .enumerate()
-            .flat_map(|(i, &ca)| multi.iter().skip(i + 1).map(move |&cb| (ca, cb)))
-            .collect();
-        let workers = self.shard_map.count();
-        if universe >= PARALLEL_CROSS_MIN && workers > 1 && pairs.len() > 1 {
-            let chunk = pairs.len().div_ceil(workers);
-            let chunks: Vec<&[(usize, usize)]> = pairs.chunks(chunk).collect();
-            let mut outs: Vec<T> = chunks.iter().map(|_| T::default()).collect();
-            let body = &body;
-            rayon::scope(|scope| {
-                for (chunk, out) in chunks.iter().zip(outs.iter_mut()) {
-                    scope.spawn(move |_| body(chunk, out));
-                }
-            });
-            outs
-        } else {
-            let mut out = T::default();
-            body(&pairs, &mut out);
-            vec![out]
-        }
+            .flat_map(|(i, &ca)| multi[i + 1..].iter().map(move |&cb| (ca, cb)))
     }
 
     /// Enumerates the permissible pairs spanning two *multi-node* components together
@@ -1781,26 +1718,16 @@ impl<P: Protocol> World<P> {
     /// collision), so it is enumerated per frozen configuration instead of being
     /// maintained incrementally; in single-growth workloads it is empty and costs
     /// `O(components)`.
-    ///
-    /// Large universes (many concurrent multi-node components, the merge-queue stress
-    /// regime) fan the sweep out over component pairs on the vendored pool; the chunks
-    /// are concatenated in pair order, so the result is identical to the sequential
-    /// sweep.
     pub(crate) fn enumerate_cross_multi(&self, budget: u64) -> Option<Vec<(Interaction, bool)>> {
-        let (multi, universe) = self.cross_multi_components(budget)?;
-        let outs = self.map_cross_pair_chunks(
-            &multi,
-            universe,
-            |chunk, out: &mut Vec<(Interaction, bool)>| {
-                for &(ca, cb) in chunk {
-                    self.visit_cross_pair(ca, cb, &mut |interaction, effective| {
-                        out.push((interaction, effective));
-                        false
-                    });
-                }
-            },
-        );
-        Some(outs.concat())
+        let multi = self.cross_multi_components(budget)?;
+        let mut out = Vec::new();
+        for (ca, cb) in Self::cross_component_pairs(&multi) {
+            self.visit_cross_pair(ca, cb, &mut |interaction, effective| {
+                out.push((interaction, effective));
+                false
+            });
+        }
+        Some(out)
     }
 
     /// Validates the incremental permissible-pair index against the enumeration oracle:
@@ -1827,7 +1754,7 @@ impl<P: Protocol> World<P> {
             ));
         }
         {
-            let cell = self.lock_pairs();
+            let cell = self.pairs.borrow();
             cell.index.check_sharding()?;
         }
         let mm = self
@@ -1852,7 +1779,7 @@ impl<P: Protocol> World<P> {
             .map(|i| crate::index::pair_key(i.a, i.pa, i.b, i.pb))
             .collect();
         let mut index_eff: Vec<u64> = {
-            let cell = self.lock_pairs();
+            let cell = self.pairs.borrow();
             cell.index.collect_effective(self.dim)
         };
         index_eff.extend(
@@ -1882,24 +1809,12 @@ impl<P: Protocol> World<P> {
 
     /// Whether any permissible pair spanning two multi-node components is effective,
     /// or `None` when the multi×multi candidate universe exceeds `budget` (early exit
-    /// on the first effective pair; no allocation). Large universes fan out across
-    /// component pairs with a shared found-flag (existence is order-independent, so the
-    /// parallel answer is identical to the sequential one).
+    /// on the first effective pair; no allocation beyond the component list).
     fn any_effective_cross_multi(&self, budget: u64) -> Option<bool> {
-        let (multi, universe) = self.cross_multi_components(budget)?;
-        let found = AtomicBool::new(false);
-        self.map_cross_pair_chunks(&multi, universe, |chunk, (): &mut ()| {
-            for &(ca, cb) in chunk {
-                if found.load(Ordering::Relaxed) {
-                    return;
-                }
-                if self.visit_cross_pair(ca, cb, &mut |_, effective| effective) {
-                    found.store(true, Ordering::Relaxed);
-                    return;
-                }
-            }
-        });
-        Some(found.into_inner())
+        let multi = self.cross_multi_components(budget)?;
+        let any = Self::cross_component_pairs(&multi)
+            .any(|(ca, cb)| self.visit_cross_pair(ca, cb, &mut |_, effective| effective));
+        Some(any)
     }
 
     /// Whether the configuration is stable: no permissible interaction is effective, so
@@ -1922,7 +1837,7 @@ impl<P: Protocol> World<P> {
                 return !any;
             }
         }
-        self.fallback_scans.fetch_add(1, Ordering::Relaxed);
+        self.fallback_scans.set(self.fallback_scans.get() + 1);
         self.is_stable_scan()
     }
 

@@ -256,8 +256,8 @@ impl Default for ServiceMetrics {
 /// Locks `mutex`, recovering (and un-poisoning) it if a previous holder
 /// panicked, counting each recovery in `service_lock_poison_recoveries_total`.
 ///
-/// Recovery is sound for the service's locks for the same reason it is for the
-/// core's (see `nc_core::lock`): the queue and stats structures are left
+/// Recovery is sound for the service's locks (see the policy in `nc_core::lock`):
+/// the queue and stats structures are left
 /// consistent by every critical section — workers mutate them only through
 /// total transition functions — so the poison flag carries no integrity
 /// information beyond "some thread panicked", which the crash accounting

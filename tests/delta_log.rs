@@ -138,7 +138,7 @@ fn assert_rollback_exact_per_apply<P: Protocol>(protocol: P, n: usize, seed: u64
 #[test]
 fn rollback_is_exact_across_merge_split_churn() {
     // Merge/split churn at 4 shards: every apply is a component merge or split, and
-    // most cross a shard boundary (the cross-shard pending-queue path of the log).
+    // most cross a shard boundary (the cross-shard maintenance path of the log).
     assert_rollback_exact_per_apply(Churn, 16, 17, 4_000);
 }
 

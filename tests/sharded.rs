@@ -1,9 +1,9 @@
-//! Deterministic parallel-equivalence suite for the sharded world runtime and
+//! Deterministic shard-count-invariance suite for the sharded world runtime and
 //! `SamplingMode::Sharded`.
 //!
 //! The sharded runtime's contract has five parts, each pinned here:
 //!
-//! 1. **Parallel equivalence / shard-count invariance** — a seeded sharded execution is
+//! 1. **Shard-count invariance** — a seeded sharded execution is
 //!    *byte-identical* across 1, 2 and 4 shards: same terminal shape, same
 //!    `ExecutionStats` (steps, effective steps, bulk credits, merges, splits), same
 //!    final state vector, on `GlobalLine`, `Square` and `CountingOnALine`. Shard count
@@ -26,7 +26,8 @@
 //!    guarantee); bulk credits respect step budgets exactly and are reported through
 //!    `ExecutionStats::skipped_steps`; live state diversity at the class cap does not
 //!    overflow, and beyond it the sampler degrades to the adaptive strategy.
-//! 5. **Concurrency** — `World` is `Sync`; concurrent read-side queries are safe.
+//! 5. **Thread model** — `World` and the service's job runner are `Send` (a job
+//!    moves between workers); the index builds identically at 1 and 4 shards.
 
 use shape_constructors::core::scheduler::{GreedyScheduler, Scheduler, UniformScheduler};
 use shape_constructors::core::{
@@ -42,7 +43,7 @@ use std::collections::HashMap;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 // ---------------------------------------------------------------------------------------
-// 1. Parallel equivalence: same seed ⇒ identical execution across shard counts
+// 1. Shard-count invariance: same seed ⇒ identical execution across shard counts
 // ---------------------------------------------------------------------------------------
 
 /// Runs one sharded execution and returns everything observable about it.
@@ -466,7 +467,7 @@ fn pair_index_matches_oracle_across_splits() {
 
 /// Endless churn: solo nodes pair up (merge), pairs dissolve (split), dissolved nodes
 /// pair up again. Never stabilises; at 4 shards most pairings cross a shard boundary,
-/// which is exactly the traffic the cross-shard pending queues route.
+/// which re-derives nodes in the sub-indices of two shards at once.
 struct Churn;
 
 #[derive(Clone, PartialEq, Debug)]
@@ -519,7 +520,7 @@ fn pair_index_matches_oracle_across_cross_shard_churn() {
 /// partner that lives in another shard three quarters of the time — and releases it on
 /// the next effective interaction. Every applied interaction is a merge or a split,
 /// and there is never more than one multi-node component, so the stress isolates
-/// exactly the cross-shard pending-queue routing (no multi×multi enumeration noise).
+/// exactly the cross-shard merge/split maintenance (no multi×multi enumeration noise).
 struct AnchoredChurn;
 
 #[derive(Clone, PartialEq, Debug)]
@@ -586,8 +587,8 @@ fn merge_queue_stress_10k_steps_matches_the_sequential_replay() {
     };
     let mut sharded = make(4);
     let mut sequential = make(1);
-    // Activate the pair index up front so every merge/split routes through the
-    // per-shard pending queues from the first step on.
+    // Activate the pair index up front so every merge/split re-derives its nodes in
+    // the per-shard sub-indices from the first step on.
     sharded
         .world()
         .validate_pair_index()
@@ -809,40 +810,26 @@ fn steady_state_diversity_at_the_class_cap_does_not_overflow() {
 }
 
 // ---------------------------------------------------------------------------------------
-// 5. Concurrency and the parallel maintenance paths
+// 5. Thread model and layout-independent index builds
 // ---------------------------------------------------------------------------------------
 
+/// The service's worker pool moves each job's runner (and the world inside it) to
+/// whichever worker claims the slice; that needs `Send` only. Nothing shares a world
+/// between threads, so `World` is deliberately not `Sync`.
 #[test]
-fn world_is_sync_and_serves_concurrent_queries() {
-    fn assert_sync<T: Sync>() {}
+fn worlds_and_job_runners_are_send() {
     fn assert_send<T: Send>() {}
-    assert_sync::<World<GlobalLine>>();
     assert_send::<World<GlobalLine>>();
-    assert_sync::<World<Square>>();
-    assert_sync::<World<CountingOnALine>>();
-    // Concurrent read-side queries against one world: stability checks and effective
-    // lookups from four threads, all served by the pair index under its lock.
-    let world = frozen_line_world(12, 5, 4);
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            scope.spawn(|| {
-                for _ in 0..50 {
-                    assert!(!world.is_stable());
-                    assert!(world.find_effective_interaction().is_some());
-                }
-            });
-        }
-    });
-    world
-        .validate_pair_index()
-        .expect("index intact after concurrent queries");
+    assert_send::<World<Square>>();
+    assert_send::<World<CountingOnALine>>();
+    assert_send::<nc_service::runner::JobRunner>();
 }
 
 #[test]
-fn parallel_index_build_matches_the_sequential_build() {
-    // n = 1024 crosses the parallel-flush threshold, so the 4-shard build derives its
-    // geometry on the pool while the 1-shard build stays sequential; both must yield
-    // the same counts and the same first sharded draw.
+fn index_build_is_identical_at_one_and_four_shards() {
+    // n = 1024 with merges mixed into the layout: the 1-shard and the 4-shard world
+    // slice the index differently but must yield the same states and the same first
+    // sharded draw for every seed.
     let n = 1024usize;
     let worlds: Vec<World<GlobalLine>> = [1usize, 4]
         .iter()
@@ -867,7 +854,7 @@ fn parallel_index_build_matches_the_sequential_build() {
                 canonical(i.a, i.pa, i.b, i.pb)
             })
             .collect();
-        assert_eq!(picks[0], picks[1], "seed {seed}: parallel build diverged");
+        assert_eq!(picks[0], picks[1], "seed {seed}: 4-shard build diverged");
     }
 }
 
