@@ -29,9 +29,6 @@ pub enum CoreError {
         /// The number of steps executed.
         steps: u64,
     },
-    /// Rollback or release of a delta-log epoch that is not open (already rolled
-    /// back, already released, or belonging to a different world).
-    EpochNotOpen,
     /// A snapshot buffer ended before the decoder finished reading.
     SnapshotTruncated {
         /// Byte offset at which the decoder ran out of input.
@@ -81,9 +78,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::StepBudgetExhausted { steps } => {
                 write!(f, "step budget exhausted after {steps} steps")
-            }
-            CoreError::EpochNotOpen => {
-                write!(f, "rollback/release of an epoch that is not open")
             }
             CoreError::SnapshotTruncated { offset } => {
                 write!(f, "snapshot truncated: input ended at byte {offset}")
@@ -149,7 +143,6 @@ mod tests {
                 "Up",
             ),
             (CoreError::StepBudgetExhausted { steps: 99 }, "99"),
-            (CoreError::EpochNotOpen, "not open"),
             (CoreError::SnapshotTruncated { offset: 12 }, "byte 12"),
             (CoreError::SnapshotBadMagic, "magic"),
             (

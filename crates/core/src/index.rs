@@ -33,8 +33,8 @@ pub struct IndexStats {
 // frozen configuration — and the ability to draw uniformly from either set — without
 // re-enumerating `O(n²·ports²)` candidates per configuration version; stability is the
 // special case "effective count is zero". The [`PairIndex`] below maintains those
-// counts in `O(changed)` per world delta, fed from the world's delta stream (state
-// writes, bond flips, merges, splits).
+// counts in `O(changed)` per world mutation (state writes, bond flips, merges,
+// splits).
 //
 // # Decomposition
 //
@@ -99,8 +99,7 @@ pub struct IndexStats {
 //   included;
 // * `register_free_port(c)` fills `c` against every class holding singletons;
 // * a slot's row and column bits are cleared whenever its tenant changes (allocation
-//   in `class_for`, and the rollback of an allocation or of a retirement), and a
-//   rebuild starts with every bit clear.
+//   in `class_for`), and a rebuild starts with every bit clear.
 //
 // Protocols whose leader takes a fresh state on almost every effective step (the
 // counters of Counting-on-a-Line) thus pay for the handful of singleton classes it
@@ -395,49 +394,6 @@ fn sorted_remove<T: Ord + Copy>(list: &mut Vec<T>, value: T) -> bool {
     }
 }
 
-/// One undoable mutation of the pair index, appended to the operation log while a
-/// [`crate::World`] checkpoint is open. Every variant names the *registration-level*
-/// primitive that ran (not the slot it touched), so the undo in
-/// [`PairIndex::rollback_ops`] can call the symmetric primitive — which replays the
-/// exact aggregate-delta formulas (`free_port_rate`, `singleton_class*_rate`) at the
-/// exact totals they were originally evaluated against, keeping the running
-/// `class2_eff`/`class3_eff` aggregates bit-exact under rollback.
-pub(crate) enum IndexOp<S> {
-    /// `register_singleton(class, x)` ran.
-    RegSingleton { x: NodeId, class: u32 },
-    /// `drop_singleton_reg(x)` removed a registration of `class`.
-    DropSingleton { x: NodeId, class: u32 },
-    /// `register_free_port(class, x, pa)` ran.
-    RegFreePort { x: NodeId, pa: Dir, class: u32 },
-    /// `drop_free_port_reg(x, pa)` removed a registration of `class`.
-    DropFreePort { x: NodeId, pa: Dir, class: u32 },
-    /// The intra pair with lower endpoint `(x, pa)` entered its shard's intra set.
-    IntraInsert { x: NodeId, pa: Dir },
-    /// The intra pair with lower endpoint `(x, pa)` left its shard's intra set.
-    IntraRemove { x: NodeId, pa: Dir },
-    /// The intra pair with lower endpoint `(x, pa)` entered the effective-intra set.
-    IntraEffInsert { x: NodeId, pa: Dir },
-    /// The intra pair with lower endpoint `(x, pa)` left the effective-intra set.
-    IntraEffRemove { x: NodeId, pa: Dir },
-    /// `intra[x][pa]` was overwritten; `old` is the previous cell value.
-    IntraCell {
-        x: NodeId,
-        pa: Dir,
-        old: Option<IntraEntry>,
-    },
-    /// `node_class[x]` was overwritten.
-    NodeClass { x: NodeId, old: u32 },
-    /// `classes[class].refs` was incremented (class-switch re-registration).
-    RefsInc { class: u32 },
-    /// `class_for` allocated a fresh class slot (`reused_slot`: popped from the free
-    /// list rather than pushed).
-    AllocClass { class: u32, reused_slot: bool },
-    /// `release_class(class)` decremented the refcount without freeing the slot.
-    ReleaseDec { class: u32 },
-    /// `release_class(class)` freed the slot; `state`/`halted` restore it.
-    ReleaseFree { class: u32, state: S, halted: bool },
-}
-
 /// The sharded incremental permissible-pair index. See the section comment above for
 /// the decomposition, the shared aggregate and the shard-count-invariance argument.
 pub(crate) struct PairIndex<S> {
@@ -486,11 +442,6 @@ pub(crate) struct PairIndex<S> {
     /// hash-based and independent of the dense tables so the two computations
     /// cross-validate each other.
     memo: HashMap<u64, bool, DeterministicState>,
-    /// Undo log of registration-level mutations, appended while `logging` (i.e. while
-    /// a world checkpoint is open). Positions into it are recorded by the world's
-    /// epoch frames; `rollback_ops` unwinds a suffix.
-    oplog: Vec<IndexOp<S>>,
-    logging: bool,
     /// Telemetry handle shared with the owning world (disabled by default): class
     /// allocations/retirements are sampler-visible, deterministic events — they
     /// happen in the ascending node order of a flush — and are worth a step-indexed
@@ -528,8 +479,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             #[cfg(test)]
             pair_fills: 0,
             memo: HashMap::default(),
-            oplog: Vec::new(),
-            logging: false,
             obs: Telemetry::disabled(),
         }
     }
@@ -537,34 +486,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     /// Attaches the world's telemetry handle (see the `obs` field docs).
     pub(crate) fn set_telemetry(&mut self, obs: Telemetry) {
         self.obs = obs;
-    }
-
-    /// Appends an operation if logging is enabled (the hot-path guard).
-    #[inline]
-    fn log(&mut self, op: impl FnOnce() -> IndexOp<S>) {
-        if self.logging {
-            self.oplog.push(op());
-        }
-    }
-
-    /// Enables/disables the operation log (driven by the world's checkpoint stack).
-    pub(crate) fn set_logging(&mut self, on: bool) {
-        self.logging = on;
-    }
-
-    /// Whether the operation log is currently being appended to.
-    pub(crate) fn is_logging(&self) -> bool {
-        self.logging
-    }
-
-    /// Current length of the operation log.
-    pub(crate) fn oplog_len(&self) -> usize {
-        self.oplog.len()
-    }
-
-    /// Discards the operation log.
-    pub(crate) fn clear_oplog(&mut self) {
-        self.oplog.clear();
     }
 
     /// Builds the index from scratch for the current configuration.
@@ -785,7 +706,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                 for &pa in dim.dirs() {
                     self.drop_free_port_reg(x, pa);
                 }
-                self.log(|| IndexOp::NodeClass { x, old });
                 self.node_class[xi] = NONE;
                 self.release_class(old);
                 self.class_for(&view.states[xi], halted)?
@@ -798,9 +718,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             for &pa in dim.dirs() {
                 self.drop_free_port_reg(x, pa);
             }
-            self.log(|| IndexOp::RefsInc { class });
             self.class_mut(class).refs += 1;
-            self.log(|| IndexOp::NodeClass { x, old: old_class });
             self.node_class[xi] = class;
             if old_class != NONE {
                 self.release_class(old_class);
@@ -834,17 +752,16 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                             self.unlink_intra(new.peer, new.pport, stale);
                         }
                     }
-                    self.intra_cell_set(x, pa, Some(new));
-                    self.intra_cell_set(
-                        new.peer,
-                        new.pport,
-                        Some(IntraEntry {
-                            peer: x,
-                            pport: pa,
-                            bonded: new.bonded,
-                        }),
-                    );
-                    self.intra_insert(lower_endpoint(x, pa, new.peer, new.pport));
+                    self.intra[xi][pa.index()] = Some(new);
+                    self.intra[new.peer.index()][new.pport.index()] = Some(IntraEntry {
+                        peer: x,
+                        pport: pa,
+                        bonded: new.bonded,
+                    });
+                    let (shard, key) = self.intra_slot(lower_endpoint(x, pa, new.peer, new.pport));
+                    if self.shards[shard].intra.insert(key) {
+                        self.intra_total += 1;
+                    }
                 }
             }
             if let Some(entry) = self.intra[xi][pa.index()] {
@@ -859,11 +776,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                         entry.pport,
                         entry.bonded,
                     );
-                if eff {
-                    self.intra_eff_insert(lo);
-                } else {
-                    self.intra_eff_remove(lo);
-                }
+                self.set_intra_eff(lo, eff);
             }
         }
         Ok(())
@@ -897,19 +810,15 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             halted,
             refs: 0,
         };
-        let (id, reused_slot) = if let Some(id) = self.free_class_slots.pop() {
+        let id = if let Some(id) = self.free_class_slots.pop() {
             self.classes[id as usize] = Some(slot);
-            (id, true)
+            id
         } else {
             self.classes.push(Some(slot));
-            (self.classes.len() as u32 - 1, false)
+            self.classes.len() as u32 - 1
         };
         sorted_insert(&mut self.live_ids, id);
         self.obs.trace(0, TraceEventKind::ClassAlloc { class: id });
-        self.log(|| IndexOp::AllocClass {
-            class: id,
-            reused_slot,
-        });
         self.clear_filled(id);
         Ok(id)
     }
@@ -989,23 +898,14 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         if slot.refs == 0 {
             debug_assert_eq!(self.s[id as usize], 0);
             debug_assert_eq!(self.g[id as usize], [0; PORT_CAP]);
-            let freed = self.classes[id as usize]
-                .take()
-                .expect("class id must be live");
+            self.classes[id as usize] = None;
             self.obs.trace(0, TraceEventKind::ClassRetire { class: id });
-            self.log(|| IndexOp::ReleaseFree {
-                class: id,
-                state: freed.state,
-                halted: freed.halted,
-            });
             self.free_class_slots.push(id);
             sorted_remove(&mut self.live_ids, id);
             // Memo entries referencing a retired class id would alias its successor.
             self.memo.retain(|&key, _| {
                 (key >> 40) as u32 != id && ((key >> 8) & 0xFF_FFFF) as u32 != id
             });
-        } else {
-            self.log(|| IndexOp::ReleaseDec { class: id });
         }
     }
 
@@ -1065,7 +965,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         x: NodeId,
     ) {
         debug_assert!(!self.reg_singleton[x.index()]);
-        self.log(|| IndexOp::RegSingleton { x, class });
         // A singleton pairs with every free port and every singleton (its own class
         // included).
         for i in 0..self.live_ids.len() {
@@ -1093,7 +992,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             return;
         }
         let class = self.node_class[x.index()];
-        self.log(|| IndexOp::DropSingleton { x, class });
         let shard = &mut self.shards[self.map.shard_of(x)];
         let key = shard.node_key(x);
         let removed = shard.singleton_bucket_mut(class).remove(key);
@@ -1114,7 +1012,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         x: NodeId,
         pa: Dir,
     ) {
-        self.log(|| IndexOp::RegFreePort { x, pa, class });
         // A free port pairs with every singleton.
         for i in 0..self.live_ids.len() {
             let other = self.live_ids[i];
@@ -1137,7 +1034,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             return;
         }
         let class = self.node_class[x.index()];
-        self.log(|| IndexOp::DropFreePort { x, pa, class });
         let shard = &mut self.shards[self.map.shard_of(x)];
         let key = shard.node_key(x);
         let removed = shard.free_bucket_mut(class, pa).remove(key);
@@ -1154,153 +1050,32 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         (shard, self.shards[shard].port_key(x, pa))
     }
 
-    fn intra_insert(&mut self, lo: (NodeId, Dir)) {
+    /// Adds (`eff`) or removes the intra pair with lower endpoint `lo` in its
+    /// shard's effective-intra set, keeping `intra_eff_total` in step.
+    fn set_intra_eff(&mut self, lo: (NodeId, Dir), eff: bool) {
         let (shard, key) = self.intra_slot(lo);
-        if self.shards[shard].intra.insert(key) {
-            self.intra_total += 1;
-            self.log(|| IndexOp::IntraInsert { x: lo.0, pa: lo.1 });
-        }
-    }
-
-    fn intra_remove(&mut self, lo: (NodeId, Dir)) {
-        let (shard, key) = self.intra_slot(lo);
-        if self.shards[shard].intra.remove(key) {
-            self.intra_total -= 1;
-            self.log(|| IndexOp::IntraRemove { x: lo.0, pa: lo.1 });
-        }
-    }
-
-    fn intra_eff_insert(&mut self, lo: (NodeId, Dir)) {
-        let (shard, key) = self.intra_slot(lo);
-        if self.shards[shard].intra_eff.insert(key) {
+        let set = &mut self.shards[shard].intra_eff;
+        if eff && set.insert(key) {
             self.intra_eff_total += 1;
-            self.log(|| IndexOp::IntraEffInsert { x: lo.0, pa: lo.1 });
-        }
-    }
-
-    fn intra_eff_remove(&mut self, lo: (NodeId, Dir)) {
-        let (shard, key) = self.intra_slot(lo);
-        if self.shards[shard].intra_eff.remove(key) {
+        } else if !eff && set.remove(key) {
             self.intra_eff_total -= 1;
-            self.log(|| IndexOp::IntraEffRemove { x: lo.0, pa: lo.1 });
         }
-    }
-
-    /// Overwrites `intra[x][pa]`, logging the previous cell value.
-    fn intra_cell_set(&mut self, x: NodeId, pa: Dir, value: Option<IntraEntry>) {
-        let old = self.intra[x.index()][pa.index()];
-        self.log(|| IndexOp::IntraCell { x, pa, old });
-        self.intra[x.index()][pa.index()] = value;
     }
 
     /// Removes the stored intra pair anchored at `(x, pa)` from the sets and clears
     /// the mirror entry if it still points back.
     fn unlink_intra(&mut self, x: NodeId, pa: Dir, entry: IntraEntry) {
         let lo = lower_endpoint(x, pa, entry.peer, entry.pport);
-        self.intra_remove(lo);
-        self.intra_eff_remove(lo);
-        self.intra_cell_set(x, pa, None);
-        let mirror = self.intra[entry.peer.index()][entry.pport.index()];
+        let (shard, key) = self.intra_slot(lo);
+        if self.shards[shard].intra.remove(key) {
+            self.intra_total -= 1;
+        }
+        self.set_intra_eff(lo, false);
+        self.intra[x.index()][pa.index()] = None;
+        let mirror = &mut self.intra[entry.peer.index()][entry.pport.index()];
         if mirror.is_some_and(|m| m.peer == x && m.pport == pa) {
-            self.intra_cell_set(entry.peer, entry.pport, None);
+            *mirror = None;
         }
-    }
-
-    /// Unwinds the operation log back to length `to`, restoring the per-shard
-    /// sub-index layouts, the class table and the running aggregates to their exact
-    /// values at that position.
-    ///
-    /// Registration ops are undone by calling the *symmetric primitive* (with logging
-    /// suspended): a `register` computes its aggregate delta against pre-registration
-    /// totals and a `drop` against post-removal totals, which are the same totals —
-    /// so a strict-reverse replay re-evaluates every delta formula at exactly the
-    /// state it originally saw, and the running `class2_eff`/`class3_eff` come back
-    /// bit-exact without storing the deltas. Slot-level ops (`intra` cells,
-    /// `node_class`, class alloc/release) restore the recorded old values directly;
-    /// the free-slot stack inverts exactly because pushes and pops alternate with
-    /// their logged counterparts under strict reverse order.
-    pub(crate) fn rollback_ops<P: Protocol<State = S>>(
-        &mut self,
-        to: usize,
-        protocol: &P,
-        dim: Dim,
-    ) {
-        let ops = self.oplog.split_off(to);
-        let was_logging = self.logging;
-        self.logging = false;
-        for op in ops.into_iter().rev() {
-            match op {
-                IndexOp::RegSingleton { x, class } => {
-                    debug_assert_eq!(self.node_class[x.index()], class);
-                    self.drop_singleton_reg(dim, x);
-                }
-                IndexOp::DropSingleton { x, class } => {
-                    self.register_singleton(protocol, dim, class, x);
-                }
-                IndexOp::RegFreePort { x, pa, class } => {
-                    debug_assert_eq!(self.node_class[x.index()], class);
-                    self.drop_free_port_reg(x, pa);
-                }
-                IndexOp::DropFreePort { x, pa, class } => {
-                    self.register_free_port(protocol, dim, class, x, pa);
-                }
-                IndexOp::IntraInsert { x, pa } => self.intra_remove((x, pa)),
-                IndexOp::IntraRemove { x, pa } => self.intra_insert((x, pa)),
-                IndexOp::IntraEffInsert { x, pa } => self.intra_eff_remove((x, pa)),
-                IndexOp::IntraEffRemove { x, pa } => self.intra_eff_insert((x, pa)),
-                IndexOp::IntraCell { x, pa, old } => {
-                    self.intra[x.index()][pa.index()] = old;
-                }
-                IndexOp::NodeClass { x, old } => {
-                    self.node_class[x.index()] = old;
-                }
-                IndexOp::RefsInc { class } => {
-                    self.class_mut(class).refs -= 1;
-                }
-                IndexOp::AllocClass { class, reused_slot } => {
-                    debug_assert_eq!(self.class(class).refs, 0);
-                    let removed = sorted_remove(&mut self.live_ids, class);
-                    debug_assert!(removed);
-                    if reused_slot {
-                        self.classes[class as usize] = None;
-                        self.free_class_slots.push(class);
-                    } else {
-                        debug_assert_eq!(class as usize, self.classes.len() - 1);
-                        self.classes.pop();
-                    }
-                    // Recount memoisations inserted during the epoch may reference the
-                    // retired id; purge them or they would alias its next tenant (the
-                    // same guard `release_class` applies on the forward path).
-                    self.memo.retain(|&key, _| {
-                        (key >> 40) as u32 != class && ((key >> 8) & 0xFF_FFFF) as u32 != class
-                    });
-                    self.clear_filled(class);
-                }
-                IndexOp::ReleaseDec { class } => {
-                    self.class_mut(class).refs += 1;
-                }
-                IndexOp::ReleaseFree {
-                    class,
-                    state,
-                    halted,
-                } => {
-                    let top = self.free_class_slots.pop();
-                    debug_assert_eq!(top, Some(class));
-                    sorted_insert(&mut self.live_ids, class);
-                    self.classes[class as usize] = Some(ClassSlot {
-                        state,
-                        halted,
-                        refs: 1,
-                    });
-                    // A slot-reusing allocation after the release may have overwritten
-                    // this id's dense effectiveness rows. The class has no
-                    // registrations yet: undoing its members' drops, which come next,
-                    // refills the pairs they need.
-                    self.clear_filled(class);
-                }
-            }
-        }
-        self.logging = was_logging;
     }
 
     // --- the recount (validation twin of the aggregate) --------------------------------

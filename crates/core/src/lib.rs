@@ -54,7 +54,6 @@
 
 pub mod adversary;
 mod component;
-mod delta;
 mod error;
 mod index;
 mod lock;
@@ -71,7 +70,6 @@ mod world;
 
 pub use adversary::{EclipseScheduler, RoundRobinScheduler, WorstCaseScheduler};
 pub use component::{Component, Placement};
-pub use delta::Epoch;
 pub use error::CoreError;
 pub use index::IndexStats;
 pub use lock::{panic_message, relock};

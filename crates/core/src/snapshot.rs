@@ -1,6 +1,4 @@
-//! Versioned, checksummed snapshots of a running [`crate::Simulation`]: the *ship*
-//! half of the robustness story (the delta log of [`crate::delta`] is the *rewind*
-//! half).
+//! Versioned, checksummed snapshots of a running [`crate::Simulation`].
 //!
 //! # Format
 //!
@@ -60,9 +58,9 @@
 //! Everything else is genuinely derived state and is rebuilt conservatively:
 //! `halted` flags (a pure function of states) and per-version count caches
 //! (recomputed without consuming randomness). Work counters ([`crate::IndexStats`])
-//! are *not* persisted, mirroring the delta-log policy: they report lifetime work, not
-//! logical state. That exclusion is what lets the
-//! crash harness use whole-snapshot byte equality as its trajectory oracle.
+//! are *not* persisted: they report lifetime work, not logical state. That
+//! exclusion is what lets the crash harness use whole-snapshot byte equality as its
+//! trajectory oracle.
 
 use crate::error::CoreError;
 use crate::Protocol;

@@ -17,7 +17,6 @@
 //! returns. The sampled *trajectory* is byte-identical across shard counts — see the
 //! invariance notes in [`crate::index`].
 
-use crate::delta::{DeltaLog, Epoch, EpochFrame, WorldRecord};
 use crate::index::{BaseCounts, GeomView, IndexStats, PairIndex};
 use crate::shard::{trace_lane, ShardMap};
 use crate::stats::ShardStats;
@@ -62,8 +61,7 @@ pub(crate) fn transition_effective<P: Protocol>(
 /// Lifecycle of the permissible-pair index: built lazily on first use — a sharded draw
 /// or a stability query — so executions that need neither pay nothing; abandoned permanently when the
 /// protocol's live state diversity overflows the class table. The mode only ever
-/// advances (`Disabled → Active → Overflowed`), which is what lets a rollback infer
-/// what happened mid-epoch from the (checkpointed, current) mode pair alone.
+/// advances (`Disabled → Active → Overflowed`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PairMode {
     Disabled,
@@ -190,17 +188,11 @@ pub struct World<P: Protocol> {
     sum_sq_sizes: u64,
     /// Number of live components, maintained O(1) per merge/split.
     live_components: usize,
-    /// Epoch-stamped scratch buffer for the split-detection BFS (avoids an O(n)
-    /// allocation per bond deactivation).
+    /// Scratch visit marks for the split-detection BFS, stamped with
+    /// `scratch_epoch` (avoids an O(n) allocation per bond deactivation).
     scratch_stamp: Vec<u64>,
     scratch_epoch: u64,
-    /// The per-epoch undo log behind [`World::checkpoint`] / [`World::rollback`]
-    /// (see [`crate::delta`]). Inert (a cheap branch per mutation) while no
-    /// checkpoint is open.
-    delta: DeltaLog<P::State>,
     /// The telemetry handle (disabled by default — every hook is an early return).
-    /// Muted while a delta epoch is open: scratch applies that are rolled back are
-    /// invisible in the committed trajectory and must be invisible in the trace.
     obs: Telemetry,
 }
 
@@ -266,7 +258,6 @@ impl<P: Protocol> World<P> {
             live_components: n,
             scratch_stamp: vec![0; n],
             scratch_epoch: 0,
-            delta: DeltaLog::new(),
             obs: Telemetry::disabled(),
         }
     }
@@ -294,38 +285,12 @@ impl<P: Protocol> World<P> {
         self.shard_map.count()
     }
 
-    /// Records the pre-write state *and* halted flag of `node` (the two are always
-    /// overwritten together). No-op while no checkpoint is open.
-    #[inline]
-    fn record_state(&mut self, node: usize) {
-        if self.delta.recording() {
-            let old = self.states[node].clone();
-            self.delta.record(move || WorldRecord::State { node, old });
-            let old = self.halted[node];
-            self.delta.record(move || WorldRecord::Halted { node, old });
-        }
-    }
-
-    /// Records the pre-write value of `links[node][port]`.
-    #[inline]
-    fn record_link(&mut self, node: usize, port: usize) {
-        if self.delta.recording() {
-            let old = self.links[node][port];
-            self.delta
-                .record(move || WorldRecord::Link { node, port, old });
-        }
-    }
-
-    /// Overwrites the halted flag of `node`, keeping `halted_count` in step.
-    fn set_halted(&mut self, node: usize, halted: bool) {
-        let was = std::mem::replace(&mut self.halted[node], halted);
-        self.halted_count = self.halted_count + usize::from(halted) - usize::from(was);
-    }
-
-    /// Re-derives the halted flag of `node` from its current state.
+    /// Re-derives the halted flag of `node` from its current state, keeping
+    /// `halted_count` in step.
     fn refresh_halted(&mut self, node: usize) {
         let halted = self.protocol.is_halted(&self.states[node]);
-        self.set_halted(node, halted);
+        let was = std::mem::replace(&mut self.halted[node], halted);
+        self.halted_count = self.halted_count + usize::from(halted) - usize::from(was);
     }
 
     /// A monotone configuration version: bumped on every observable change (state write,
@@ -391,7 +356,6 @@ impl<P: Protocol> World<P> {
     /// # Panics
     /// Panics if `node` is outside the population.
     pub fn set_state(&mut self, node: NodeId, state: P::State) {
-        self.record_state(node.index());
         self.states[node.index()] = state;
         self.refresh_halted(node.index());
         self.version += 1;
@@ -581,8 +545,6 @@ impl<P: Protocol> World<P> {
         outcome.effective = new_a != self.states[a.index()]
             || new_b != self.states[b.index()]
             || transition.bond != bonded;
-        self.record_state(a.index());
-        self.record_state(b.index());
         self.states[a.index()] = new_a;
         self.states[b.index()] = new_b;
         match (bonded, transition.bond) {
@@ -599,8 +561,6 @@ impl<P: Protocol> World<P> {
                     self.merge_components(a, b, rotation, translation);
                     outcome.merged = true;
                 }
-                self.record_link(a.index(), pa.index());
-                self.record_link(b.index(), pb.index());
                 self.links[a.index()][pa.index()] = Some((b, pb));
                 self.links[b.index()][pb.index()] = Some((a, pa));
                 self.bond_count += 1;
@@ -609,7 +569,7 @@ impl<P: Protocol> World<P> {
         }
         if outcome.merged || outcome.split {
             // Stamped with the smaller participant's canonical lane (not its runtime
-            // shard — see `shard::trace_lane`); muted inside delta epochs.
+            // shard — see `shard::trace_lane`).
             let lane = trace_lane(a.min(b), self.len());
             if outcome.merged {
                 self.obs.trace(lane, TraceEventKind::Merge);
@@ -652,18 +612,6 @@ impl<P: Protocol> World<P> {
                 let translation = Coord::ORIGIN - inverse.apply_coord(translation);
                 (comp_a_id, comp_b_id, inverse, translation)
             };
-        if self.delta.recording() {
-            let old = self.components[absorbed_id].clone();
-            self.delta.record(move || WorldRecord::CompSlot {
-                idx: absorbed_id,
-                old,
-            });
-            let old = self.components[surviving_id].clone();
-            self.delta.record(move || WorldRecord::CompSlot {
-                idx: surviving_id,
-                old,
-            });
-        }
         let absorbed = self.components[absorbed_id]
             .take()
             .expect("component slot of a live node must be occupied");
@@ -681,15 +629,6 @@ impl<P: Protocol> World<P> {
         for &node in absorbed.members() {
             let pos = self.placements[node.index()].pos;
             let new_pos = rotation.apply_coord(pos) + translation;
-            {
-                let idx = node.index();
-                let old = self.placements[idx];
-                self.delta
-                    .record(move || WorldRecord::PlacementOf { node: idx, old });
-                let old = self.comp_of[idx];
-                self.delta
-                    .record(move || WorldRecord::CompOf { node: idx, old });
-            }
             let placement = &mut self.placements[node.index()];
             placement.pos = new_pos;
             placement.rot = rotation.compose(placement.rot);
@@ -728,8 +667,6 @@ impl<P: Protocol> World<P> {
         outcome: &mut InteractionOutcome,
     ) {
         debug_assert_eq!(self.links[a.index()][pa.index()], Some((b, pb)));
-        self.record_link(a.index(), pa.index());
-        self.record_link(b.index(), pb.index());
         self.links[a.index()][pa.index()] = None;
         self.links[b.index()][pb.index()] = None;
         self.bond_count -= 1;
@@ -773,13 +710,6 @@ impl<P: Protocol> World<P> {
             .members()
             .to_vec();
         let old_len = old_members.len() as u64;
-        if self.delta.recording() {
-            // One wholesale record of the pre-split slot covers every `remove` the
-            // loop below performs on it.
-            let old = self.components[comp_id].clone();
-            self.delta
-                .record(move || WorldRecord::CompSlot { idx: comp_id, old });
-        }
         let new_comp_id = self.allocate_component_slot();
         let mut new_comp = Component::empty();
         for node in old_members {
@@ -793,11 +723,6 @@ impl<P: Protocol> World<P> {
                     .expect("component slot of a live node must be occupied")
                     .remove(node, pos);
                 new_comp.insert(node, pos);
-                let idx = node.index();
-                self.delta.record(move || WorldRecord::CompOf {
-                    node: idx,
-                    old: comp_id,
-                });
                 self.comp_of[node.index()] = new_comp_id;
             }
         }
@@ -811,13 +736,9 @@ impl<P: Protocol> World<P> {
 
     fn allocate_component_slot(&mut self) -> usize {
         if let Some(idx) = self.components.iter().position(Option::is_none) {
-            // The record also covers the caller's later assignment into the slot.
-            self.delta
-                .record(move || WorldRecord::CompSlot { idx, old: None });
             idx
         } else {
             self.components.push(None);
-            self.delta.record(|| WorldRecord::CompPush);
             self.components.len() - 1
         }
     }
@@ -854,8 +775,6 @@ impl<P: Protocol> World<P> {
                 });
             }
         }
-        self.record_link(a.index(), pa.index());
-        self.record_link(b.index(), pb.index());
         self.links[a.index()][pa.index()] = Some((b, pb));
         self.links[b.index()][pb.index()] = Some((a, pa));
         self.bond_count += 1;
@@ -1177,174 +1096,6 @@ impl<P: Protocol> World<P> {
             intra_pairs: loads.iter().map(|&(_, _, i)| i).collect(),
             cross_shard_events: self.cross_shard_events,
         }
-    }
-
-    // --- checkpoint / rollback (the delta log) -----------------------------------------
-
-    /// Opens a checkpoint: until the matching [`World::rollback`] or
-    /// [`World::release`], every mutation appends an undoable record to the delta log
-    /// (see [`crate::delta`]). Checkpoints nest; rolling back to an outer epoch
-    /// discards inner ones. This is the undo primitive the model checker explores
-    /// every edge through.
-    pub fn checkpoint(&mut self) -> Epoch {
-        if !self.delta.recording() {
-            self.delta.reset_records();
-        }
-        // Every public mutator ends in `flush_pairs`, so no re-derivation work can be
-        // pending across a checkpoint (and a rollback has none to restore).
-        debug_assert!(self.pair_pending.is_empty());
-        let (index_pos, pairs_mode) = {
-            let cell = self.pairs.get_mut();
-            let mode = cell.mode;
-            let pos = if matches!(mode, PairMode::Active) {
-                if !cell.index.is_logging() {
-                    cell.index.clear_oplog();
-                    cell.index.set_logging(true);
-                }
-                cell.index.oplog_len()
-            } else {
-                0
-            };
-            (pos, mode)
-        };
-        let frame = EpochFrame {
-            id: 0, // assigned by `open`
-            world_pos: self.delta.world_pos(),
-            index_pos,
-            index_rebuilt: false,
-            bond_count: self.bond_count,
-            sum_sq_sizes: self.sum_sq_sizes,
-            live_components: self.live_components,
-            cross_shard_events: self.cross_shard_events,
-            pairs_mode,
-        };
-        let epoch = self.delta.open(frame);
-        // Mutations from here to the matching rollback/release are scratch work
-        // (model-checker edges, undo-suite probes): keep them out of the step-indexed
-        // trace.
-        self.obs.set_muted(true);
-        epoch
-    }
-
-    /// Rolls the world back to the state it had when `epoch` was opened (discarding
-    /// any checkpoints opened after it): world records are undone in strict reverse,
-    /// the `O(1)` bookkeeping scalars are restored from the frame's snapshots, and the permissible-pair index is unwound through its operation log —
-    /// so the per-shard sub-index layouts and the running aggregates come back exactly,
-    /// not just equivalently (asserted by the delta-log exactness suite via
-    /// [`World::validate_pair_index`]).
-    ///
-    /// The configuration version is **bumped**, not rewound: version-keyed sampler
-    /// caches must re-derive from the restored state, and equality of versions — not
-    /// their numeric values — is all they rely on. Work counters
-    /// ([`World::index_stats`]) are likewise not rewound.
-    ///
-    /// One caveat: if the epoch saw the index overflow or an inner rollback rebuilt
-    /// it, the index is rebuilt from the restored configuration instead of unwound —
-    /// counts and sets are exact either way, but state-class *ids* may then differ
-    /// from a never-checkpointed run's (they are allocation-history dependent).
-    ///
-    /// # Errors
-    /// [`CoreError::EpochNotOpen`] if `epoch` is not open (already rolled back or
-    /// released); the world is left untouched in that case.
-    pub fn rollback(&mut self, epoch: Epoch) -> crate::Result<()> {
-        let frame = self.delta.take_frame(epoch)?;
-        let records = self.delta.split_records(frame.world_pos);
-        for record in records.into_iter().rev() {
-            match record {
-                WorldRecord::State { node, old } => self.states[node] = old,
-                WorldRecord::Halted { node, old } => self.set_halted(node, old),
-                WorldRecord::Link { node, port, old } => self.links[node][port] = old,
-                WorldRecord::CompOf { node, old } => self.comp_of[node] = old,
-                WorldRecord::PlacementOf { node, old } => self.placements[node] = old,
-                WorldRecord::CompSlot { idx, old } => self.components[idx] = old,
-                WorldRecord::CompPush => {
-                    self.components.pop();
-                }
-            }
-        }
-        self.bond_count = frame.bond_count;
-        self.sum_sq_sizes = frame.sum_sq_sizes;
-        self.live_components = frame.live_components;
-        self.cross_shard_events = frame.cross_shard_events;
-        // The queue was empty at checkpoint time (see `checkpoint`).
-        self.pair_pending.clear();
-        let mut rebuilt = false;
-        let still_active = {
-            let cell = self.pairs.get_mut();
-            match (frame.pairs_mode, cell.mode) {
-                (PairMode::Active, PairMode::Active) if !frame.index_rebuilt => {
-                    cell.index
-                        .rollback_ops(frame.index_pos, &self.protocol, self.dim);
-                }
-                (PairMode::Active, _) => {
-                    // The op log no longer reaches the checkpoint (mid-epoch overflow
-                    // wiped it, or an inner rollback already rebuilt): rebuild from
-                    // the restored configuration. The configuration was indexable at
-                    // checkpoint time, so the rebuild succeeds.
-                    cell.index.set_logging(false);
-                    let view = GeomView {
-                        dim: self.dim,
-                        states: &self.states,
-                        halted: &self.halted,
-                        comp_of: &self.comp_of,
-                        components: &self.components,
-                        placements: &self.placements,
-                        links: &self.links,
-                    };
-                    if cell.index.build(&view, &self.protocol).is_ok() {
-                        cell.mode = PairMode::Active;
-                        rebuilt = true;
-                    } else {
-                        cell.mode = PairMode::Overflowed;
-                        cell.index.clear();
-                    }
-                }
-                (PairMode::Disabled, PairMode::Active | PairMode::Overflowed) => {
-                    // The index was activated mid-epoch: return it to its
-                    // lazily-unbuilt state.
-                    cell.index.clear();
-                    cell.mode = PairMode::Disabled;
-                }
-                (PairMode::Disabled, PairMode::Disabled) | (PairMode::Overflowed, _) => {}
-            }
-            matches!(cell.mode, PairMode::Active)
-        };
-        self.pairs_active.set(still_active);
-        if rebuilt {
-            // Outer frames' op positions point into the wiped log: their rollbacks
-            // must rebuild too. New checkpoints restart the log from scratch.
-            self.delta.poison_index_positions();
-        }
-        if !self.delta.recording() {
-            self.delta.reset_records();
-            let index = &mut self.pairs.get_mut().index;
-            index.set_logging(false);
-            index.clear_oplog();
-        }
-        self.version += 1;
-        // The unwind itself ran muted (the flag was raised by `checkpoint`); unmute
-        // only once the outermost epoch is gone.
-        self.obs.set_muted(self.delta.recording());
-        Ok(())
-    }
-
-    /// Closes `epoch` (and any checkpoints opened after it) *keeping* the mutations
-    /// made since. While outer checkpoints remain open their records are retained —
-    /// an outer rollback still undoes the released epoch's mutations.
-    ///
-    /// # Errors
-    /// [`CoreError::EpochNotOpen`] if `epoch` is not open (already rolled back or
-    /// released); the world is left untouched in that case.
-    pub fn release(&mut self, epoch: Epoch) -> crate::Result<()> {
-        let _frame = self.delta.take_frame(epoch)?;
-        if !self.delta.recording() {
-            self.delta.reset_records();
-            let index = &mut self.pairs.get_mut().index;
-            index.set_logging(false);
-            index.clear_oplog();
-        }
-        self.obs.set_muted(self.delta.recording());
-        Ok(())
     }
 
     // --- snapshots (see `crate::snapshot` for the format and the exactness notes) ------
@@ -2095,18 +1846,11 @@ mod tests {
             .unwrap();
         assert!(!world.apply(&ineffective).effective);
         assert_eq!(world.version(), v1, "an ineffective apply changes nothing");
-        let epoch = world.checkpoint();
         let grab = world
             .interaction(NodeId::new(0), Dir::Right, NodeId::new(1), Dir::Left)
             .unwrap();
         assert!(world.apply(&grab).effective);
-        let v2 = world.version();
-        assert!(v2 > v1, "an effective apply bumps the version");
-        world.rollback(epoch).unwrap();
-        assert!(
-            world.version() > v2,
-            "rollback bumps the version instead of rewinding"
-        );
+        assert!(world.version() > v1, "an effective apply bumps the version");
         let other = World::new(Chain, 3);
         assert_ne!(
             other.version() >> 40,

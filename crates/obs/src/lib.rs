@@ -14,9 +14,8 @@
 //!   `about://tracing` document.
 //! - [`telemetry`] — the [`Telemetry`](telemetry::Telemetry) handle threaded
 //!   through the simulator: an `Option<Arc<..>>` whose hooks are `#[inline]`
-//!   early returns when disabled, carrying the trace ring, scoped phase timers
-//!   (sample/apply/flush), and a mute flag that silences event emission inside
-//!   delta-logged scratch epochs.
+//!   early returns when disabled, carrying the trace ring and scoped phase
+//!   timers (sample/apply/flush).
 //!
 //! The split between what is *observable* and what is *deterministic* is
 //! deliberate and documented per family: step-indexed event counts and

@@ -2,17 +2,9 @@
 //!
 //! A handle is either disabled — the default, a `None` that every hook checks
 //! first and returns from without touching a clock or a lock — or enabled, an
-//! `Arc` over the trace ring, the phase-timer cells, the current lifetime step,
-//! and a mute flag. Cloning shares the underlying state, so the world, the
-//! index and the scheduler can all stamp events into one ring.
-//!
-//! **Muting.** Applies inside a delta-logged scratch epoch (the model checker's
-//! probe-and-rollback edges, the delta-log exactness tests) are rolled back, so
-//! they are invisible in the committed trajectory and must be invisible in the
-//! trace too. The world raises the mute flag via [`Telemetry::set_muted`] while
-//! any delta epoch is open; `trace` drops events while the flag is set. Phase
-//! timers ignore the mute — they measure wall clock, which scratch work
-//! legitimately spends.
+//! `Arc` over the trace ring, the phase-timer cells and the current lifetime
+//! step. Cloning shares the underlying state, so the world, the index and the
+//! scheduler can all stamp events into one ring.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,8 +106,6 @@ struct Inner {
     /// The lifetime step currently executing; deep layers (index, world) stamp
     /// events with it without threading the ordinal through every call.
     step: AtomicU64,
-    /// Mute flag; set while a delta-logged scratch epoch is open.
-    mute: AtomicU64,
     phases: [PhaseCell; PHASES.len()],
     ring: TraceRing,
 }
@@ -145,7 +135,6 @@ impl Telemetry {
         Telemetry {
             inner: Some(Arc::new(Inner {
                 step: AtomicU64::new(0),
-                mute: AtomicU64::new(0),
                 phases: Default::default(),
                 ring: TraceRing::new(cap),
             })),
@@ -174,37 +163,15 @@ impl Telemetry {
             .map_or(0, |inner| inner.step.load(Ordering::Relaxed))
     }
 
-    /// Sets the mute flag. The world raises it while at least one delta epoch is
-    /// open (scratch mutations must not reach the trace) and clears it when the
-    /// outermost epoch closes — a *set*, not a counter, because rolling back to an
-    /// outer epoch discards inner ones without a per-epoch unwind call.
-    #[inline]
-    pub fn set_muted(&self, muted: bool) {
-        if let Some(inner) = &self.inner {
-            inner.mute.store(u64::from(muted), Ordering::Relaxed);
-        }
-    }
-
-    /// Whether event emission is currently muted.
-    #[must_use]
-    pub fn is_muted(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|inner| inner.mute.load(Ordering::Relaxed) != 0)
-    }
-
-    /// Records an event stamped with the current step, unless disabled or
-    /// muted.
+    /// Records an event stamped with the current step, unless disabled.
     #[inline]
     pub fn trace(&self, lane: u32, kind: TraceEventKind) {
         if let Some(inner) = &self.inner {
-            if inner.mute.load(Ordering::Relaxed) == 0 {
-                inner.ring.push(TraceEvent {
-                    step: inner.step.load(Ordering::Relaxed),
-                    lane,
-                    kind,
-                });
-            }
+            inner.ring.push(TraceEvent {
+                step: inner.step.load(Ordering::Relaxed),
+                lane,
+                kind,
+            });
         }
     }
 
@@ -311,19 +278,6 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!((events[0].step, events[0].lane), (3, 1));
         assert_eq!((events[1].step, events[1].lane), (4, 2));
-    }
-
-    #[test]
-    fn muted_regions_drop_events() {
-        let t = Telemetry::enabled();
-        t.set_muted(true);
-        assert!(t.is_muted());
-        t.trace(0, TraceEventKind::Merge);
-        t.set_muted(false);
-        t.trace(0, TraceEventKind::Split);
-        let events = t.trace_events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, TraceEventKind::Split);
     }
 
     #[test]

@@ -282,9 +282,8 @@ fn encode_under<P: Protocol>(
 /// A raw, embedding-inclusive fingerprint of a world: states, placements (position
 /// *and* rotation), component ids, link table, bond and component counts.
 ///
-/// Deliberately *finer* than the canonical key: the explorer uses it to assert that
-/// a rollback restored the world bit-for-bit (same embedding, same component slots),
-/// which exercises the delta log far more strictly than configuration equality.
+/// Deliberately *finer* than the canonical key: two rigidly moved copies of one
+/// configuration share a key but not a fingerprint.
 #[must_use]
 pub fn fingerprint<P: Protocol>(world: &World<P>) -> String {
     let mut s = String::new();

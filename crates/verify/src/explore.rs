@@ -3,9 +3,11 @@
 //! Every transition the explorer takes goes through the production machinery —
 //! [`World::enumerate_permissible`] to list candidates,
 //! [`World::effective_interaction_at`] to decide effectiveness and
-//! [`World::apply`] under a [`World::checkpoint`]/[`World::rollback`] pair to take the
-//! step — so the explorer has no protocol semantics of its own and every divergence
-//! between the index, the scan, the delta log and the geometry surfaces as an
+//! [`World::apply`] to take the step, on a copy of the state rebuilt from its
+//! configuration whose pair index is live, so the apply maintains it incrementally
+//! and [`World::validate_pair_index`] checks the result against the enumeration.
+//! The explorer has no protocol semantics of its own: every divergence between the
+//! index, the scan and the geometry surfaces as an
 //! [`ViolationKind::OracleMismatch`] with a replayable trace.
 
 use std::collections::{HashMap, VecDeque};
@@ -75,8 +77,9 @@ pub enum ViolationKind {
     /// may never terminate correctly from here.
     Unfair,
     /// The production machinery disagreed with itself (index vs scan vs enumeration,
-    /// rollback not restoring the world, apply reporting an ineffective effective
-    /// pair, or a broken embedding invariant).
+    /// an incrementally maintained index diverging from its recount after an apply,
+    /// apply reporting an ineffective effective pair, or a broken embedding
+    /// invariant).
     OracleMismatch,
 }
 
@@ -157,7 +160,7 @@ impl<P: VerifiedProtocol> Explorer<P> {
         let mut queue = VecDeque::from([0usize]);
 
         while let Some(at) = queue.pop_front() {
-            let mut world = canon::rebuild(&protocol, &states[at].config)?;
+            let world = canon::rebuild(&protocol, &states[at].config)?;
             let depth = states[at].depth;
             let pairs = world
                 .enumerate_permissible(usize::MAX)
@@ -178,38 +181,27 @@ impl<P: VerifiedProtocol> Explorer<P> {
                     continue;
                 };
                 effective += 1;
-                let before = canon::fingerprint(&world);
-                let epoch = world.checkpoint();
-                let outcome = world.apply(&interaction);
-                let check = || -> Result<Option<Config<P>>, String> {
-                    if !outcome.effective {
-                        return Err(format!(
-                            "effective_interaction_at said {choice} is effective, apply disagreed"
-                        ));
-                    }
-                    if !world.check_invariants() {
-                        return Err(format!("embedding invariants broken after {choice}"));
-                    }
-                    Ok(Some(canon::extract(&world)))
+                // The edge is taken on a fresh copy, so `world` stays this state's
+                // configuration. Querying stability first builds the copy's pair
+                // index, which the apply then maintains incrementally.
+                let mut next = canon::rebuild(&protocol, &states[at].config)?;
+                let _ = next.is_stable();
+                let outcome = next.apply(&interaction);
+                let checked = if !outcome.effective {
+                    Err(format!(
+                        "effective_interaction_at said {choice} is effective, apply disagreed"
+                    ))
+                } else if !next.check_invariants() {
+                    Err(format!("embedding invariants broken after {choice}"))
+                } else {
+                    next.validate_pair_index()
+                        .map_err(|e| format!("pair index diverged after {choice}: {e}"))
                 };
-                let extracted = match check() {
-                    Ok(c) => c,
-                    Err(detail) => {
-                        mismatch.get_or_insert(detail);
-                        None
-                    }
-                };
-                world
-                    .rollback(epoch)
-                    .map_err(|e| format!("rollback failed after {choice}: {e}"))?;
-                if canon::fingerprint(&world) != before {
-                    mismatch.get_or_insert(format!(
-                        "rollback did not restore the configuration after {choice}"
-                    ));
-                }
-                let Some(succ_config) = extracted else {
+                if let Err(detail) = checked {
+                    mismatch.get_or_insert(detail);
                     continue;
-                };
+                }
+                let succ_config = canon::extract(&next);
                 let succ_key = canon::canonical_key(&protocol, &succ_config);
                 let succ = match index.get(&succ_key) {
                     Some(&idx) => idx,

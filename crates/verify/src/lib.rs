@@ -15,11 +15,13 @@
 //!    stays reachable forever, so "always reachable" implies "eventually reached".
 //! 3. **Oracle agreement** — every transition the explorer takes goes through the
 //!    production machinery ([`nc_core::World::effective_interaction_at`] +
-//!    [`nc_core::World::apply`]), under a checkpoint that is rolled back and compared
-//!    against a raw fingerprint. The explorer therefore doubles as a cross-validation
-//!    oracle for the permissible-pair index and the delta log: any divergence between
-//!    the enumerated pair set, the `O(1)` stability answer, the exhaustive scan and
-//!    the rollback machinery is reported as a counterexample, not silently absorbed.
+//!    [`nc_core::World::apply`]), on a copy rebuilt from the state's configuration
+//!    whose pair index is live, so the apply updates it incrementally. The explorer
+//!    therefore doubles as a cross-validation oracle for the permissible-pair index:
+//!    any divergence between the enumerated pair set, the `O(1)` stability answer,
+//!    the exhaustive scan and the index maintained through each edge
+//!    ([`nc_core::World::validate_pair_index`]) is reported as a counterexample, not
+//!    silently absorbed.
 //!
 //! Violations carry a *minimal* (BFS-depth) replayable trace of port pairs from the
 //! initial configuration, and can be exported as a PR-5 format snapshot so the exact

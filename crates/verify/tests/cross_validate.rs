@@ -3,7 +3,7 @@
 //!
 //! The explorer and the simulator share one semantics engine (`World`), but they
 //! drive it through different paths: the explorer through full enumeration plus
-//! checkpoint/rollback, the simulator through the sampling schedulers, the
+//! per-edge rebuilt worlds, the simulator through the sampling schedulers, the
 //! permissible-pair index and (for the adversaries) version-cached pair views. If
 //! any of those layers disagreed on which interactions exist or what they do, a
 //! sampled trajectory would leave the explored graph — either visiting a canonical

@@ -386,8 +386,11 @@ fn pair_index_matches_oracle_with_components_straddling_shards() {
 #[test]
 fn pair_index_matches_oracle_on_counting_with_class_churn_across_shards() {
     // The counting leader's unbounded counters allocate a fresh state class on almost
-    // every effective step, exercising class retirement with per-shard buckets.
+    // every effective step, exercising class retirement with per-shard buckets: each
+    // apply retires the slot the previous one allocated and the next reuses it.
     assert_pair_index_sound(CountingOnALine::new(2), 10, 9, 3_000);
+    assert_pair_index_sound_every(CountingOnALine::new(2), 16, 5, 3_000, 1, 1);
+    assert_pair_index_sound_every(CountingOnALine::new(2), 24, 41, 3_000, 2, 1);
 }
 
 #[test]
