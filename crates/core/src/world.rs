@@ -1624,32 +1624,35 @@ impl<P: Protocol> World<P> {
     ///
     /// When `only_output` is set, only members in output states (and bonds between them)
     /// are included, matching the paper's definition of the output of a configuration.
+    ///
+    /// One pass over the members collects their cells and each bond once, from its
+    /// lower-id endpoint; [`Shape::from_cells_and_edges`] then builds the shape in one
+    /// bulk call, `O(k log k)` for a component of `k` members.
     #[must_use]
     pub fn shape_of(&self, node: NodeId, only_output: bool) -> Shape {
         let comp = self.component(node);
-        let mut shape = Shape::new();
+        let comp_id = self.comp_of[node.index()];
         let included = |n: NodeId| !only_output || self.protocol.is_output(self.state(n));
-        for (member, pos) in comp.iter() {
-            if included(member) {
-                shape.insert_cell(pos);
-            }
-        }
+        let mut cells = Vec::with_capacity(comp.len());
+        let mut edges = Vec::with_capacity(comp.len());
         for (member, pos) in comp.iter() {
             if !included(member) {
                 continue;
             }
-            for (peer, _) in self.links[member.index()].iter().flatten() {
-                if included(*peer) && self.comp_of[peer.index()] == self.comp_of[member.index()] {
-                    let peer_pos = self.placements[peer.index()].pos;
-                    let _ = shape.insert_edge(pos, peer_pos);
+            cells.push(pos);
+            for &(peer, _) in self.links[member.index()].iter().flatten() {
+                if peer > member && self.comp_of[peer.index()] == comp_id && included(peer) {
+                    edges.push((pos, self.placements[peer.index()].pos));
                 }
             }
         }
-        shape
+        Shape::from_cells_and_edges(cells, edges)
+            .expect("bonded members of a component sit on adjacent cells")
     }
 
     /// The output shapes of the configuration: for every component, the subgraph induced
-    /// by its output-state members, skipping components with no output members.
+    /// by its output-state members, skipping components with no output members. Each
+    /// shape is built by [`World::shape_of`], so the whole call is `O(n log n)`.
     #[must_use]
     pub fn output_shapes(&self) -> Vec<Shape> {
         let mut seen = vec![false; self.components.len()];
