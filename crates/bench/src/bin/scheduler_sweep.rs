@@ -1,17 +1,15 @@
 //! The scheduler n-sweep: `GlobalLine`, `Square` and `CountingOnALine` run to
 //! completion under the legacy rejection sampler, the adaptive indexed sampler and the
-//! sharded geometric-jump sampler at 1, 2 and 4 shards, on the same seed, for
-//! n = 64 … 1024, plus sharded-only rows at large n (line 16384/65536/262144, square
+//! geometric-jump sampler (`sharded1` rows: `SamplingMode::Sharded` with its recorded
+//! shard count of 1), on the same seed, for n = 64 … 1024, plus sharded-only rows at
+//! large n (line 16384/65536/262144, square
 //! 16384, counting 16384/65536). Emits `BENCH_scheduler.json` (steps/sec and speedup
 //! per size), the perf baseline that later changes compare against.
 //!
 //! "Steps" follow the paper's convention — every scheduler selection counts, and the
 //! sharded sampler's bulk-credited ineffective selections are included (they have the
 //! same distribution as one-at-a-time draws; see the geometric-jump invariant in
-//! `nc_core::scheduler`), so steps/sec across modes compares like for like. The three
-//! sharded rows of one (protocol, n) cell run the same seed at 1, 2 and 4 shards and
-//! must report **identical step counts** — the shard-count invariance the
-//! sharded runtime guarantees (shard count is layout, not semantics).
+//! `nc_core::scheduler`), so steps/sec across modes compares like for like.
 //!
 //! ```text
 //! cargo run -p nc-bench --release --bin scheduler_sweep            # writes BENCH_scheduler.json
@@ -38,9 +36,9 @@
 //!
 //! `--smoke` asserts that every mode completes with the protocol's guaranteed outcome
 //! at n = 256 (including the three adversaries at n = 64, which must also be
-//! bit-deterministic across two runs), plus three gates: sharded@1 achieves at least
-//! the indexed steps/sec at n = 256, the sharded rows report identical step counts at
-//! 1, 2 and 4 shards, and (when the line is selected) the flat-cost gate — sharded@1
+//! bit-deterministic across two runs), plus two gates: sharded@1 achieves at least
+//! the indexed steps/sec at n = 256, and (when the line is selected) the flat-cost
+//! gate — sharded@1
 //! seconds per effective step on GlobalLine n = 65536 stay within 2.5× the n = 1024
 //! figure of the same run (best of three runs each; a ratio, so the host's absolute
 //! speed cancels).
@@ -120,39 +118,25 @@ impl Proto {
     }
 }
 
-/// One benchmarked execution: a sampling mode plus (for sharded rows) the shard count.
+/// One benchmarked execution: a sampling mode and its row label.
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct ModeSpec {
     mode: SamplingMode,
-    shards: usize,
     label: &'static str,
 }
 
-const MODES: [ModeSpec; 5] = [
+const MODES: [ModeSpec; 3] = [
     ModeSpec {
         mode: SamplingMode::Legacy,
-        shards: 1,
         label: "legacy",
     },
     ModeSpec {
         mode: SamplingMode::Adaptive,
-        shards: 1,
         label: "indexed",
     },
     ModeSpec {
         mode: SamplingMode::Sharded,
-        shards: 1,
         label: "sharded1",
-    },
-    ModeSpec {
-        mode: SamplingMode::Sharded,
-        shards: 2,
-        label: "sharded2",
-    },
-    ModeSpec {
-        mode: SamplingMode::Sharded,
-        shards: 4,
-        label: "sharded4",
     },
 ];
 
@@ -189,8 +173,7 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
     let config = SimulationConfig::new(n)
         .with_seed(seed)
         .with_max_steps(MAX_STEPS)
-        .with_sampling(spec.mode)
-        .with_shards(spec.shards);
+        .with_sampling(spec.mode);
     let obs = if profile {
         Telemetry::enabled()
     } else {
@@ -243,7 +226,7 @@ fn run_one(proto: Proto, n: usize, seed: u64, spec: ModeSpec, profile: bool) -> 
         protocol: proto.name().to_string(),
         n,
         mode: spec.label.to_string(),
-        shards: spec.shards,
+        shards: 1,
         seed,
         seconds,
         steps: report.steps,
@@ -357,16 +340,11 @@ fn secs_per_effective_step(proto: Proto, n: usize, seed: u64) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Whether a row belongs to the sharded sampler (any shard count).
-fn is_sharded(row: &Row) -> bool {
-    row.mode.starts_with("sharded")
-}
-
 /// Asserts the cross-mode equivalences the smoke gate guards: the stable output shape
 /// of GlobalLine/Square is unique, so every mode must reach it (checked inside
 /// `run_one`); counting's final tape length is schedule-dependent, so only the halting
 /// guarantee is compared. On top of that, sharded@1 must not be slower than indexed at
-/// n = 256, and the sharded rows must agree on step counts across 1/2/4 shards.
+/// n = 256.
 fn smoke(protos: &[Proto], seed: u64) {
     let n = 256;
     let mut failures = Vec::new();
@@ -398,16 +376,6 @@ fn smoke(protos: &[Proto], seed: u64) {
                     indexed.steps_per_sec
                 ));
             }
-        }
-        let sharded: Vec<&Row> = per_mode.iter().filter(|r| is_sharded(r)).collect();
-        if sharded
-            .iter()
-            .any(|r| (r.steps, r.effective_steps) != (sharded[0].steps, sharded[0].effective_steps))
-        {
-            failures.push(format!(
-                "{}: sharded step counts differ across shard counts (shard-count invariance broken)",
-                proto.name()
-            ));
         }
     }
     // Adversarial-but-fair schedulers: every protocol must still reach its guaranteed
@@ -459,9 +427,8 @@ fn smoke(protos: &[Proto], seed: u64) {
     }
     assert!(failures.is_empty(), "smoke failures: {failures:?}");
     eprintln!(
-        "smoke ok: sharded@1 ≥ indexed at n = {n}, sharded step counts identical at \
-         1/2/4 shards, all modes completed, adversarial schedulers deterministic and fair \
-         at n = {adv_n}, per-step cost flat in n"
+        "smoke ok: sharded@1 ≥ indexed at n = {n}, all modes completed, adversarial \
+         schedulers deterministic and fair at n = {adv_n}, per-step cost flat in n"
     );
 }
 
@@ -590,24 +557,12 @@ fn main() {
                     rows.push(row);
                 }
             }
-            // Parallel-equivalence check rides along with every sweep: the sharded rows
-            // of this cell must agree on step counts (shard count is a layout knob,
-            // never a semantic one).
-            let cell: Vec<&Row> = rows
-                .iter()
-                .filter(|r| r.protocol == proto.name() && r.n == n && is_sharded(r))
-                .collect();
-            assert!(
-                cell.iter().all(|r| r.steps == cell[0].steps),
-                "{} n={n}: sharded step counts differ across layouts",
-                proto.name()
-            );
         }
     }
 
     let body: Vec<String> = rows.iter().map(Row::to_json).collect();
     let json = format!(
-        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; sharded rows at 1/2/4 shards report identical steps (shard-count invariance); snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), indexed at 512 (square) and 1024 (line, counting); larger sizes (line 16384/65536/262144, square 16384, counting 16384/65536) run sharded rows only\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"scheduler-n-sweep\",\n  \"metric\": \"run-to-completion wall-clock, same seed per size; steps include sharded bulk credits; snapshot_ms/resume_ms time one end-of-run checkpoint and its resume (round-trip verified against the run's statistics); legacy capped per protocol (line 512, square 128, counting 1024), indexed at 512 (square) and 1024 (line, counting); larger sizes (line 16384/65536/262144, square 16384, counting 16384/65536) run sharded rows only\",\n  \"rows\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, json).expect("write bench artifact");

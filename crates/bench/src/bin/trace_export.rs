@@ -3,10 +3,9 @@
 //! importer).
 //!
 //! Events are stamped `(lifetime_step, lane)` — never wall clock — and the lane
-//! is a fixed partition of node ids independent of the runtime shard layout, so
-//! the export of a pinned run is a *byte-reproducible* artifact: same protocol,
-//! seed and step count ⇒ same bytes, at every `NC_SHARDS` setting. That turns
-//! the exporter into a determinism oracle on top of a debugging aid.
+//! is a fixed partition of node ids, so the export of a pinned run is a
+//! *byte-reproducible* artifact: same protocol, seed and step count ⇒ same bytes.
+//! That turns the exporter into a determinism oracle on top of a debugging aid.
 //!
 //! ```text
 //! cargo run -p nc-bench --release --bin trace_export -- --out trace.json
@@ -14,12 +13,14 @@
 //! cargo run -p nc-bench --release --bin trace_export -- --smoke   # CI determinism gate
 //! ```
 //!
-//! `--smoke` runs the pinned configuration (Square, n = 16, seed 42, sharded
-//! sampling, 200 driver steps plus one checkpoint) at 1 and at 4 shards,
-//! requires the two exports to be **byte-identical**, and requires the trace to
-//! contain every event family the simulator is expected to emit on that run
-//! (selection, merge, index flush, class allocation, checkpoint). Nothing is
-//! written to disk in smoke mode.
+//! `--smoke` runs pinned configurations (Square n = 16 seed 42, GlobalLine and
+//! Counting-on-a-Line n = 32, sharded sampling, 200 driver steps plus one
+//! checkpoint) and requires, at several cut points `k`, the events a fresh run
+//! emits after its `k`-th driver step to export **byte-identically** to the trace
+//! of a run checkpointed at step `k`, resumed, and only then given telemetry. It
+//! also requires the full Square trace to contain every event family the
+//! simulator is expected to emit on that run (selection, merge, index flush,
+//! class allocation, checkpoint). Nothing is written to disk in smoke mode.
 
 use nc_core::{
     SamplingMode, Simulation, SimulationConfig, SnapshotProtocol, Telemetry, TraceEvent,
@@ -36,93 +37,130 @@ const SMOKE_N: usize = 16;
 const SMOKE_SEED: u64 = 42;
 const SMOKE_STEPS: u64 = 200;
 
-/// Runs `steps` driver steps of one protocol with telemetry attached and
-/// returns the trace (plus how many events the bounded ring evicted).
+/// The smoke runs: `(protocol, n, cut points in driver steps)`, all at seed
+/// [`SMOKE_SEED`] over [`SMOKE_STEPS`] driver steps.
+const SMOKE_RUNS: [(&str, usize, &[u64]); 3] = [
+    ("square", SMOKE_N, &[1, 10, 50, 100, 150]),
+    ("line", 32, &[1, 100]),
+    ("counting", 32, &[1, 100]),
+];
+
+/// The trace of one run.
+struct Traced {
+    events: Vec<TraceEvent>,
+    /// Events the bounded ring evicted.
+    dropped: u64,
+    /// Entry `k`: how many events the run had emitted after `k` driver steps.
+    after_step: Vec<usize>,
+}
+
+/// Runs up to `steps` driver steps of one protocol with telemetry attached, then
+/// takes one checkpoint so the export exercises the `checkpoint` event family too.
+/// With `resume_at = Some(k)` the run goes untraced for `k` driver steps, is
+/// checkpointed, resumed from the snapshot, and only then gets telemetry.
 fn traced_run<P: SnapshotProtocol>(
-    protocol: P,
+    make: impl Fn() -> P,
     n: usize,
     seed: u64,
-    shards: usize,
     steps: u64,
-) -> (Vec<TraceEvent>, u64) {
+    resume_at: Option<u64>,
+) -> Result<Traced, String> {
     let config = SimulationConfig::new(n)
         .with_seed(seed)
-        .with_sampling(SamplingMode::Sharded)
-        .with_shards(shards);
-    let mut sim = Simulation::new(protocol, config);
-    sim.set_telemetry(Telemetry::enabled());
-    for _ in 0..steps {
+        .with_sampling(SamplingMode::Sharded);
+    let mut sim = Simulation::new(make(), config);
+    if resume_at.is_none() {
+        sim.set_telemetry(Telemetry::enabled());
+    }
+    let mut after_step = vec![0];
+    for taken in 0..steps {
+        if resume_at == Some(taken) {
+            let snapshot = sim.checkpoint().map_err(|e| e.to_string())?;
+            sim = Simulation::resume(make(), &snapshot).map_err(|e| e.to_string())?;
+            sim.set_telemetry(Telemetry::enabled());
+        }
         if !sim.step() {
             break;
         }
+        after_step.push(sim.telemetry().trace_events().len());
     }
-    // One checkpoint so the export exercises the `checkpoint` event family too.
-    sim.checkpoint().expect("end-of-run checkpoint");
-    (
-        sim.telemetry().trace_events(),
-        sim.telemetry().trace_dropped(),
-    )
+    sim.checkpoint().map_err(|e| e.to_string())?;
+    Ok(Traced {
+        events: sim.telemetry().trace_events(),
+        dropped: sim.telemetry().trace_dropped(),
+        after_step,
+    })
 }
 
 fn traced_run_by_name(
     protocol: &str,
     n: usize,
     seed: u64,
-    shards: usize,
     steps: u64,
-) -> Result<(Vec<TraceEvent>, u64), String> {
-    Ok(match protocol {
-        "line" => traced_run(GlobalLine::new(), n, seed, shards, steps),
-        "square" => traced_run(Square::new(), n, seed, shards, steps),
-        "counting" => traced_run(CountingOnALine::new(2), n, seed, shards, steps),
-        other => {
-            return Err(format!(
-                "unknown protocol {other:?} (use line,square,counting)"
-            ))
-        }
-    })
+    resume_at: Option<u64>,
+) -> Result<Traced, String> {
+    match protocol {
+        "line" => traced_run(GlobalLine::new, n, seed, steps, resume_at),
+        "square" => traced_run(Square::new, n, seed, steps, resume_at),
+        "counting" => traced_run(|| CountingOnALine::new(2), n, seed, steps, resume_at),
+        other => Err(format!(
+            "unknown protocol {other:?} (use line,square,counting)"
+        )),
+    }
 }
 
-/// The determinism gate: the pinned run's export must be byte-identical at 1
-/// and 4 shards, and must contain every expected event family.
+/// The determinism gate: past every cut point, a fresh run's export must equal
+/// the export of its resumed twin byte for byte, and the full Square trace must
+/// contain every expected event family.
 fn smoke() -> Result<(), String> {
-    let (events_one, dropped_one) = traced_run(Square::new(), SMOKE_N, SMOKE_SEED, 1, SMOKE_STEPS);
-    let (events_four, dropped_four) =
-        traced_run(Square::new(), SMOKE_N, SMOKE_SEED, 4, SMOKE_STEPS);
-    let one = chrome_trace_json(&events_one, "square-n16-seed42");
-    let four = chrome_trace_json(&events_four, "square-n16-seed42");
-    if dropped_one != 0 || dropped_four != 0 {
-        return Err(format!(
-            "smoke trace overflowed the ring ({dropped_one}/{dropped_four} dropped): raise the capacity or shrink the run"
-        ));
-    }
-    if one != four {
-        return Err(format!(
-            "trace exports differ across shard counts ({} vs {} events, {} vs {} bytes) — \
-             the step-indexed trace must be layout-invariant",
-            events_one.len(),
-            events_four.len(),
-            one.len(),
-            four.len()
-        ));
-    }
-    for family in [
-        "selection",
-        "merge",
-        "index_flush",
-        "class_alloc",
-        "checkpoint",
-    ] {
-        if !one.contains(&format!("\"name\":\"{family}\"")) {
+    let mut compared = 0;
+    for (protocol, n, cuts) in SMOKE_RUNS {
+        let name = format!("{protocol}-n{n}-seed{SMOKE_SEED}");
+        let fresh = traced_run_by_name(protocol, n, SMOKE_SEED, SMOKE_STEPS, None)?;
+        if fresh.dropped != 0 {
             return Err(format!(
-                "pinned run emitted no {family:?} event — an instrumentation hook went missing"
+                "{name}: trace overflowed the ring ({} dropped): raise the capacity or shrink the run",
+                fresh.dropped
             ));
+        }
+        if protocol == "square" {
+            let full = chrome_trace_json(&fresh.events, &name);
+            for family in [
+                "selection",
+                "merge",
+                "index_flush",
+                "class_alloc",
+                "checkpoint",
+            ] {
+                if !full.contains(&format!("\"name\":\"{family}\"")) {
+                    return Err(format!(
+                        "pinned run emitted no {family:?} event — an instrumentation hook went missing"
+                    ));
+                }
+            }
+        }
+        for &cut in cuts {
+            let Some(&start) = fresh.after_step.get(cut as usize) else {
+                return Err(format!("{name}: the run went dry before driver step {cut}"));
+            };
+            let resumed = traced_run_by_name(protocol, n, SMOKE_SEED, SMOKE_STEPS, Some(cut))?;
+            let want = chrome_trace_json(&fresh.events[start..], &name);
+            let got = chrome_trace_json(&resumed.events, &name);
+            if want != got {
+                return Err(format!(
+                    "{name}: the trace after a resume at driver step {cut} differs from the \
+                     uninterrupted run's ({} vs {} events, {} vs {} bytes)",
+                    resumed.events.len(),
+                    fresh.events.len() - start,
+                    got.len(),
+                    want.len()
+                ));
+            }
+            compared += 1;
         }
     }
     println!(
-        "trace_export smoke ok: {} events, byte-identical at 1 and 4 shards ({} bytes)",
-        events_one.len(),
-        one.len()
+        "trace_export smoke ok: {compared} resumed traces byte-identical to their uninterrupted runs"
     );
     Ok(())
 }
@@ -146,26 +184,20 @@ fn run() -> Result<(), String> {
     let protocol = flag_value("--protocol").unwrap_or_else(|| "square".to_string());
     let n = parse("--n", SMOKE_N as u64)? as usize;
     let seed = parse("--seed", SMOKE_SEED)?;
-    let shards = parse("--shards", default_shards() as u64)? as usize;
     let steps = parse("--steps", SMOKE_STEPS)?;
     let out_path = flag_value("--out").unwrap_or_else(|| "TRACE_export.json".to_string());
 
-    let (events, dropped) = traced_run_by_name(&protocol, n, seed, shards, steps)?;
+    let traced = traced_run_by_name(&protocol, n, seed, steps, None)?;
     let name = format!("{protocol}-n{n}-seed{seed}");
-    let json = chrome_trace_json(&events, &name);
+    let json = chrome_trace_json(&traced.events, &name);
     std::fs::write(&out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
     eprintln!(
         "wrote {out_path}: {} events ({} dropped from the ring), {} bytes",
-        events.len(),
-        dropped,
+        traced.events.len(),
+        traced.dropped,
         json.len()
     );
     Ok(())
-}
-
-/// The `NC_SHARDS` default, so a plain invocation matches the simulator's.
-fn default_shards() -> usize {
-    nc_core::shard::default_shard_count()
 }
 
 fn main() -> ExitCode {

@@ -45,9 +45,9 @@ pub struct SweepRow {
     pub protocol: String,
     /// Population size.
     pub n: usize,
-    /// Sampling-mode label (`legacy`, `indexed`, `sharded4`, an adversary name, …).
+    /// Sampling-mode label (`legacy`, `indexed`, `sharded1`, an adversary name, …).
     pub mode: String,
-    /// Shard count of the run's world layout.
+    /// Recorded shard count (`sharded<k>` rows; it does not shape the execution).
     pub shards: usize,
     /// Scheduler seed.
     pub seed: u64,

@@ -5,12 +5,14 @@ use nc_geometry::{Coord, Rotation};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// FNV-1a, used as a *deterministic* hasher for component occupancy maps.
+/// FNV-1a, used as a *deterministic* hasher for component occupancy maps (and the
+/// pair index's effectiveness memo).
 ///
-/// The pair index and the enumerated permissible set iterate these maps, so their
-/// iteration order could feed into which pair a walk reports first and into the order
-/// of the sampler's enumerated set. `RandomState` would make seeded executions
-/// differ between runs; a fixed hash function keeps them reproducible.
+/// No sampler-visible order depends on it: the pair index and the enumerations only
+/// look cells up. The one iterator over an occupancy map is [`Component::iter`], whose
+/// engine caller, `World::shape_of`, sorts what it collects. A fixed hash function
+/// keeps that iteration order reproducible between runs, which `RandomState` would
+/// not.
 #[derive(Default)]
 pub struct DeterministicHasher(u64);
 

@@ -1,6 +1,6 @@
-//! The sharded incremental *permissible-pair index*: exact permissible/effective pair
+//! The incremental *permissible-pair index*: exact permissible/effective pair
 //! counts of the configuration, maintained in `O(changed)` per world delta, plus
-//! uniform draws from either set. It serves the sharded geometric-jump sampler and is
+//! uniform draws from either set. It serves the geometric-jump sampler and is
 //! the one oracle behind [`crate::World::is_stable`] and
 //! [`crate::World::find_effective_interaction`]: a configuration is stable iff its
 //! effective count is zero (with the multi×multi class enumerated on demand, see
@@ -8,12 +8,10 @@
 
 use crate::component::{Component, DeterministicState};
 use crate::rank_set::{RankSet, EMPTY};
-use crate::shard::ShardMap;
 use crate::{NodeId, Placement, Protocol};
 use nc_geometry::{Dim, Dir};
 use nc_obs::{Telemetry, TraceEventKind};
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Work counters of the world's stability oracle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,10 +24,10 @@ pub struct IndexStats {
 }
 
 // =======================================================================================
-// The sharded incremental permissible-pair index
+// The incremental permissible-pair index
 // =======================================================================================
 //
-// The sharded sampler needs the exact *counts* of permissible and effective pairs of a
+// The jump sampler needs the exact *counts* of permissible and effective pairs of a
 // frozen configuration — and the ability to draw uniformly from either set — without
 // re-enumerating `O(n²·ports²)` candidates per configuration version; stability is the
 // special case "effective count is zero". The [`PairIndex`] below maintains those
@@ -43,7 +41,7 @@ pub struct IndexStats {
 // 1. **Intra-component pairs** (bonded, or facing-adjacent in the same component):
 //    purely local — whether `(x, pa)` participates depends only on `x`'s links and the
 //    occupancy of the single cell its port faces. Stored by lower endpoint (the pair
-//    key order) in the sub-index of the shard owning that endpoint.
+//    key order).
 // 2. **Multi-component node × free singleton**: a port of a node in a ≥2-node component
 //    whose facing cell is unoccupied accepts *any* free singleton through *any* of its
 //    ports (singletons are arbitrarily rotatable and have no other cells to collide),
@@ -69,24 +67,21 @@ pub struct IndexStats {
 // neighbours of every newly inserted cell as touched, which is exactly the set whose
 // free-port flags can flip.
 //
-// # Sharded layout and the shared class-count aggregate
+// # Layout and the class-count aggregate
 //
-// Registrations are split by node across **shards** (contiguous id ranges,
-// [`ShardMap`]): each shard owns the singleton/free-port buckets of its nodes (per
-// state class) and the intra pairs whose lower endpoint it owns. Every bucket is a
-// rank/select set ([`RankSet`]: a bitset plus a Fenwick tree over per-word popcounts)
-// over a dense universe — node buckets keyed by `node − start`, intra sets by the
-// lower endpoint `(node − start)·PORT_CAP + port`, which orders intra pairs exactly
-// like their canonical pair keys because a node-port belongs to at most one intra
-// pair. Registration changes and `select(k)` are `O(log n)` and iteration is
-// ascending, so the per-step cost no longer carries the `O(bucket)` memmove of a
-// sorted `Vec`. On top of the per-shard sub-indices one **shared aggregate** keeps,
-// per state class, the population-wide bucket sizes (`g[class][port]`, `s[class]`) and
-// a running total of the effective pair count, updated with an exact `O(classes·ports)`
-// delta on every single registration change — the "sum of per-shard rates" the sharded
-// sampler composes its geometric jumps from. Class-pair effectiveness lives in dense
-// tables, so both the delta maintenance and the uniform sampling walk touch plain
-// arrays, never a hash map.
+// Every bucket is a rank/select set ([`RankSet`]: a bitset plus a Fenwick tree over
+// per-word popcounts) over a dense universe: per state class, the free singletons and
+// (per port) the free multi-component ports, keyed by node id; and the intra pairs,
+// keyed by their lower endpoint `node·PORT_CAP + port`, which orders intra pairs
+// exactly like their canonical pair keys because a node-port belongs to at most one
+// intra pair. Registration changes and `select(k)` are `O(log n)` and iteration is
+// ascending, so the per-step cost carries no `O(bucket)` memmove of a sorted `Vec`.
+// Beside the buckets an **aggregate** keeps, per state class, the bucket sizes
+// (`g[class][port]`, `s[class]`) and a running total of the effective pair count,
+// updated with an exact `O(classes·ports)` delta on every single registration change
+// — the rates the jump sampler composes its geometric jumps from. Class-pair
+// effectiveness lives in dense tables, so both the delta maintenance and the uniform
+// sampling walk touch plain arrays, never a hash map.
 //
 // The tables are filled lazily, one class pair at a time ([`PairIndex::ensure_pair`]),
 // because only free-port/singleton × singleton cells are ever read: the rates, the
@@ -105,24 +100,17 @@ pub struct IndexStats {
 // counters of Counting-on-a-Line) thus pay for the handful of singleton classes it
 // meets, not for every live class.
 //
-// # Shard-count invariance
+// # Canonical order
 //
-// Every ordering the samplers can observe is canonical in the *configuration*, not in
-// the shard layout:
+// Every ordering the samplers can observe is canonical in the *configuration*:
 //
-// * per-shard rank/select sets are ordered (by node id, intra pairs by lower
-//   endpoint), and shards are contiguous id ranges, so concatenating them in shard
-//   order yields the global sorted order for any shard count;
+// * the rank/select sets are ordered by node id (intra pairs by lower endpoint);
 // * state-class ids are allocated in the order classes are first seen, and nodes are
-//   re-derived in ascending id order (`World::flush_pairs` sorts its batch), so the
-//   class table is identical for any shard count;
+//   re-derived in ascending id order (`World::flush_pairs` sorts its batch);
 // * the uniform draws map an index `idx ∈ 0..E` through a deterministic cell walk
 //   (intra pairs, then class-2 cells, then class-3 cells, in class/port order) with
 //   arithmetic decomposition inside each cell — no storage-order-dependent choice
 //   remains.
-//
-// Hence an execution driven by a seeded scheduler is byte-identical across 1, 2 or 4
-// shards — the property `tests/sharded.rs` pins.
 //
 // The pre-existing full enumeration ([`crate::World::enumerate_permissible`]) is kept
 // as the validation oracle; [`crate::World::validate_pair_index`] compares the
@@ -142,8 +130,8 @@ const NONE: u32 = u32::MAX;
 
 /// Packs an unordered node-port pair into a canonical `u64` key. The smaller
 /// `(node, port)` endpoint occupies the high bits, so sorting keys sorts by lower
-/// endpoint — the order the per-shard intra sets reproduce (shards are contiguous id
-/// ranges) and the identity the validation oracle compares effective sets by.
+/// endpoint — the order the intra sets reproduce — and the identity the validation
+/// oracle compares effective sets by.
 pub(crate) fn pair_key(a: NodeId, pa: Dir, b: NodeId, pb: Dir) -> u64 {
     // Node ids get 24 bits each; beyond that the keys would alias silently.
     debug_assert!(
@@ -269,101 +257,28 @@ pub(crate) struct BaseCounts {
     pub(crate) effective: u64,
 }
 
-/// One shard's sub-index: the registrations of its contiguous node-id range, each in
-/// a rank/select set keyed by offset from the range start, so every set iterates and
-/// selects in ascending node order and shard-order concatenation is the global
-/// canonical order.
-struct Shard {
-    /// First node id of the range.
-    start: usize,
-    /// Number of node ids in the range (the universe of the node-keyed sets).
-    nodes: usize,
-    /// The intra pairs whose lower endpoint this shard owns, keyed by that endpoint
-    /// (see [`Shard::port_key`]); the peer is read back from [`PairIndex::intra`].
-    intra: RankSet,
-    /// The effective subset of `intra`.
-    intra_eff: RankSet,
-    /// Per state class: this shard's free singletons.
-    singletons: Vec<RankSet>,
-    /// Per state class and port: this shard's multi-component nodes in that state whose
-    /// port faces a free cell.
-    free_ports: Vec<[RankSet; PORT_CAP]>,
+/// Set key of a node-port: `node·PORT_CAP + port`. A node-port belongs to at most one
+/// intra pair, so keying intra pairs by their lower endpoint orders them exactly like
+/// their canonical [`pair_key`]s.
+fn port_key(x: NodeId, pa: Dir) -> usize {
+    x.index() * PORT_CAP + pa.index()
 }
 
-impl Shard {
-    fn new(range: Range<usize>) -> Shard {
-        Shard {
-            start: range.start,
-            nodes: range.len(),
-            intra: RankSet::new(range.len() * PORT_CAP),
-            intra_eff: RankSet::new(range.len() * PORT_CAP),
-            singletons: Vec::new(),
-            free_ports: Vec::new(),
-        }
-    }
-
-    /// Set key of a node of this shard.
-    fn node_key(&self, x: NodeId) -> usize {
-        x.index() - self.start
-    }
-
-    /// The node a node key stands for.
-    fn node_at(&self, key: usize) -> NodeId {
-        NodeId::new((self.start + key) as u32)
-    }
-
-    /// Set key of a node-port of this shard: `(node − start)·PORT_CAP + port`. A
-    /// node-port belongs to at most one intra pair, so keying pairs by their lower
-    /// endpoint orders them exactly like their canonical [`pair_key`]s.
-    fn port_key(&self, x: NodeId, pa: Dir) -> usize {
-        self.node_key(x) * PORT_CAP + pa.index()
-    }
-
-    /// The node-port a port key stands for.
-    fn port_at(&self, key: usize) -> (NodeId, Dir) {
-        (
-            self.node_at(key / PORT_CAP),
-            Dir::from_index(key % PORT_CAP),
-        )
-    }
-
-    fn singleton_bucket(&self, class: u32) -> &RankSet {
-        self.singletons.get(class as usize).unwrap_or(&EMPTY)
-    }
-
-    fn free_bucket(&self, class: u32, pa: Dir) -> &RankSet {
-        self.free_ports
-            .get(class as usize)
-            .map_or(&EMPTY, |ports| &ports[pa.index()])
-    }
-
-    fn singleton_bucket_mut(&mut self, class: u32) -> &mut RankSet {
-        let nodes = self.nodes;
-        if self.singletons.len() <= class as usize {
-            self.singletons
-                .resize_with(class as usize + 1, || RankSet::new(nodes));
-        }
-        &mut self.singletons[class as usize]
-    }
-
-    fn free_bucket_mut(&mut self, class: u32, pa: Dir) -> &mut RankSet {
-        let nodes = self.nodes;
-        if self.free_ports.len() <= class as usize {
-            self.free_ports.resize_with(class as usize + 1, || {
-                std::array::from_fn(|_| RankSet::new(nodes))
-            });
-        }
-        &mut self.free_ports[class as usize][pa.index()]
-    }
-
-    /// The members of a node-keyed set, ascending.
-    fn members<'a>(&'a self, set: &'a RankSet) -> impl Iterator<Item = NodeId> + 'a {
-        set.iter().map(|key| self.node_at(key))
-    }
+/// The node-port a port key stands for.
+fn port_at(key: usize) -> (NodeId, Dir) {
+    (
+        NodeId::new((key / PORT_CAP) as u32),
+        Dir::from_index(key % PORT_CAP),
+    )
 }
 
-/// The lower endpoint of an intra pair in the [`pair_key`] order: its shard owns the
-/// pair, and its port key stands for the pair in the intra sets.
+/// The members of a node-keyed set, ascending.
+fn members(set: &RankSet) -> impl Iterator<Item = NodeId> + '_ {
+    set.iter().map(|key| NodeId::new(key as u32))
+}
+
+/// The lower endpoint of an intra pair in the [`pair_key`] order: its port key stands
+/// for the pair in the intra sets.
 fn lower_endpoint(x: NodeId, pa: Dir, peer: NodeId, pport: Dir) -> (NodeId, Dir) {
     if (x.index(), pa.index()) <= (peer.index(), pport.index()) {
         (x, pa)
@@ -394,11 +309,21 @@ fn sorted_remove<T: Ord + Copy>(list: &mut Vec<T>, value: T) -> bool {
     }
 }
 
-/// The sharded incremental permissible-pair index. See the section comment above for
-/// the decomposition, the shared aggregate and the shard-count-invariance argument.
+/// The incremental permissible-pair index. See the section comment above for the
+/// decomposition, the aggregate and the canonical-order argument.
 pub(crate) struct PairIndex<S> {
-    map: ShardMap,
-    shards: Vec<Shard>,
+    /// Population size: the universe of the node-keyed sets.
+    nodes: usize,
+    /// The intra pairs, keyed by their lower endpoint (see [`port_key`]); the peer is
+    /// read back from `intra`.
+    intra_pairs: RankSet,
+    /// The effective subset of `intra_pairs`.
+    intra_eff: RankSet,
+    /// Per state class: the free singletons.
+    singletons: Vec<RankSet>,
+    /// Per state class and port: the multi-component nodes in that state whose port
+    /// faces a free cell.
+    free_ports: Vec<[RankSet; PORT_CAP]>,
     /// Class id each node is registered under (`NONE` before `build`).
     node_class: Vec<u32>,
     /// Whether the node is registered as a free singleton.
@@ -412,15 +337,13 @@ pub(crate) struct PairIndex<S> {
     free_class_slots: Vec<u32>,
     /// Live class ids, ascending — the canonical cell-walk order.
     live_ids: Vec<u32>,
-    // --- the shared class-count aggregate -------------------------------------------
-    /// Per class and port: population-wide free-port bucket size (Σ over shards).
+    // --- the class-count aggregate ---------------------------------------------------
+    /// Per class and port: free-port bucket size.
     g: Vec<[u64; PORT_CAP]>,
-    /// Per class: population-wide singleton count (Σ over shards).
+    /// Per class: singleton bucket size.
     s: Vec<u64>,
     free_total: u64,
     singleton_total: u64,
-    intra_total: u64,
-    intra_eff_total: u64,
     /// Running effective count of class 2 (free port × singleton) pairs.
     class2_eff: u64,
     /// Running effective count of class 3 (singleton × singleton) pairs.
@@ -454,10 +377,13 @@ pub(crate) struct PairIndex<S> {
 pub(crate) struct ClassOverflow;
 
 impl<S: Clone + PartialEq> PairIndex<S> {
-    pub(crate) fn new(map: ShardMap) -> PairIndex<S> {
+    pub(crate) fn new() -> PairIndex<S> {
         PairIndex {
-            map,
-            shards: Vec::new(),
+            nodes: 0,
+            intra_pairs: RankSet::new(0),
+            intra_eff: RankSet::new(0),
+            singletons: Vec::new(),
+            free_ports: Vec::new(),
             node_class: Vec::new(),
             reg_singleton: Vec::new(),
             reg_free: Vec::new(),
@@ -469,8 +395,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             s: Vec::new(),
             free_total: 0,
             singleton_total: 0,
-            intra_total: 0,
-            intra_eff_total: 0,
             class2_eff: 0,
             class3_eff: 0,
             effmask: Vec::new(),
@@ -495,11 +419,25 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         protocol: &P,
     ) -> Result<(), ClassOverflow> {
         let n = view.states.len();
-        let map = self.map;
+        self.reset(n);
+        let all: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
+        self.flush_batch(view, protocol, &all)
+    }
+
+    /// Drops every registration (after an overflow: the index stays unusable).
+    pub(crate) fn clear(&mut self) {
         let obs = self.obs.clone();
-        *self = PairIndex::new(map);
+        *self = PairIndex::new();
         self.obs = obs;
-        self.shards = (0..map.count()).map(|s| Shard::new(map.range(s))).collect();
+    }
+
+    /// An empty index over `n` nodes with the dense class tables allocated, keeping the
+    /// telemetry handle.
+    fn reset(&mut self, n: usize) {
+        self.clear();
+        self.nodes = n;
+        self.intra_pairs = RankSet::new(n * PORT_CAP);
+        self.intra_eff = RankSet::new(n * PORT_CAP);
         self.node_class = vec![NONE; n];
         self.reg_singleton = vec![false; n];
         self.reg_free = vec![0; n];
@@ -509,15 +447,35 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.effmask = vec![0; CLASS_CAP * PORT_CAP * CLASS_CAP];
         self.epc = vec![0; CLASS_CAP * CLASS_CAP];
         self.filled = vec![0; CLASS_CAP];
-        let all: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
-        self.flush_batch(view, protocol, &all)
     }
 
-    /// Drops every registration (after an overflow: the index stays unusable).
-    pub(crate) fn clear(&mut self) {
-        let obs = self.obs.clone();
-        *self = PairIndex::new(self.map);
-        self.obs = obs;
+    fn singleton_bucket(&self, class: u32) -> &RankSet {
+        self.singletons.get(class as usize).unwrap_or(&EMPTY)
+    }
+
+    fn free_bucket(&self, class: u32, pa: Dir) -> &RankSet {
+        self.free_ports
+            .get(class as usize)
+            .map_or(&EMPTY, |ports| &ports[pa.index()])
+    }
+
+    fn singleton_bucket_mut(&mut self, class: u32) -> &mut RankSet {
+        let nodes = self.nodes;
+        if self.singletons.len() <= class as usize {
+            self.singletons
+                .resize_with(class as usize + 1, || RankSet::new(nodes));
+        }
+        &mut self.singletons[class as usize]
+    }
+
+    fn free_bucket_mut(&mut self, class: u32, pa: Dir) -> &mut RankSet {
+        let nodes = self.nodes;
+        if self.free_ports.len() <= class as usize {
+            self.free_ports.resize_with(class as usize + 1, || {
+                std::array::from_fn(|_| RankSet::new(nodes))
+            });
+        }
+        &mut self.free_ports[class as usize][pa.index()]
     }
 
     /// The pinned class-table layout for a snapshot: per slot the live class's state
@@ -539,7 +497,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     /// refcounts and recomputed halted flags) so that `class_for` resolves every node
     /// to its snapshot-time class id by state equality, and the free-slot stack is
     /// restored in pop order. Registering the whole population then rebuilds the
-    /// refcounts, the per-shard buckets and the running aggregates exactly.
+    /// refcounts, the buckets and the running aggregates exactly.
     ///
     /// # Errors
     /// A static description when the layout is internally inconsistent or does not
@@ -581,20 +539,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             }
         }
         let n = view.states.len();
-        let map = self.map;
-        let obs = self.obs.clone();
-        *self = PairIndex::new(map);
-        self.obs = obs;
-        self.shards = (0..map.count()).map(|s| Shard::new(map.range(s))).collect();
-        self.node_class = vec![NONE; n];
-        self.reg_singleton = vec![false; n];
-        self.reg_free = vec![0; n];
-        self.intra = vec![[None; 6]; n];
-        self.g = vec![[0; PORT_CAP]; CLASS_CAP];
-        self.s = vec![0; CLASS_CAP];
-        self.effmask = vec![0; CLASS_CAP * PORT_CAP * CLASS_CAP];
-        self.epc = vec![0; CLASS_CAP * CLASS_CAP];
-        self.filled = vec![0; CLASS_CAP];
+        self.reset(n);
         self.classes = slots
             .into_iter()
             .map(|slot| {
@@ -651,16 +596,16 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         let p = dim.port_count() as u64;
         let s = self.singleton_total;
         BaseCounts {
-            permissible: self.intra_total
+            permissible: self.intra_pairs.len() as u64
                 + self.free_total * p * s
                 + p * p * s.saturating_sub(1) * s / 2,
-            effective: self.intra_eff_total + self.class2_eff + self.class3_eff,
+            effective: self.intra_eff.len() as u64 + self.class2_eff + self.class3_eff,
         }
     }
 
     /// Re-derives a batch of nodes (ascending, deduplicated), one after another in
-    /// ascending node order — the order that keeps class allocation independent of the
-    /// shard count.
+    /// ascending node order — the order that makes class allocation a function of the
+    /// configuration.
     pub(crate) fn flush_batch<P: Protocol<State = S>>(
         &mut self,
         view: &GeomView<'_, S>,
@@ -758,10 +703,8 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                         pport: pa,
                         bonded: new.bonded,
                     });
-                    let (shard, key) = self.intra_slot(lower_endpoint(x, pa, new.peer, new.pport));
-                    if self.shards[shard].intra.insert(key) {
-                        self.intra_total += 1;
-                    }
+                    let (lo, lo_port) = lower_endpoint(x, pa, new.peer, new.pport);
+                    self.intra_pairs.insert(port_key(lo, lo_port));
                 }
             }
             if let Some(entry) = self.intra[xi][pa.index()] {
@@ -980,9 +923,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.class3_eff += self.singleton_class3_rate(class);
         self.s[class as usize] += 1;
         self.singleton_total += 1;
-        let shard = &mut self.shards[self.map.shard_of(x)];
-        let key = shard.node_key(x);
-        let inserted = shard.singleton_bucket_mut(class).insert(key);
+        let inserted = self.singleton_bucket_mut(class).insert(x.index());
         debug_assert!(inserted);
         self.reg_singleton[x.index()] = true;
     }
@@ -992,9 +933,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             return;
         }
         let class = self.node_class[x.index()];
-        let shard = &mut self.shards[self.map.shard_of(x)];
-        let key = shard.node_key(x);
-        let removed = shard.singleton_bucket_mut(class).remove(key);
+        let removed = self.singleton_bucket_mut(class).remove(x.index());
         debug_assert!(removed);
         self.reg_singleton[x.index()] = false;
         self.s[class as usize] -= 1;
@@ -1022,9 +961,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.class2_eff += self.free_port_rate(class, pa);
         self.g[class as usize][pa.index()] += 1;
         self.free_total += 1;
-        let shard = &mut self.shards[self.map.shard_of(x)];
-        let key = shard.node_key(x);
-        let inserted = shard.free_bucket_mut(class, pa).insert(key);
+        let inserted = self.free_bucket_mut(class, pa).insert(x.index());
         debug_assert!(inserted);
         self.reg_free[x.index()] |= 1 << pa.index();
     }
@@ -1034,9 +971,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             return;
         }
         let class = self.node_class[x.index()];
-        let shard = &mut self.shards[self.map.shard_of(x)];
-        let key = shard.node_key(x);
-        let removed = shard.free_bucket_mut(class, pa).remove(key);
+        let removed = self.free_bucket_mut(class, pa).remove(x.index());
         debug_assert!(removed);
         self.reg_free[x.index()] &= !(1 << pa.index());
         self.g[class as usize][pa.index()] -= 1;
@@ -1044,21 +979,14 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.class2_eff -= self.free_port_rate(class, pa);
     }
 
-    /// The owning shard and port key of an intra pair's lower endpoint.
-    fn intra_slot(&self, (x, pa): (NodeId, Dir)) -> (usize, usize) {
-        let shard = self.map.shard_of(x);
-        (shard, self.shards[shard].port_key(x, pa))
-    }
-
-    /// Adds (`eff`) or removes the intra pair with lower endpoint `lo` in its
-    /// shard's effective-intra set, keeping `intra_eff_total` in step.
-    fn set_intra_eff(&mut self, lo: (NodeId, Dir), eff: bool) {
-        let (shard, key) = self.intra_slot(lo);
-        let set = &mut self.shards[shard].intra_eff;
-        if eff && set.insert(key) {
-            self.intra_eff_total += 1;
-        } else if !eff && set.remove(key) {
-            self.intra_eff_total -= 1;
+    /// Adds (`eff`) or removes the intra pair with lower endpoint `lo` in the
+    /// effective-intra set.
+    fn set_intra_eff(&mut self, (x, pa): (NodeId, Dir), eff: bool) {
+        let key = port_key(x, pa);
+        if eff {
+            self.intra_eff.insert(key);
+        } else {
+            self.intra_eff.remove(key);
         }
     }
 
@@ -1066,10 +994,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     /// the mirror entry if it still points back.
     fn unlink_intra(&mut self, x: NodeId, pa: Dir, entry: IntraEntry) {
         let lo = lower_endpoint(x, pa, entry.peer, entry.pport);
-        let (shard, key) = self.intra_slot(lo);
-        if self.shards[shard].intra.remove(key) {
-            self.intra_total -= 1;
-        }
+        self.intra_pairs.remove(port_key(lo.0, lo.1));
         self.set_intra_eff(lo, false);
         self.intra[x.index()][pa.index()] = None;
         let mirror = &mut self.intra[entry.peer.index()][entry.pport.index()];
@@ -1104,25 +1029,22 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         v
     }
 
-    /// Per-shard bucket sums, recomputed from the stored sets (not the aggregate).
+    /// A bucket size read from the stored set (not the aggregate).
     fn recount_bucket(&self, class: u32, port: Option<Dir>) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| match port {
-                Some(pa) => shard.free_bucket(class, pa).len() as u64,
-                None => shard.singleton_bucket(class).len() as u64,
-            })
-            .sum()
+        match port {
+            Some(pa) => self.free_bucket(class, pa).len() as u64,
+            None => self.singleton_bucket(class).len() as u64,
+        }
     }
 
     /// Exact counts of the base classes (1–3) of the decomposition, recomputed from the
-    /// per-shard sets and the hash memo in `O(classes²·ports²)`. This is the
+    /// stored sets and the hash memo in `O(classes²·ports²)`. This is the
     /// independent twin of [`PairIndex::aggregate_counts`], kept as the recount oracle
     /// that `World::validate_pair_index` asserts the aggregate against.
     pub(crate) fn counts<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim) -> BaseCounts {
         let p = dim.port_count() as u64;
-        let intra: u64 = self.shards.iter().map(|sh| sh.intra.len() as u64).sum();
-        let intra_eff: u64 = self.shards.iter().map(|sh| sh.intra_eff.len() as u64).sum();
+        let intra = self.intra_pairs.len() as u64;
+        let intra_eff = self.intra_eff.len() as u64;
         let ids = self.live_ids.clone();
         let s_total: u64 = ids.iter().map(|&c| self.recount_bucket(c, None)).sum();
         let free_total: u64 = ids
@@ -1187,29 +1109,14 @@ impl<S: Clone + PartialEq> PairIndex<S> {
 
     // --- canonical uniform sampling -----------------------------------------------------
 
-    /// The `k`-th singleton of class `c` in the global canonical order (shards in shard
-    /// order; contiguous ranges make that ascending node-id order).
-    fn kth_singleton(&self, c: u32, mut k: u64) -> NodeId {
-        for shard in &self.shards {
-            let bucket = shard.singleton_bucket(c);
-            if (k as usize) < bucket.len() {
-                return shard.node_at(bucket.select(k as usize));
-            }
-            k -= bucket.len() as u64;
-        }
-        unreachable!("singleton rank exceeded the class bucket");
+    /// The `k`-th singleton of class `c` in ascending node-id order.
+    fn kth_singleton(&self, c: u32, k: u64) -> NodeId {
+        NodeId::new(self.singleton_bucket(c).select(k as usize) as u32)
     }
 
-    /// The `k`-th free port of `(c, pa)` in the global canonical order.
-    fn kth_free_port(&self, c: u32, pa: Dir, mut k: u64) -> NodeId {
-        for shard in &self.shards {
-            let bucket = shard.free_bucket(c, pa);
-            if (k as usize) < bucket.len() {
-                return shard.node_at(bucket.select(k as usize));
-            }
-            k -= bucket.len() as u64;
-        }
-        unreachable!("free-port rank exceeded the class bucket");
+    /// The `k`-th free port of `(c, pa)` in ascending node-id order.
+    fn kth_free_port(&self, c: u32, pa: Dir, k: u64) -> NodeId {
+        NodeId::new(self.free_bucket(c, pa).select(k as usize) as u32)
     }
 
     /// Unranks `r ∈ 0..C(s, 2)` to the `r`-th pair `(i, j)`, `i < j`, in lexicographic
@@ -1234,28 +1141,25 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         (i, j)
     }
 
-    /// The intra pair whose lower endpoint has port key `key` in `shard`, oriented
-    /// lower endpoint first (the [`pair_key`] orientation).
-    fn intra_pair_at(&self, shard: &Shard, key: usize) -> (NodeId, Dir, NodeId, Dir) {
-        let (x, pa) = shard.port_at(key);
+    /// The intra pair whose lower endpoint has port key `key`, oriented lower endpoint
+    /// first (the [`pair_key`] orientation).
+    fn intra_pair_at(&self, key: usize) -> (NodeId, Dir, NodeId, Dir) {
+        let (x, pa) = port_at(key);
         let entry =
             self.intra[x.index()][pa.index()].expect("an intra set member has its pair cell");
         (x, pa, entry.peer, entry.pport)
     }
 
-    /// The `idx`-th effective base pair under the canonical walk order: per-shard intra
-    /// pairs by lower endpoint, then class-2 cells, then class-3 cells (classes and ports ascending), with
-    /// arithmetic decomposition inside each cell. The result is uniform over the
-    /// effective base set when `idx` is uniform over `0..aggregate effective`, and —
-    /// because every ordering involved is configuration-canonical — independent of the
-    /// shard count.
+    /// The `idx`-th effective base pair under the canonical walk order: intra pairs by
+    /// lower endpoint, then class-2 cells, then class-3 cells (classes and ports
+    /// ascending), with arithmetic decomposition inside each cell. The result is uniform
+    /// over the effective base set when `idx` is uniform over `0..aggregate effective`,
+    /// and every ordering involved is configuration-canonical.
     pub(crate) fn sample_effective(&self, dim: Dim, mut idx: u64) -> (NodeId, Dir, NodeId, Dir) {
-        for shard in &self.shards {
-            if (idx as usize) < shard.intra_eff.len() {
-                return self.intra_pair_at(shard, shard.intra_eff.select(idx as usize));
-            }
-            idx -= shard.intra_eff.len() as u64;
+        if (idx as usize) < self.intra_eff.len() {
+            return self.intra_pair_at(self.intra_eff.select(idx as usize));
         }
+        idx -= self.intra_eff.len() as u64;
         // Class 2 cells: free port (ca, pa) × singleton (cb, pb).
         for &ca in &self.live_ids {
             for &pa in dim.dirs() {
@@ -1335,15 +1239,13 @@ impl<S: Clone + PartialEq> PairIndex<S> {
 
     /// The `idx`-th *permissible* base pair under the canonical walk order (intra pairs,
     /// then free-port × singleton, then singleton²) — uniform over the base permissible
-    /// set when `idx` is uniform, shard-count independent for the same reasons as
+    /// set when `idx` is uniform, configuration-canonical like
     /// [`PairIndex::sample_effective`].
     pub(crate) fn sample_permissible(&self, dim: Dim, mut idx: u64) -> (NodeId, Dir, NodeId, Dir) {
-        for shard in &self.shards {
-            if (idx as usize) < shard.intra.len() {
-                return self.intra_pair_at(shard, shard.intra.select(idx as usize));
-            }
-            idx -= shard.intra.len() as u64;
+        if (idx as usize) < self.intra_pairs.len() {
+            return self.intra_pair_at(self.intra_pairs.select(idx as usize));
         }
+        idx -= self.intra_pairs.len() as u64;
         let p = dim.port_count() as u64;
         let s = self.singleton_total;
         let ms = self.free_total * p * s;
@@ -1364,8 +1266,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         (self.global_singleton(i), pa, self.global_singleton(j), pb)
     }
 
-    /// The `k`-th singleton in the canonical global order (class-major, then shard,
-    /// then node id).
+    /// The `k`-th singleton in the canonical global order (class-major, then node id).
     fn global_singleton(&self, mut k: u64) -> NodeId {
         for &c in &self.live_ids {
             let sc = self.s[c as usize];
@@ -1377,8 +1278,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         unreachable!("singleton rank exceeded the population");
     }
 
-    /// The `k`-th free port in the canonical global order (class-major, port, shard,
-    /// node id).
+    /// The `k`-th free port in the canonical global order (class-major, port, node id).
     fn global_free_port(&self, mut k: u64) -> (NodeId, Dir) {
         for &c in &self.live_ids {
             for pa in 0..PORT_CAP {
@@ -1396,14 +1296,12 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     /// Expands the full effective base set (validation oracle support; `O(E)`).
     pub(crate) fn collect_effective(&self, dim: Dim) -> Vec<u64> {
         let mut out: Vec<u64> = self
-            .shards
+            .intra_eff
             .iter()
-            .flat_map(|sh| {
-                sh.intra_eff
-                    .iter()
-                    .map(move |key| self.intra_pair_at(sh, key))
+            .map(|key| {
+                let (x, pa, y, pb) = self.intra_pair_at(key);
+                pair_key(x, pa, y, pb)
             })
-            .map(|(x, pa, y, pb)| pair_key(x, pa, y, pb))
             .collect();
         for &ca in &self.live_ids {
             for &pa in dim.dirs() {
@@ -1419,13 +1317,9 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                         if mask & (1 << pb.index()) == 0 {
                             continue;
                         }
-                        for shard_x in &self.shards {
-                            for x in shard_x.members(shard_x.free_bucket(ca, pa)) {
-                                for shard_y in &self.shards {
-                                    for y in shard_y.members(shard_y.singleton_bucket(cb)) {
-                                        out.push(pair_key(x, pa, y, pb));
-                                    }
-                                }
+                        for x in members(self.free_bucket(ca, pa)) {
+                            for y in members(self.singleton_bucket(cb)) {
+                                out.push(pair_key(x, pa, y, pb));
                             }
                         }
                     }
@@ -1446,19 +1340,15 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                         if mask & (1 << pb.index()) == 0 {
                             continue;
                         }
-                        for shard_y in &self.shards {
-                            for y in shard_y.members(shard_y.singleton_bucket(ca)) {
-                                for shard_z in &self.shards {
-                                    for z in shard_z.members(shard_z.singleton_bucket(cb)) {
-                                        // Within one class the smaller id takes `pa`
-                                        // (the counting convention); across classes all
-                                        // ordered role assignments are distinct cells.
-                                        if ca == cb && y >= z {
-                                            continue;
-                                        }
-                                        out.push(pair_key(y, pa, z, pb));
-                                    }
+                        for y in members(self.singleton_bucket(ca)) {
+                            for z in members(self.singleton_bucket(cb)) {
+                                // Within one class the smaller id takes `pa` (the
+                                // counting convention); across classes all ordered
+                                // role assignments are distinct cells.
+                                if ca == cb && y >= z {
+                                    continue;
                                 }
+                                out.push(pair_key(y, pa, z, pb));
                             }
                         }
                     }
@@ -1466,107 +1356,6 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             }
         }
         out
-    }
-
-    /// Per-shard load summary: `(singletons, free ports, intra pairs)` per shard.
-    pub(crate) fn shard_loads(&self) -> Vec<(usize, usize, usize)> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                (
-                    shard.singletons.iter().map(RankSet::len).sum(),
-                    shard
-                        .free_ports
-                        .iter()
-                        .flat_map(|ports| ports.iter().map(RankSet::len))
-                        .sum(),
-                    shard.intra.len(),
-                )
-            })
-            .collect()
-    }
-
-    /// Structural invariants of the sharded layout: the intra sets hold exactly the
-    /// lower endpoints of the mutually linked pair cells, effective intra pairs are
-    /// intra pairs, every bucket member carries the matching registration, and the
-    /// aggregate totals equal recounted bucket sums. Used by the validation suite.
-    pub(crate) fn check_sharding(&self) -> Result<(), String> {
-        for (i, shard) in self.shards.iter().enumerate() {
-            for key in shard.intra.iter() {
-                let (x, pa) = shard.port_at(key);
-                let linked = self.intra[x.index()][pa.index()].is_some_and(|e| {
-                    let mirror = self.intra[e.peer.index()][e.pport.index()];
-                    lower_endpoint(x, pa, e.peer, e.pport) == (x, pa)
-                        && mirror.is_some_and(|m| (m.peer, m.pport) == (x, pa))
-                });
-                if !linked {
-                    return Err(format!(
-                        "shard {i}: intra member {x:?}/{pa:?} is not the lower endpoint of a linked pair"
-                    ));
-                }
-            }
-            if let Some(key) = shard.intra_eff.iter().find(|&k| !shard.intra.contains(k)) {
-                return Err(format!(
-                    "shard {i}: effective intra pair at {:?} is not an intra pair",
-                    shard.port_at(key)
-                ));
-            }
-            for (c, bucket) in shard.singletons.iter().enumerate() {
-                for x in shard.members(bucket) {
-                    if !self.reg_singleton[x.index()] || self.node_class[x.index()] != c as u32 {
-                        return Err(format!("shard {i}: singleton bucket {c} holds {x:?}"));
-                    }
-                }
-            }
-            for (c, ports) in shard.free_ports.iter().enumerate() {
-                for (p, bucket) in ports.iter().enumerate() {
-                    for x in shard.members(bucket) {
-                        if self.reg_free[x.index()] & (1 << p) == 0
-                            || self.node_class[x.index()] != c as u32
-                        {
-                            return Err(format!("shard {i}: free-port bucket {c}/{p} holds {x:?}"));
-                        }
-                    }
-                }
-            }
-        }
-        // Members are linked lower endpoints (above); equal counts make it a bijection.
-        let lower_cells = self
-            .intra
-            .iter()
-            .enumerate()
-            .flat_map(|(xi, ports)| {
-                ports.iter().enumerate().filter(move |&(p, cell)| {
-                    cell.is_some_and(|e| {
-                        let x = (NodeId::new(xi as u32), Dir::from_index(p));
-                        lower_endpoint(x.0, x.1, e.peer, e.pport) == x
-                    })
-                })
-            })
-            .count() as u64;
-        if lower_cells != self.intra_total {
-            return Err(format!(
-                "{lower_cells} intra pair cells but {} intra set members",
-                self.intra_total
-            ));
-        }
-        for &c in &self.live_ids {
-            if self.recount_bucket(c, None) != self.s[c as usize] {
-                return Err(format!("class {c}: singleton aggregate out of sync"));
-            }
-            for pa in 0..PORT_CAP {
-                let pa = Dir::from_index(pa);
-                if self.recount_bucket(c, Some(pa)) != self.g[c as usize][pa.index()] {
-                    return Err(format!("class {c}: free-port aggregate out of sync"));
-                }
-            }
-        }
-        let intra: u64 = self.shards.iter().map(|sh| sh.intra.len() as u64).sum();
-        let intra_eff: u64 = self.shards.iter().map(|sh| sh.intra_eff.len() as u64).sum();
-        if intra != self.intra_total || intra_eff != self.intra_eff_total {
-            return Err("intra totals out of sync".to_string());
-        }
-        Ok(())
     }
 }
 
@@ -1685,8 +1474,7 @@ mod tests {
         for seed in [1, 2] {
             let config = SimulationConfig::new(1024)
                 .with_seed(seed)
-                .with_sharded_sampling()
-                .with_shards(1);
+                .with_sharded_sampling();
             let mut sim = Simulation::new(CountingLine { head_start: 1 }, config);
             // The first call builds the index, filling the initial classes' pairs.
             assert!(sim.step());

@@ -62,7 +62,6 @@ mod protocol;
 mod rank_set;
 pub mod rng;
 pub mod scheduler;
-pub mod shard;
 mod simulation;
 pub mod snapshot;
 mod stats;
@@ -78,7 +77,7 @@ pub use protocol::{Protocol, Transition};
 pub use scheduler::SamplingMode;
 pub use simulation::{RunReport, Simulation, SimulationConfig, StopReason};
 pub use snapshot::{Snapshot, SnapshotProtocol, SnapshotReader, SnapshotWriter};
-pub use stats::{ExecutionStats, ShardStats};
+pub use stats::ExecutionStats;
 pub use world::{Interaction, InteractionOutcome, Permissibility, World};
 
 /// Re-exported telemetry types (see `nc_obs`): downstream crates attach a

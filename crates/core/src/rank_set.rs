@@ -1,12 +1,12 @@
 //! An ordered set over a dense universe `0..universe` with logarithmic updates and
 //! selection: a bitset plus a Fenwick tree over the per-word popcounts.
 //!
-//! The permissible-pair index keeps its per-shard buckets in these sets. A bucket
+//! The permissible-pair index keeps its buckets in these sets. A bucket
 //! change costs `O(log n)` (flip one bit, update one Fenwick path) instead of the
 //! `O(bucket)` memmove of a sorted `Vec`, while `select(k)` — the `k`-th smallest
 //! member, which is all the canonical sampling walks need — stays `O(log n)` and
 //! iteration stays in ascending order. Storage is allocated on the first insert, so
-//! the many buckets that never receive a member (classes × ports × shards) cost
+//! the many buckets that never receive a member (classes × ports) cost
 //! nothing beyond their header.
 
 /// Members per bitset word.
@@ -179,7 +179,7 @@ mod tests {
             let mut model = BTreeSet::new();
             assert_agrees(&set, &model, universe);
             if universe == 0 {
-                // An empty trailing shard range: nothing to insert, lookups still work.
+                // An empty universe: nothing to insert, lookups still work.
                 assert!(!set.remove(0));
                 assert!(!set.contains(0));
                 assert_eq!(set.iter().count(), 0);

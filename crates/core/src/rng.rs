@@ -28,15 +28,14 @@ pub fn from_entropy() -> StdRng {
 /// `(seed, stream)` through SplitMix64-style mixing, so distinct stream indices give
 /// statistically independent streams of the same base seed.
 ///
-/// The sharded scheduler keys its substreams by the *effective-selection ordinal* — a
-/// quantity determined by the execution prefix, not by the shard layout — which is what
-/// makes sharded executions byte-identical across shard counts: each shard can derive
-/// the draw for logical step `k` from `(seed, k)` alone, without threading one
-/// sequential generator through the shards, and without the draw depending on which
-/// shard happens to own the sampled pair. (Keying by shard id instead would tie the
-/// stream to the layout and break the 1/2/4-shard equivalence that `tests/sharded.rs`
-/// pins.) It also makes the stream prefix-stable: replaying a run with a different step
-/// budget, or interleaving extra read-only queries, cannot shift later draws.
+/// The jump scheduler keys its substreams by the *effective-selection ordinal* — a
+/// quantity determined by the execution prefix alone. That keying is what makes slicing
+/// and resume invariant: the draw for selection `k` is derived from `(seed, k)`, so a
+/// run cut into slices, or checkpointed and resumed at any selection, draws exactly
+/// what the uninterrupted run draws (only the ordinal, not a generator's position, has
+/// to survive the cut). It also makes the stream prefix-stable: replaying a run with a
+/// different step budget, or interleaving extra read-only queries, cannot shift later
+/// draws.
 #[must_use]
 pub fn substream(seed: u64, stream: u64) -> StdRng {
     // SplitMix64 finalizer (bijective, full-avalanche), applied to seed and stream

@@ -54,23 +54,12 @@
 //! `O(|permissible| / |effective|)`. Fairness and every "w.h.p." statement of the
 //! paper are therefore untouched: the realized executions are distributed identically.
 //!
-//! The counts are read over the sharded index layout. Partition the permissible set
-//! by owning shard: `P = Σ_s P_s` and `E = Σ_s E_s` (every pair is owned by exactly
-//! one shard — the shard of its smaller endpoint for materialised pairs, of the
-//! counted registration for the class-counted ones). In the frozen-configuration
-//! selection sequence, a selection lands in shard `s` with probability `P_s / P` and
-//! is effective given that with probability `E_s / P_s`, so the per-selection
-//! effectiveness is `Σ_s (P_s/P)·(E_s/P_s) = E/P` — the composition of the per-shard
-//! rates is *exactly* the sequential rate, and the jump to the first effective
-//! selection is `Geometric(ΣE_s / ΣP_s)`, identical to the sequential
-//! `Geometric(E/P)`. The shard of the first effective selection then has probability
-//! `E_s / E`, which is realised for free by drawing one uniform index over `0..E` and
-//! resolving it through the canonical per-shard prefix walk. The counts come from the
-//! incrementally maintained shared aggregate ([`crate::World::pair_counts_sharded`] —
-//! the running sum of the per-shard registration streams, `O(1)` per version), and
-//! the draws come from per-selection substreams ([`crate::rng::substream`], keyed by
-//! the selection ordinal — see there for why that keying, and not a per-shard-id one,
-//! is what makes executions byte-identical across 1/2/4 shards).
+//! The counts `P` and `E` come from the incrementally maintained aggregate of the
+//! permissible-pair index (`World::aggregate_pair_counts`, `O(1)` per
+//! version); the effective pair is one uniform index over `0..E` resolved through the
+//! index's canonical walk. The draws come from per-selection substreams
+//! ([`crate::rng::substream`], keyed by the selection ordinal — see there for why that
+//! keying makes sliced and resumed executions identical to uninterrupted ones).
 //!
 //! A step allowance can end inside a jump. The sampler then credits the allowance and
 //! keeps the rest of the jump; the next call on the same configuration lands it,
@@ -106,14 +95,13 @@ pub enum SamplingMode {
     /// Pure rejection sampling, byte-identical to the original implementation for a
     /// given seed. Used by the equivalence suite and available for exact replays.
     Legacy,
-    /// Geometric-jump sampling over the sharded permissible-pair index: the number of
+    /// Geometric-jump sampling over the permissible-pair index: the number of
     /// consecutive ineffective selections on a frozen configuration is drawn in one
-    /// shot from the composition of the per-shard effective/permissible rates
-    /// (`Geometric(ΣEₛ/ΣPₛ)`, which equals the sequential `Geometric(E/P)`; see the
-    /// module docs) and credited to the step counters, then one uniform *effective*
-    /// pair is returned. The counts come from the `O(1)` running aggregate, and
-    /// per-selection RNG substreams keep the execution byte-identical across shard
-    /// counts. Falls back to [`SamplingMode::Adaptive`] behaviour where the index
+    /// shot (`Geometric(E/P)`; see the module docs) and credited to the step counters,
+    /// then one uniform *effective* pair is returned. The counts come from the `O(1)`
+    /// running aggregate, and per-selection RNG substreams make the draws a function
+    /// of the selection ordinal. (The name predates the removal of the sharded index
+    /// layout; it is kept because service specs and snapshots name the mode.) Falls back to [`SamplingMode::Adaptive`] behaviour where the index
     /// cannot serve exact counts.
     Sharded,
 }
@@ -394,7 +382,7 @@ impl UniformScheduler {
         self.batch_fallback = false;
         self.batch_mm.clear();
         self.batch_mm_eff.clear();
-        let Some(summary) = world.pair_counts_sharded() else {
+        let Some(summary) = world.aggregate_pair_counts() else {
             self.batch_overflow = true;
             return;
         };
@@ -665,8 +653,8 @@ impl Scheduler for UniformScheduler {
 
 /// A deterministic scheduler that always picks an *effective* interaction if one exists:
 /// the first pair of the permissible-pair index's canonical effective walk
-/// ([`World::find_effective_interaction`]), so greedy executions are identical across
-/// shard counts. Useful to fast-forward constructions in unit tests where the probabilistic
+/// ([`World::find_effective_interaction`]), so greedy executions are a function of the
+/// configuration. Useful to fast-forward constructions in unit tests where the probabilistic
 /// schedule is irrelevant; it is fair on every execution it completes because it only
 /// stops when no effective interaction remains.
 #[derive(Debug, Default, Clone, Copy)]

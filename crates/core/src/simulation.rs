@@ -1,8 +1,8 @@
 //! Driving executions: protocol + world + scheduler + statistics.
 
 use crate::scheduler::{SamplingMode, Scheduler, UniformScheduler};
-use crate::shard::trace_lane;
 use crate::snapshot::{Snapshot, SnapshotProtocol, SnapshotWriter, FORMAT_VERSION, MAGIC};
+use crate::world::trace_lane;
 use crate::{CoreError, ExecutionStats, Protocol, World};
 use nc_geometry::Shape;
 use nc_obs::{Phase, PhaseProfile, Telemetry, TraceEventKind};
@@ -19,10 +19,9 @@ pub struct SimulationConfig {
     /// Sampling strategy of the uniform scheduler (adaptive by default; legacy
     /// reproduces the original rejection sampler byte for byte).
     pub sampling: SamplingMode,
-    /// Number of shards the world's runtime structures are partitioned into (clamped
-    /// to `1..=n` at world construction). Purely an execution-layout knob: the sampled
-    /// trajectory is byte-identical across shard counts. Defaults to the `NC_SHARDS`
-    /// environment default.
+    /// A recorded shard count, default 1. It does not shape the execution (the world
+    /// has one pair-index layout); snapshots store it, decoding rejects 0, and the
+    /// service echoes it in job reports.
     pub shards: usize,
     /// Inert, defaults to 0; only reader is `perfbench`, drop at its next revision.
     pub speculation: usize,
@@ -30,7 +29,7 @@ pub struct SimulationConfig {
 
 impl SimulationConfig {
     /// Creates a configuration for `n` nodes with a default seed, a step budget of
-    /// `10⁹` steps, adaptive sampling and the `NC_SHARDS` shard-count default.
+    /// `10⁹` steps, adaptive sampling and a recorded shard count of 1.
     #[must_use]
     pub fn new(n: usize) -> SimulationConfig {
         SimulationConfig {
@@ -38,7 +37,7 @@ impl SimulationConfig {
             seed: 0xC0FFEE,
             max_steps: 1_000_000_000,
             sampling: SamplingMode::default(),
-            shards: crate::shard::default_shard_count(),
+            shards: 1,
             speculation: 0,
         }
     }
@@ -76,7 +75,7 @@ impl SimulationConfig {
         self.with_sampling(SamplingMode::Sharded)
     }
 
-    /// Sets the shard count of the world's runtime structures.
+    /// Sets the recorded shard count (see [`SimulationConfig::shards`]).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> SimulationConfig {
         self.shards = shards;
@@ -258,7 +257,7 @@ impl<P: SnapshotProtocol> Simulation<P, UniformScheduler> {
             merges: r.u64()?,
             splits: r.u64()?,
         };
-        let world = World::snapshot_decode(protocol, n, shards, &mut r)?;
+        let world = World::snapshot_decode(protocol, n, &mut r)?;
         let scheduler =
             UniformScheduler::snapshot_decode(seed, sampling, pending_jump, &world, &mut r)?;
         if r.remaining() != 0 {
@@ -286,7 +285,7 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     #[must_use]
     pub fn with_scheduler(protocol: P, config: SimulationConfig, scheduler: S) -> Simulation<P, S> {
         Simulation {
-            world: World::with_shards(protocol, config.n, config.shards),
+            world: World::new(protocol, config.n),
             scheduler,
             stats: ExecutionStats::default(),
             config,
@@ -297,8 +296,11 @@ impl<P: Protocol, S: Scheduler> Simulation<P, S> {
     /// Attaches a telemetry handle to the simulation and its world (the world
     /// forwards it to the pair index). A disabled handle detaches: every hook
     /// degrades back to an early return. Telemetry never influences the sampled
-    /// trajectory — it only observes it.
+    /// trajectory — it only observes it. Events emitted before the next step (a
+    /// stability check's index build, say) are stamped with the lifetime step count,
+    /// so a handle attached after a resume stamps them as the uninterrupted run does.
     pub fn set_telemetry(&mut self, obs: Telemetry) {
+        obs.set_step(self.stats.steps);
         self.world.set_telemetry(obs.clone());
         self.obs = obs;
     }
@@ -883,28 +885,42 @@ mod tests {
         assert_eq!(err, CoreError::StepBudgetExhausted { steps: 6 });
     }
 
-    /// Runs a pinned configuration with telemetry attached and returns the trace.
-    fn traced_run(shards: usize, sampling: SamplingMode) -> Vec<nc_obs::TraceEvent> {
+    /// The trace a pinned run emits after its first `cut` driver steps. With
+    /// `resume`, the run is checkpointed at the cut and continued from the snapshot
+    /// with telemetry attached only after the resume.
+    fn traced_tail(sampling: SamplingMode, cut: usize, resume: bool) -> Vec<nc_obs::TraceEvent> {
         let config = SimulationConfig::new(8)
             .with_seed(42)
-            .with_sampling(sampling)
-            .with_shards(shards);
+            .with_sampling(sampling);
         let mut sim = Simulation::new(ChainOf { target: 8 }, config);
-        sim.set_telemetry(Telemetry::enabled());
+        if !resume {
+            sim.set_telemetry(Telemetry::enabled());
+        }
+        for _ in 0..cut {
+            sim.step();
+        }
+        let before = sim.telemetry().trace_events().len();
+        if resume {
+            let snapshot = sim.checkpoint().expect("checkpoint");
+            sim = Simulation::resume(ChainOf { target: 8 }, &snapshot).expect("resume");
+            sim.set_telemetry(Telemetry::enabled());
+        }
         sim.run_until_stable();
-        sim.telemetry().trace_events()
+        sim.telemetry().trace_events().split_off(before)
     }
 
     #[test]
-    fn trace_is_identical_across_shard_counts() {
+    fn trace_after_a_resume_matches_the_uninterrupted_run() {
         for sampling in [SamplingMode::Adaptive, SamplingMode::Sharded] {
-            let one = traced_run(1, sampling);
-            let four = traced_run(4, sampling);
-            assert!(!one.is_empty(), "pinned run must emit events");
-            assert_eq!(
-                one, four,
-                "trace diverged across shard counts ({sampling:?})"
-            );
+            for cut in [1, 3, 6] {
+                let fresh = traced_tail(sampling, cut, false);
+                assert!(!fresh.is_empty(), "pinned run must emit events");
+                assert_eq!(
+                    fresh,
+                    traced_tail(sampling, cut, true),
+                    "trace diverged after a resume at driver step {cut} ({sampling:?})"
+                );
+            }
         }
     }
 

@@ -32,7 +32,7 @@
 //! # Exactness: what is persisted and what is recomputed
 //!
 //! The contract is that an interrupted-and-resumed run is **byte-identical** to an
-//! uninterrupted one, in every sampling mode and at every shard count. Snapshots are
+//! uninterrupted one, in every sampling mode. Snapshots are
 //! taken *between* steps — at the serialization points of the execution — where the
 //! sampler-visible state is exactly:
 //!
@@ -52,8 +52,12 @@
 //!   `batch_overflow`), and whether its enumeration cache was warm for the frozen
 //!   configuration (the cache *contents* are deterministically re-enumerated on
 //!   resume);
-//! * the [`ExecutionStats`] counters (logical step accounting) and the
-//!   cross-shard-event counter (deterministic given the trajectory).
+//! * the [`crate::ExecutionStats`] counters (logical step accounting).
+//!
+//! The world section's word after the live-component count once counted cross-shard
+//! merges and splits. It is reserved: written as 0, read and ignored, so older snapshots (such as the replay
+//! fixture) keep decoding. The config's `shards` word is a recorded value that does not
+//! shape the execution; decoding rejects 0.
 //!
 //! Everything else is genuinely derived state and is rebuilt conservatively:
 //! `halted` flags (a pure function of states) and per-version count caches

@@ -56,65 +56,9 @@ impl ExecutionStats {
     }
 }
 
-/// Per-shard load and routing snapshot of a [`crate::World`], as reported by
-/// [`crate::World::shard_stats`]. All vectors have one entry per shard, in shard
-/// order; the index-backed loads (singletons, free ports, intra pairs) are zero while
-/// the permissible-pair index has not been activated.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Number of shards the world's runtime structures are partitioned into.
-    pub shards: usize,
-    /// Nodes owned per shard (the contiguous id-range sizes; sums to `n`).
-    pub nodes: Vec<usize>,
-    /// Free singletons registered per shard (sums to the live singleton count).
-    pub singletons: Vec<usize>,
-    /// Free multi-component ports registered per shard.
-    pub free_ports: Vec<usize>,
-    /// Intra-component pairs owned per shard (by smaller endpoint).
-    pub intra_pairs: Vec<usize>,
-    /// Merges/splits whose two participants lived in different shards (their
-    /// re-derivations touch the sub-indices of both shards).
-    pub cross_shard_events: u64,
-}
-
-impl ShardStats {
-    /// Total registered singletons across shards.
-    #[must_use]
-    pub fn total_singletons(&self) -> usize {
-        self.singletons.iter().sum()
-    }
-
-    /// Total registered free ports across shards.
-    #[must_use]
-    pub fn total_free_ports(&self) -> usize {
-        self.free_ports.iter().sum()
-    }
-
-    /// Total intra-component pairs across shards.
-    #[must_use]
-    pub fn total_intra_pairs(&self) -> usize {
-        self.intra_pairs.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_stats_totals_sum_over_shards() {
-        let stats = ShardStats {
-            shards: 3,
-            nodes: vec![4, 4, 2],
-            singletons: vec![1, 2, 0],
-            free_ports: vec![3, 0, 1],
-            intra_pairs: vec![5, 1, 0],
-            cross_shard_events: 7,
-        };
-        assert_eq!(stats.total_singletons(), 3);
-        assert_eq!(stats.total_free_ports(), 4);
-        assert_eq!(stats.total_intra_pairs(), 6);
-    }
 
     #[test]
     fn effectiveness_ratio() {

@@ -4,27 +4,31 @@
 //! configuration [`World::version`], and the lazily built permissible-pair index of
 //! [`crate::index`], which answers [`World::is_stable`] from its `O(1)` effective count
 //! and [`World::find_effective_interaction`] from its canonical pair walk instead of a
-//! full `O(n² · ports²)` rescan.
-//!
-//! # Sharded layout
-//!
-//! The population is partitioned into contiguous node-id **shards**
-//! ([`crate::shard::ShardMap`]; count from [`crate::SimulationConfig::shards`] /
-//! `NC_SHARDS`). Each shard owns its sub-index of the permissible-pair index; merges
-//! and splits whose participants live in different shards are counted as cross-shard
-//! events. Index maintenance is sequential and single-threaded: every mutation queues
-//! the nodes it re-classifies and flushes them, in ascending node order, before it
-//! returns. The sampled *trajectory* is byte-identical across shard counts — see the
-//! invariance notes in [`crate::index`].
+//! full `O(n² · ports²)` rescan. Index maintenance is sequential: every mutation
+//! queues the nodes it re-classifies and flushes them, in ascending node order, before
+//! it returns (see the canonical-order notes in [`crate::index`]).
 
 use crate::index::{BaseCounts, GeomView, IndexStats, PairIndex};
-use crate::shard::{trace_lane, ShardMap};
-use crate::stats::ShardStats;
 use crate::{Component, CoreError, NodeId, Placement, Protocol};
 use nc_geometry::{Coord, Dim, Dir, Rotation, Shape};
 use nc_obs::{Phase, Telemetry, TraceEventKind};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+
+/// Number of canonical trace lanes (see [`trace_lane`]).
+pub(crate) const TRACE_LANES: usize = 4;
+
+/// The canonical trace lane of a node: its part under a fixed [`TRACE_LANES`]-way
+/// partition of `0..n` into contiguous id ranges of (up to) `⌈n/TRACE_LANES⌉` ids.
+///
+/// Step-indexed trace events are stamped with this lane, a function of `(node, n)`
+/// only, so a trace is a function of the executed trajectory.
+#[must_use]
+pub(crate) fn trace_lane(node: NodeId, n: usize) -> u32 {
+    let n = n.max(1) as u32;
+    let lanes = (TRACE_LANES as u32).min(n);
+    node.index() as u32 / n.div_ceil(lanes)
+}
 
 /// Budget for cross-component enumeration work, in node pairs, as a multiple of the
 /// population size. One constant shared by the adaptive sampler's enumeration refusal,
@@ -58,7 +62,7 @@ pub(crate) fn transition_effective<P: Protocol>(
     })
 }
 
-/// Lifecycle of the permissible-pair index: built lazily on first use — a sharded draw
+/// Lifecycle of the permissible-pair index: built lazily on first use — a jump draw
 /// or a stability query — so executions that need neither pay nothing; abandoned permanently when the
 /// protocol's live state diversity overflows the class table. The mode only ever
 /// advances (`Disabled → Active → Overflowed`).
@@ -161,18 +165,16 @@ pub struct World<P: Protocol> {
     /// Number of `true` entries of `halted`, maintained at every write so the halting
     /// predicates are `O(1)` per step.
     halted_count: usize,
-    /// The partition of node ids into contiguous shards (see [`crate::shard`]).
-    shard_map: ShardMap,
     /// Monotone configuration version: bumped on every observable change so samplers
     /// can cache derived structures and invalidate them precisely. It starts at a
-    /// process-unique base (see [`World::with_shards`]), so versions of two worlds never
+    /// process-unique base (see [`World::new`]), so versions of two worlds never
     /// collide — a scheduler driven against several worlds cannot replay a cached
     /// structure into the wrong one.
     version: u64,
     /// Exhaustive fallback scans run by the stability queries (see [`IndexStats`]).
     fallback_scans: Cell<u64>,
-    /// The sharded incremental permissible-pair index (exact pair counts for the
-    /// sharded sampler and the stability queries). Lazily activated.
+    /// The incremental permissible-pair index (exact pair counts for the jump sampler
+    /// and the stability queries). Lazily activated.
     pairs: RefCell<PairCell<P::State>>,
     /// Nodes to re-derive in the pair index, queued by a mutation and drained by the
     /// [`World::flush_pairs`] that ends it — so it is empty between public calls.
@@ -180,9 +182,6 @@ pub struct World<P: Protocol> {
     /// Mirror of `pairs.mode == Active`, readable without a borrow on the mutation hot
     /// path.
     pairs_active: Cell<bool>,
-    /// Merges/splits whose two participants lived in different shards. Reported
-    /// through [`World::shard_stats`] and persisted in snapshots.
-    cross_shard_events: u64,
     /// `Σ |component|²` over live components, maintained O(1) per merge/split; gives
     /// the cross-component node-pair universe `(n² − Σsz²)/2` without enumeration.
     sum_sq_sizes: u64,
@@ -199,25 +198,11 @@ pub struct World<P: Protocol> {
 impl<P: Protocol> World<P> {
     /// Creates the initial configuration on `n` nodes: every node free (a singleton
     /// component), in its protocol-defined initial state, with all bonds inactive.
-    /// The shard count comes from the `NC_SHARDS` environment default
-    /// ([`crate::shard::default_shard_count`]); use [`World::with_shards`] to pick it
-    /// explicitly.
     ///
     /// # Panics
     /// Panics if `n == 0`.
     #[must_use]
     pub fn new(protocol: P, n: usize) -> World<P> {
-        World::with_shards(protocol, n, crate::shard::default_shard_count())
-    }
-
-    /// Creates the initial configuration on `n` nodes partitioned into `shards`
-    /// contiguous id ranges (clamped to `1..=n`). The shard count only shapes the
-    /// runtime layout — executions are byte-identical across shard counts.
-    ///
-    /// # Panics
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn with_shards(protocol: P, n: usize, shards: usize) -> World<P> {
         assert!(n > 0, "the population must contain at least one node");
         let dim = protocol.dim();
         let states: Vec<P::State> = (0..n)
@@ -228,7 +213,6 @@ impl<P: Protocol> World<P> {
         let components = (0..n)
             .map(|i| Some(Component::singleton(NodeId::new(i as u32))))
             .collect();
-        let shard_map = ShardMap::new(n, shards);
         // Disjoint per-world version ranges: each world claims a 2⁴⁰-wide window, far
         // beyond any realistic number of configuration changes.
         let version = crate::lock::next_world_ordinal() << 40;
@@ -244,22 +228,31 @@ impl<P: Protocol> World<P> {
             bond_count: 0,
             halted,
             halted_count,
-            shard_map,
             version,
             fallback_scans: Cell::new(0),
             pairs: RefCell::new(PairCell {
                 mode: PairMode::Disabled,
-                index: PairIndex::new(shard_map),
+                index: PairIndex::new(),
             }),
             pair_pending: Vec::new(),
             pairs_active: Cell::new(false),
-            cross_shard_events: 0,
             sum_sq_sizes: n as u64,
             live_components: n,
             scratch_stamp: vec![0; n],
             scratch_epoch: 0,
             obs: Telemetry::disabled(),
         }
+    }
+
+    /// Alias of [`World::new`], kept for callers that record a shard count. The
+    /// count is ignored: there is one pair-index layout, and [`crate::SimulationConfig`]
+    /// only records `shards` in its snapshots.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn with_shards(protocol: P, n: usize, _shards: usize) -> World<P> {
+        World::new(protocol, n)
     }
 
     /// Attaches a telemetry handle: subsequent merges/splits, index flushes and
@@ -277,12 +270,6 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn telemetry(&self) -> &Telemetry {
         &self.obs
-    }
-
-    /// The number of shards the runtime structures are partitioned into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shard_map.count()
     }
 
     /// Re-derives the halted flag of `node` from its current state, keeping
@@ -568,8 +555,7 @@ impl<P: Protocol> World<P> {
             }
         }
         if outcome.merged || outcome.split {
-            // Stamped with the smaller participant's canonical lane (not its runtime
-            // shard — see `shard::trace_lane`).
+            // Stamped with the smaller participant's canonical lane.
             let lane = trace_lane(a.min(b), self.len());
             if outcome.merged {
                 self.obs.trace(lane, TraceEventKind::Merge);
@@ -598,9 +584,6 @@ impl<P: Protocol> World<P> {
         let comp_a_id = self.comp_of[a.index()];
         let comp_b_id = self.comp_of[b.index()];
         debug_assert_ne!(comp_a_id, comp_b_id);
-        if self.shard_map.shard_of(a) != self.shard_map.shard_of(b) {
-            self.cross_shard_events += 1;
-        }
         let len = |c: &Option<Component>| c.as_ref().map_or(0, Component::len);
         let (absorbed_id, surviving_id, rotation, translation) =
             if len(&self.components[comp_b_id]) <= len(&self.components[comp_a_id]) {
@@ -697,13 +680,8 @@ impl<P: Protocol> World<P> {
             return;
         }
         // Split: the stamped nodes are exactly `a`'s side; move everything else (i.e.
-        // `b`'s side) of the old component into a new component. Only an actual split
-        // counts as a cross-shard event (cycle-bond deactivations route no
-        // re-derivation work between shards), mirroring the merge path.
+        // `b`'s side) of the old component into a new component.
         outcome.split = true;
-        if self.shard_map.shard_of(a) != self.shard_map.shard_of(b) {
-            self.cross_shard_events += 1;
-        }
         let old_members: Vec<NodeId> = self.components[comp_id]
             .as_ref()
             .expect("component slot of a live node must be occupied")
@@ -814,14 +792,13 @@ impl<P: Protocol> World<P> {
     }
 
     /// Finds an effective permissible interaction: the first pair of the pair index's
-    /// canonical effective walk (a function of the configuration alone, so the same
-    /// for every shard count), else the first effective multi×multi cross pair. Builds
+    /// canonical effective walk (a function of the configuration alone), else the first effective multi×multi cross pair. Builds
     /// the pair index on first use. Falls back to the exhaustive scan — counted in
     /// [`World::index_stats`] — only on class-table overflow or when the multi×multi
     /// universe exceeds its enumeration budget.
     #[must_use]
     pub fn find_effective_interaction(&self) -> Option<Interaction> {
-        if let Some(summary) = self.pair_counts_sharded() {
+        if let Some(summary) = self.aggregate_pair_counts() {
             if summary.effective_base > 0 {
                 return Some(self.sample_effective_base(0));
             }
@@ -962,8 +939,8 @@ impl<P: Protocol> World<P> {
 
     /// Re-derives the queued nodes in the permissible-pair index. Called at the end of
     /// every mutation; each queued node costs `O(ports · classes)`. The batch is
-    /// sorted (ascending node id — the canonical re-derivation order that keeps class
-    /// allocation shard-count independent), deduplicated and handed to the index.
+    /// sorted (ascending node id — the canonical re-derivation order that makes class
+    /// allocation a function of the configuration), deduplicated and handed to the index.
     fn flush_pairs(&mut self) {
         if !self.pairs_active.get() || self.pair_pending.is_empty() {
             return;
@@ -1022,11 +999,11 @@ impl<P: Protocol> World<P> {
 
     /// Exact permissible/effective pair counts of the current configuration, excluding
     /// multi×multi cross-component pairs (see [`World::enumerate_cross_multi`]),
-    /// *recounted* from the per-shard sets. Activates (builds) the incremental pair
+    /// *recounted* from the stored sets. Activates (builds) the incremental pair
     /// index on first use; returns `None` when the protocol's live state diversity has
     /// overflowed the index's class table. Only the recount oracle of
     /// [`World::validate_pair_index`]; the sampler reads the `O(1)` running aggregate
-    /// ([`World::pair_counts_sharded`]).
+    /// ([`World::aggregate_pair_counts`]).
     fn pair_counts(&self) -> Option<PairSummary> {
         let mut cell = self.pairs.borrow_mut();
         if !self.ensure_pairs_active(&mut cell) {
@@ -1036,12 +1013,12 @@ impl<P: Protocol> World<P> {
         Some(self.summary_from(&cell, counts))
     }
 
-    /// Exact pair counts served from the incrementally maintained shared aggregate —
-    /// the sum of the per-shard registration streams — in `O(1)` per call, no
+    /// Exact pair counts served from the incrementally maintained aggregate in `O(1)`
+    /// per call, no
     /// per-version recount. Same activation/overflow contract as
     /// [`World::pair_counts`]; the two are asserted equal by
     /// [`World::validate_pair_index`].
-    pub(crate) fn pair_counts_sharded(&self) -> Option<PairSummary> {
+    pub(crate) fn aggregate_pair_counts(&self) -> Option<PairSummary> {
         let mut cell = self.pairs.borrow_mut();
         if !self.ensure_pairs_active(&mut cell) {
             return None;
@@ -1051,10 +1028,9 @@ impl<P: Protocol> World<P> {
     }
 
     /// The `idx`-th effective base pair as a ready-to-apply [`Interaction`]; uniform
-    /// over the effective base set when `idx` is uniform over `0..effective_base`, and
-    /// — the canonical cell walk being configuration-determined — independent of the
-    /// shard count. Must only be called right after [`World::pair_counts`] /
-    /// [`World::pair_counts_sharded`] on the same (frozen) configuration version.
+    /// over the effective base set when `idx` is uniform over `0..effective_base`, by
+    /// the configuration-determined canonical cell walk. Must only be called right after [`World::pair_counts`] /
+    /// [`World::aggregate_pair_counts`] on the same (frozen) configuration version.
     pub(crate) fn sample_effective_base(&self, idx: u64) -> Interaction {
         let cell = self.pairs.borrow();
         let (a, pa, b, pb) = cell.index.sample_effective(self.dim, idx);
@@ -1072,30 +1048,6 @@ impl<P: Protocol> World<P> {
         drop(cell);
         self.interaction(a, pa, b, pb)
             .expect("pair-index permissible entry must be permissible")
-    }
-
-    /// Per-shard load statistics (node counts from the shard map, bucket and
-    /// intra-pair loads from the pair index when it is active) and the number of
-    /// cross-shard merge/split events.
-    #[must_use]
-    pub fn shard_stats(&self) -> ShardStats {
-        let cell = self.pairs.borrow();
-        let loads = if matches!(cell.mode, PairMode::Active) {
-            cell.index.shard_loads()
-        } else {
-            vec![(0, 0, 0); self.shard_map.count()]
-        };
-        drop(cell);
-        ShardStats {
-            shards: self.shard_map.count(),
-            nodes: (0..self.shard_map.count())
-                .map(|s| self.shard_map.range(s).len())
-                .collect(),
-            singletons: loads.iter().map(|&(s, _, _)| s).collect(),
-            free_ports: loads.iter().map(|&(_, f, _)| f).collect(),
-            intra_pairs: loads.iter().map(|&(_, _, i)| i).collect(),
-            cross_shard_events: self.cross_shard_events,
-        }
     }
 
     // --- snapshots (see `crate::snapshot` for the format and the exactness notes) ------
@@ -1117,7 +1069,9 @@ impl<P: Protocol> World<P> {
         out.u64(self.bond_count as u64);
         out.u64(self.sum_sq_sizes);
         out.u64(self.live_components as u64);
-        out.u64(self.cross_shard_events);
+        // Reserved: formerly a count of cross-shard merges/splits. Written as 0, read
+        // and ignored.
+        out.u64(0);
         for i in 0..self.len() {
             self.protocol.encode_state(&self.states[i], out);
             let placement = self.placements[i];
@@ -1185,7 +1139,7 @@ impl<P: Protocol> World<P> {
     }
 
     /// Decodes a configuration encoded by [`World::snapshot_encode`] into a fresh
-    /// world of `n` nodes on `shards` shards.
+    /// world of `n` nodes.
     ///
     /// Decoding is defensive end to end: the input has only passed a checksum, so
     /// every id is bounds-checked, every tag validated, cell occupancy pre-checked
@@ -1199,7 +1153,6 @@ impl<P: Protocol> World<P> {
     pub(crate) fn snapshot_decode(
         protocol: P,
         n: usize,
-        shards: usize,
         r: &mut crate::SnapshotReader<'_>,
     ) -> crate::Result<World<P>>
     where
@@ -1220,7 +1173,7 @@ impl<P: Protocol> World<P> {
         if n > r.remaining() / MIN_NODE_BYTES {
             return Err(corrupt("population size exceeds the snapshot body"));
         }
-        let world = World::with_shards(protocol, n, shards);
+        let world = World::new(protocol, n);
         let dim = match r.u8()? {
             2 => Dim::Two,
             3 => Dim::Three,
@@ -1234,7 +1187,7 @@ impl<P: Protocol> World<P> {
         let bond_count = r.u64()?;
         let sum_sq_sizes = r.u64()?;
         let live_components = r.u64()?;
-        let cross_shard_events = r.u64()?;
+        let _reserved = r.u64()?;
         let mut states = Vec::with_capacity(n);
         let mut placements = Vec::with_capacity(n);
         let mut comp_of = Vec::with_capacity(n);
@@ -1381,7 +1334,6 @@ impl<P: Protocol> World<P> {
         world.bond_count = bond_count as usize;
         world.sum_sq_sizes = sum_sq_sizes;
         world.live_components = live;
-        world.cross_shard_events = cross_shard_events;
         if !world.check_invariants() {
             return Err(corrupt("configuration violates the embedding invariants"));
         }
@@ -1485,9 +1437,8 @@ impl<P: Protocol> World<P> {
     /// the recounted permissible/effective totals must equal the brute-force
     /// [`World::enumerate_permissible`] classification, the incrementally maintained
     /// shared aggregate must equal the recount (the two are computed through
-    /// independent code paths — per-shard list sums with a hash memo vs running deltas
-    /// over dense tables), the sharded layout invariants must hold, and the maintained
-    /// effective *set* must match pair for pair. Activates the index if necessary.
+    /// independent code paths — bucket sizes with a hash memo vs running deltas over
+    /// dense tables), and the maintained effective *set* must match pair for pair. Activates the index if necessary.
     ///
     /// # Errors
     /// Returns a description of the first discrepancy. Intended for the equivalence
@@ -1497,16 +1448,12 @@ impl<P: Protocol> World<P> {
             return Err("pair index overflowed its class table".to_string());
         };
         let aggregate = self
-            .pair_counts_sharded()
+            .aggregate_pair_counts()
             .expect("aggregate counts must be available while the index is active");
         if aggregate != summary {
             return Err(format!(
                 "aggregate counts {aggregate:?} disagree with the recount {summary:?}"
             ));
-        }
-        {
-            let cell = self.pairs.borrow();
-            cell.index.check_sharding()?;
         }
         let mm = self
             .enumerate_cross_multi(u64::MAX)
@@ -1579,7 +1526,7 @@ impl<P: Protocol> World<P> {
     /// [`World::index_stats`]).
     #[must_use]
     pub fn is_stable(&self) -> bool {
-        if let Some(summary) = self.pair_counts_sharded() {
+        if let Some(summary) = self.aggregate_pair_counts() {
             if summary.effective_base > 0 {
                 return false;
             }
@@ -1743,6 +1690,21 @@ impl<P: Protocol> World<P> {
 mod tests {
     use super::*;
     use crate::Transition;
+
+    #[test]
+    fn trace_lanes_are_contiguous_id_ranges() {
+        for n in [1usize, 3, 4, 16, 65] {
+            for i in 0..n {
+                let lane = trace_lane(NodeId::new(i as u32), n);
+                assert!((lane as usize) < TRACE_LANES.min(n));
+            }
+        }
+        let lanes: Vec<u32> = (0..16).map(|i| trace_lane(NodeId::new(i), 16)).collect();
+        let mut sorted = lanes.clone();
+        sorted.sort_unstable();
+        assert_eq!(lanes, sorted);
+        assert_eq!((lanes[0], lanes[3], lanes[4], lanes[15]), (0, 0, 1, 3));
+    }
 
     /// A tiny protocol that bonds chains: a `Head` grabs a `Free` node through its right
     /// port (any port of the free node), making the grabbed node the new `Head`.

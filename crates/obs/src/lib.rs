@@ -9,7 +9,7 @@
 //! - [`trace`] — a bounded ring of typed events stamped with `(lifetime_step,
 //!   lane)` rather than wall clock. Because every run of the paper's scheduler
 //!   is a deterministic sequence of selections, a step-indexed trace is
-//!   byte-reproducible and diffable across shard counts; the
+//!   byte-reproducible and diffable across runs and resumes; the
 //!   [`trace::chrome_trace_json`] encoder turns it into a Chrome
 //!   `about://tracing` document.
 //! - [`telemetry`] — the [`Telemetry`](telemetry::Telemetry) handle threaded

@@ -3,10 +3,10 @@
 //! Events are stamped with `(lifetime_step, lane)` — the scheduler's step
 //! ordinal and a canonical lane index — never wall clock. Under the paper's
 //! scheduler every run is a deterministic sequence of selections, so the trace
-//! of a pinned run is **byte-reproducible**, and because the lane is a fixed
-//! partition of node ids (not the runtime shard layout), the trace is identical
-//! across `NC_SHARDS` settings. The `trace_export --smoke` gate pins exactly
-//! that.
+//! of a pinned run is **byte-reproducible**: the lane is a fixed partition of
+//! node ids, and a run resumed from a checkpoint emits the same events as the
+//! uninterrupted run from the cut on. The `trace_export --smoke` gate pins
+//! exactly that.
 //!
 //! The ring is bounded: when full, the oldest events are dropped and counted.
 //! Dropping is deterministic too — keeping the last `cap` events of a
@@ -93,8 +93,8 @@ pub struct TraceEvent {
     /// Lifetime scheduler step the event belongs to (1-based; 0 for events
     /// before the first step).
     pub step: u64,
-    /// Canonical lane: a fixed partition of node ids independent of the
-    /// runtime shard layout, so traces compare across shard counts.
+    /// Canonical lane: a fixed partition of node ids (four contiguous id
+    /// ranges), so the lane is a function of the node and the population.
     pub lane: u32,
     /// What happened.
     pub kind: TraceEventKind,

@@ -25,8 +25,8 @@ use std::fmt::Debug;
 ///
 /// Protocols and states are `Send + Sync` (inherited from the geometric
 /// [`Protocol`] trait through the [`Clique`] adapter): transition tables are pure
-/// shared data, and the sharded world runtime may fan index maintenance out across
-/// threads.
+/// shared data. The engine itself is single-threaded; a world moves between the
+/// service's workers but is never shared between threads.
 pub trait PopulationProtocol: Send + Sync {
     /// Per-agent state.
     type State: Clone + PartialEq + Debug + Send + Sync;

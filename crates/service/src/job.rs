@@ -1,7 +1,7 @@
 //! Job specifications: what a tenant submits, and how submissions are parsed.
 //!
 //! A job is one simulation run — protocol, population size, seed, sampling mode,
-//! shard layout and a lifetime step budget — owned by a named tenant.
+//! a recorded shard count and a lifetime step budget — owned by a named tenant.
 //! Submissions arrive as `application/x-www-form-urlencoded` bodies
 //! (`protocol=square&n=16&seed=7`); every malformed field is a typed [`SpecError`]
 //! that the HTTP tier answers with `422 Unprocessable Entity`, mirroring the
@@ -13,6 +13,12 @@ use nc_core::scheduler::SamplingMode;
 
 /// Identifier of a submitted job (dense, assigned in submission order).
 pub type JobId = u64;
+
+/// Largest population a job may ask for: `2^24`, the node-id range the pair index's
+/// pair keys support. A world allocates per-node vectors of `n` up front, so a
+/// larger `n` could demand an allocation that aborts the worker process, which no
+/// `catch_unwind` can absorb.
+pub const MAX_N: usize = 1 << 24;
 
 /// The protocols the service tier can run. Each maps onto one of the repository's
 /// snapshot-capable reference protocols.
@@ -59,7 +65,8 @@ pub struct JobSpec {
     pub seed: u64,
     /// Sampling mode of the uniform scheduler.
     pub mode: SamplingMode,
-    /// Shard count of the world layout.
+    /// A recorded shard count (≥ 1, default 1): it does not change the execution,
+    /// and reports and sweep labels echo it.
     pub shards: usize,
     /// Lifetime step budget: the job fails with `budget-exhausted` once its
     /// cumulative step count (which survives crash/resume) reaches this.
@@ -77,7 +84,7 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A baseline spec: adaptive sampling, one shard, a large budget, the default
+    /// A baseline spec: adaptive sampling, `shards = 1`, a large budget, the default
     /// tenant.
     #[must_use]
     pub fn new(protocol: ProtocolKind, n: usize) -> JobSpec {
@@ -148,7 +155,7 @@ impl JobSpec {
         spec.protocol = protocol.ok_or(SpecError::MissingProtocol)?;
         spec.n = usize::try_from(n.ok_or(SpecError::MissingN)?)
             .map_err(|_| SpecError::BadNumber { key: "n" })?;
-        if spec.n == 0 {
+        if spec.n == 0 || spec.n > MAX_N {
             return Err(SpecError::BadNumber { key: "n" });
         }
         if spec.shards == 0 {
@@ -268,6 +275,12 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_population_is_accepted() {
+        let spec = JobSpec::parse("protocol=line&n=16777216").expect("n = 2^24");
+        assert_eq!(spec.n, MAX_N);
+    }
+
+    #[test]
     fn defaults_fill_optional_fields() {
         let spec = JobSpec::parse("protocol=line&n=8").expect("minimal spec");
         assert_eq!(spec.protocol, ProtocolKind::Line);
@@ -290,6 +303,14 @@ mod tests {
             ("protocol=line&n=4&speculation=8", SpecError::UnknownKey),
             ("protocol=line&n=zero", SpecError::BadNumber { key: "n" }),
             ("protocol=line&n=0", SpecError::BadNumber { key: "n" }),
+            (
+                "protocol=line&n=16777217",
+                SpecError::BadNumber { key: "n" },
+            ),
+            (
+                "protocol=line&n=1000000000000",
+                SpecError::BadNumber { key: "n" },
+            ),
             (
                 "protocol=line&n=4&shards=0",
                 SpecError::BadNumber { key: "shards" },

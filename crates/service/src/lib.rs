@@ -5,8 +5,8 @@
 //! for: three typed components behind one binary —
 //!
 //! * **queue** ([`queue`]): multi-tenant submission, weighted round-robin fairness
-//!   (reusing the sharded sampler's rate-composition arithmetic for the tenant
-//!   draw), cancellation, and crash retries with exponential backoff;
+//!   (one uniform draw walked through cumulative weights, the walk the jump
+//!   sampler resolves its effective pair with), cancellation, and crash retries with exponential backoff;
 //! * **workers** ([`worker`]): each claim runs one bounded slice of a
 //!   [`Simulation`](nc_core::Simulation) and checkpoints through the PR 5 snapshot
 //!   format at every slice boundary, so a crashed worker — injected or genuine —

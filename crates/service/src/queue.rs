@@ -1,12 +1,12 @@
 //! The job queue: submission, per-tenant fair scheduling, cancellation, retries.
 //!
 //! Jobs are FIFO **within** a tenant; **across** tenants the queue draws the next
-//! tenant by weighted sampling. The draw reuses the arithmetic of the sharded
-//! sampler's rate composition (`nc_core::scheduler`, PR 3/4): there a shard is
-//! selected with probability `Eₛ/ΣEₛ` by walking cumulative per-shard counts with one
-//! uniform draw; here a tenant is selected with probability `wₜ/Σwₜ` by walking
-//! cumulative weights with one uniform draw from a dedicated seeded stream
-//! ([`nc_core::rng::substream`]). Same decomposition, same in-cell walk — which is
+//! tenant by weighted sampling. The draw reuses the arithmetic of the jump sampler
+//! (`nc_core::scheduler`): there a cell of effective pairs is selected with
+//! probability `E_c/E` by walking cumulative per-cell counts with one uniform draw;
+//! here a tenant is selected with probability `wₜ/Σwₜ` by walking cumulative weights
+//! with one uniform draw from a dedicated seeded stream
+//! ([`nc_core::rng::substream`]). Same decomposition, same walk — which is
 //! what makes the fairness claim quantitative: over many picks each tenant's share of
 //! worker slices converges to its weight share, independent of how many jobs it
 //! queues (pinned by the `weighted_share_converges_to_weights` test).
@@ -262,8 +262,8 @@ impl JobQueue {
             return None;
         }
         // Weighted draw: one uniform sample walked through the cumulative weights —
-        // the sharded sampler's composition arithmetic with weights in place of
-        // per-shard effective counts.
+        // the jump sampler's cell walk with weights in place of per-cell effective
+        // counts.
         let total: u64 = eligible.iter().map(|(_, w)| w).sum();
         let mut ticket = self.rng.gen_range(0..total);
         let tenant = eligible

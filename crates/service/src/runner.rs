@@ -266,52 +266,78 @@ mod tests {
         JobReport::from_runner(spec, &runner, true).to_json()
     }
 
+    /// Runs `spec` in slices of `slice` drawn selections, with a checkpoint round
+    /// trip between slices; returns the finished runner, its slice count and whether
+    /// the outcome was verified.
+    fn sliced_run(spec: &JobSpec, slice: u64, label: &str) -> (JobRunner, u64, bool) {
+        let mut runner = JobRunner::start(spec);
+        let mut slices = 1;
+        loop {
+            match runner.advance(slice, spec.step_budget) {
+                SliceOutcome::Finished { completed } => return (runner, slices, completed),
+                SliceOutcome::Yielded => {
+                    let bytes = runner.checkpoint_bytes().expect("checkpoint");
+                    runner = JobRunner::resume(spec, &bytes).expect("resume");
+                    slices += 1;
+                }
+                SliceOutcome::BudgetExhausted => panic!("{label}: budget"),
+            }
+        }
+    }
+
     #[test]
     fn sliced_execution_matches_an_unsliced_run() {
-        // Every protocol, adaptive and jump sampling, at 1 and 4 shards: slices of
-        // 1, 7 and 50 000 drawn selections and an unbounded one, with a checkpoint
-        // round trip between slices, all serve the report of one engine run.
+        // Every protocol, adaptive and jump sampling: slices of 1, 7 and 50 000 drawn
+        // selections and an unbounded one, with a checkpoint round trip between
+        // slices, all serve the report of one engine run.
         for (protocol, n) in [
             (ProtocolKind::Line, 16),
             (ProtocolKind::Square, 9),
             (ProtocolKind::Counting, 8),
         ] {
             for mode in [SamplingMode::Adaptive, SamplingMode::Sharded] {
-                for shards in [1, 4] {
-                    let mut spec = JobSpec::new(protocol, n);
-                    spec.mode = mode;
-                    spec.shards = shards;
-                    let reference = engine_report(&spec);
-                    for slice in [1, 7, 50_000, u64::MAX] {
-                        let label = format!("{protocol:?} {mode:?} shards={shards} slice={slice}");
-                        let mut runner = JobRunner::start(&spec);
-                        let mut slices = 1;
-                        let completed = loop {
-                            match runner.advance(slice, spec.step_budget) {
-                                SliceOutcome::Finished { completed } => break completed,
-                                SliceOutcome::Yielded => {
-                                    let bytes = runner.checkpoint_bytes().expect("checkpoint");
-                                    runner = JobRunner::resume(&spec, &bytes).expect("resume");
-                                    slices += 1;
-                                }
-                                SliceOutcome::BudgetExhausted => panic!("{label}: budget"),
-                            }
-                        };
-                        // Every slice but the last draws exactly `slice` selections.
-                        assert_eq!(
-                            slices,
-                            runner.stats().drawn_selections().div_ceil(slice),
-                            "{label}: slices"
-                        );
-                        assert_eq!(
-                            JobReport::from_runner(&spec, &runner, completed).to_json(),
-                            reference,
-                            "{label}: slicing plus checkpoint round trips must not change the report"
-                        );
-                    }
+                let mut spec = JobSpec::new(protocol, n);
+                spec.mode = mode;
+                let reference = engine_report(&spec);
+                for slice in [1, 7, 50_000, u64::MAX] {
+                    let label = format!("{protocol:?} {mode:?} slice={slice}");
+                    let (runner, slices, completed) = sliced_run(&spec, slice, &label);
+                    // Every slice but the last draws exactly `slice` selections.
+                    assert_eq!(
+                        slices,
+                        runner.stats().drawn_selections().div_ceil(slice),
+                        "{label}: slices"
+                    );
+                    assert_eq!(
+                        JobReport::from_runner(&spec, &runner, completed).to_json(),
+                        reference,
+                        "{label}: slicing plus checkpoint round trips must not change the report"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_recorded_shard_count_is_echoed_and_changes_nothing_else() {
+        let mut spec = JobSpec::new(ProtocolKind::Square, 9);
+        spec.mode = SamplingMode::Sharded;
+        let one = engine_report(&spec);
+        spec.shards = 4;
+        let (runner, _, completed) = sliced_run(&spec, 7, "shards=4");
+        // The value survives every checkpoint round trip in the snapshot's config.
+        let JobRunner::Square(sim) = &runner else {
+            panic!("a square spec runs a square")
+        };
+        assert_eq!(sim.config().shards, 4);
+        let report = JobReport::from_runner(&spec, &runner, completed);
+        assert_eq!((report.shards, report.mode.as_str()), (4, "sharded4"));
+        let echoed_as_one = JobReport {
+            shards: 1,
+            mode: "sharded1".to_string(),
+            ..report
+        };
+        assert_eq!(echoed_as_one.to_json(), one);
     }
 
     #[test]

@@ -1,10 +1,6 @@
-//! One-shard checks of batched geometric-jump sampling: `SamplingMode::Sharded` with a
-//! single shard, where every ineffective selection between two effective ones is
-//! credited in one `Geometric(E/P)` jump over the whole permissible-pair index.
-//!
-//! `sharded.rs` pins the same sampler across 1/2/4-shard layouts; this suite keeps the
-//! plain one-shard contract on its own, so a failure here isolates the jump sampler
-//! from the shard decomposition:
+//! Checks of batched geometric-jump sampling: `SamplingMode::Sharded`, where every
+//! ineffective selection between two effective ones is credited in one
+//! `Geometric(E/P)` jump over the whole permissible-pair index:
 //!
 //! 1. **Index exactness** — after every applied interaction of a class-churning
 //!    protocol, the pair index agrees with the enumeration oracle.
@@ -26,12 +22,11 @@ use shape_constructors::protocols::counting_line::CountingOnALine;
 use shape_constructors::protocols::line::GlobalLine;
 use std::collections::HashMap;
 
-/// A one-shard jump-sampling configuration, independent of `NC_SHARDS`.
+/// A jump-sampling configuration.
 fn jump_config(n: usize, seed: u64) -> SimulationConfig {
     SimulationConfig::new(n)
         .with_seed(seed)
         .with_sharded_sampling()
-        .with_shards(1)
 }
 
 // ---------------------------------------------------------------------------------------
@@ -251,7 +246,7 @@ impl Protocol for ManyStates {
 
 #[test]
 fn class_overflow_falls_back_to_adaptive_sampling() {
-    let world = World::with_shards(ManyStates, 70, 1);
+    let world = World::new(ManyStates, 70);
     assert!(
         world.validate_pair_index().is_err(),
         "70 distinct live states must overflow the class table"

@@ -10,7 +10,7 @@
 //! The suite has three parts:
 //!
 //! 1. **Crash/resume exactness** — reference runs of `GlobalLine`, `Square` and
-//!    `CountingOnALine` across `{adaptive, sharded} × shards {1, 4}` record a
+//!    `CountingOnALine` under adaptive and sharded (jump) sampling record a
 //!    checkpoint after every step; the run is then "crashed" at adversarially
 //!    chosen steps (the very first step, right after the first merge while the
 //!    class tables churn, a few steps past it, the midpoint, one step before the
@@ -32,38 +32,14 @@ use shape_constructors::protocols::counting_line::CountingOnALine;
 use shape_constructors::protocols::line::GlobalLine;
 use shape_constructors::protocols::square::Square;
 
-/// One sampling-layout point of the crash matrix.
-#[derive(Clone, Copy, Debug)]
-struct Layout {
-    sampling: SamplingMode,
-    shards: usize,
-}
+/// The sampling modes of the crash matrix.
+const MODES: [SamplingMode; 2] = [SamplingMode::Adaptive, SamplingMode::Sharded];
 
-const LAYOUTS: [Layout; 4] = [
-    Layout {
-        sampling: SamplingMode::Adaptive,
-        shards: 1,
-    },
-    Layout {
-        sampling: SamplingMode::Adaptive,
-        shards: 4,
-    },
-    Layout {
-        sampling: SamplingMode::Sharded,
-        shards: 1,
-    },
-    Layout {
-        sampling: SamplingMode::Sharded,
-        shards: 4,
-    },
-];
-
-fn config(n: usize, seed: u64, layout: Layout) -> SimulationConfig {
+fn config(n: usize, seed: u64, sampling: SamplingMode) -> SimulationConfig {
     SimulationConfig::new(n)
         .with_seed(seed)
         .with_max_steps(50_000_000)
-        .with_sampling(layout.sampling)
-        .with_shards(layout.shards)
+        .with_sampling(sampling)
 }
 
 /// Runs the reference execution, checkpointing after construction and after every
@@ -108,19 +84,19 @@ fn assert_crash_resume_exact<P: SnapshotProtocol>(
     seed: u64,
     max_collected: usize,
 ) {
-    for layout in LAYOUTS {
-        let cfg = config(n, seed, layout);
+    for sampling in MODES {
+        let cfg = config(n, seed, sampling);
         let (checkpoints, merges) = reference_trajectory(make(), cfg, max_collected);
         assert!(
             checkpoints.len() > 4,
-            "{layout:?}: the reference run must actually advance"
+            "{sampling:?}: the reference run must actually advance"
         );
         assert!(
             *merges.last().unwrap() > 0,
-            "{layout:?}: the run must exercise merges"
+            "{sampling:?}: the run must exercise merges"
         );
         for crash_at in crash_points(&merges) {
-            let label = format!("{layout:?} n={n} seed={seed} crash@{crash_at}");
+            let label = format!("{sampling:?} n={n} seed={seed} crash@{crash_at}");
             let snapshot = Snapshot::from_bytes(checkpoints[crash_at].clone())
                 .unwrap_or_else(|e| panic!("{label}: snapshot must validate: {e}"));
             let mut resumed = Simulation::resume(make(), &snapshot)
@@ -164,11 +140,9 @@ fn counting_on_a_line_crash_resume_is_byte_identical() {
 fn resume_continues_to_the_same_terminal_configuration() {
     // Beyond lockstep checkpoints: a crashed-and-resumed run driven to stability
     // finishes with the same statistics and output shape as the uninterrupted run.
-    let layout = Layout {
-        sampling: SamplingMode::Sharded,
-        shards: 4,
-    };
-    let mut reference = Simulation::new(GlobalLine::new(), config(20, 3, layout));
+    // The recorded shard count is not 1, so the snapshot must carry it through.
+    let cfg = config(20, 3, SamplingMode::Sharded).with_shards(4);
+    let mut reference = Simulation::new(GlobalLine::new(), cfg);
     for _ in 0..40 {
         assert!(reference.step());
     }
@@ -176,6 +150,7 @@ fn resume_continues_to_the_same_terminal_configuration() {
     let ref_report = reference.run_until_stable();
 
     let mut resumed = Simulation::resume(GlobalLine::new(), &snapshot).expect("resume");
+    assert_eq!(resumed.config().shards, 4);
     let report = resumed.run_until_stable();
     assert_eq!(report.reason, ref_report.reason);
     assert_eq!(resumed.stats(), reference.stats());
@@ -192,11 +167,8 @@ fn resume_continues_to_the_same_terminal_configuration() {
 // ---------------------------------------------------------------------------------------
 
 fn sealed_fixture() -> Vec<u8> {
-    let layout = Layout {
-        sampling: SamplingMode::Sharded,
-        shards: 2,
-    };
-    let mut sim = Simulation::new(Square::new(), config(9, 5, layout));
+    let cfg = config(9, 5, SamplingMode::Sharded).with_shards(2);
+    let mut sim = Simulation::new(Square::new(), cfg);
     for _ in 0..25 {
         assert!(sim.step());
     }
@@ -333,7 +305,7 @@ fn resuming_with_the_wrong_protocol_is_a_typed_mismatch() {
 
 /// The config's pending-jump word of a snapshot of the named protocol: it follows
 /// the sampling tag (see `retired_sampling_mode_tags_are_typed_rejections` for the
-/// layout prefix) and the shard count.
+/// layout prefix) and the recorded shard count.
 fn pending_jump_word(bytes: &[u8], protocol_name: &str) -> u64 {
     let at = 4 + 2 + 2 + protocol_name.len() + 3 * 8 + 1 + 8;
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes"))
@@ -359,43 +331,34 @@ fn assert_chunked_runs_continue_exactly<P: SnapshotProtocol>(
             sim.run_until_stable()
         }
     };
-    for shards in [1, 4] {
-        let cfg = config(
-            n,
-            seed,
-            Layout {
-                sampling: SamplingMode::Sharded,
-                shards,
-            },
-        );
-        let mut reference = Simulation::new(make(), cfg);
-        assert!(finish(&mut reference).condition_met());
-        let reference_bytes = reference.checkpoint().expect("checkpoint").into_bytes();
-        let name = make().name().to_string();
-        for chunk in [1, 7, 50_000] {
-            let label = format!("{name} n={n} shards={shards} chunk={chunk}");
-            let mut sim = Simulation::new(make(), cfg);
-            let mut cut_jumps = 0;
-            let mut chunks = 0;
-            while chunks < max_chunks && sim.stats().steps + chunk < reference.stats().steps {
-                assert_eq!(sim.run_steps(chunk), chunk, "{label}");
-                let bytes = sim.checkpoint().expect("checkpoint");
-                if pending_jump_word(bytes.as_bytes(), &name) != 0 {
-                    cut_jumps += 1;
-                }
-                sim = Simulation::resume(make(), &bytes)
-                    .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
-                chunks += 1;
+    let cfg = config(n, seed, SamplingMode::Sharded);
+    let mut reference = Simulation::new(make(), cfg);
+    assert!(finish(&mut reference).condition_met());
+    let reference_bytes = reference.checkpoint().expect("checkpoint").into_bytes();
+    let name = make().name().to_string();
+    for chunk in [1, 7, 50_000] {
+        let label = format!("{name} n={n} chunk={chunk}");
+        let mut sim = Simulation::new(make(), cfg);
+        let mut cut_jumps = 0;
+        let mut chunks = 0;
+        while chunks < max_chunks && sim.stats().steps + chunk < reference.stats().steps {
+            assert_eq!(sim.run_steps(chunk), chunk, "{label}");
+            let bytes = sim.checkpoint().expect("checkpoint");
+            if pending_jump_word(bytes.as_bytes(), &name) != 0 {
+                cut_jumps += 1;
             }
-            assert!(cut_jumps > 0, "{label}: no chunk boundary cut a jump");
-            assert!(finish(&mut sim).condition_met(), "{label}");
-            assert_eq!(sim.stats(), reference.stats(), "{label}");
-            assert_eq!(
-                sim.checkpoint().expect("checkpoint").as_bytes(),
-                &reference_bytes[..],
-                "{label}: final checkpoints differ"
-            );
+            sim = Simulation::resume(make(), &bytes)
+                .unwrap_or_else(|e| panic!("{label}: resume failed: {e}"));
+            chunks += 1;
         }
+        assert!(cut_jumps > 0, "{label}: no chunk boundary cut a jump");
+        assert!(finish(&mut sim).condition_met(), "{label}");
+        assert_eq!(sim.stats(), reference.stats(), "{label}");
+        assert_eq!(
+            sim.checkpoint().expect("checkpoint").as_bytes(),
+            &reference_bytes[..],
+            "{label}: final checkpoints differ"
+        );
     }
 }
 
