@@ -4,10 +4,12 @@
 //! states and the port-to-port link table. Because the link table determines every
 //! component's embedding up to a rigid motion (see the crate docs), two worlds with
 //! equal `Config`s are the same configuration of the model, and [`canonical_key`]
-//! additionally quotients by node relabeling: it minimizes a byte encoding of the
-//! config over all state-preserving node permutations. With `n ≤ 6` the permutation
-//! group is at most `6! = 720` strong, and in practice far smaller because only nodes
-//! with byte-identical states may swap.
+//! additionally quotients by node relabeling: it encodes each component by a
+//! breadth-first walk that follows ports in index order from a root carrying the
+//! component's least state, keeps the smallest encoding over such roots, and sorts the
+//! component codes. That is polynomial in `n` (at worst `O(k²)` for a component of
+//! `k` members), so the explorer reaches the first √n×√n square with an interior
+//! (n = 16).
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -144,139 +146,121 @@ fn bond<P: Protocol>(
         })
 }
 
-/// Canonical byte key of `config`: the minimum, over all state-preserving node
-/// permutations, of a fixed byte encoding of `(states, links)`.
+/// Largest population [`canonical_key`] accepts: node ids and component-local ids are
+/// written as one byte, and `0xFF` marks a free port.
+pub const MAX_NODES: usize = 254;
+
+/// Canonical byte key of `config`: the sorted codes of its components, each prefixed
+/// with its length.
 ///
-/// Two configurations have equal keys iff they are equal up to node relabeling —
-/// which, together with links determining embeddings (crate docs), means equal up to
-/// relabeling *and* per-component translation/rotation. States are compared through
-/// the protocol's snapshot encoding, which is injective by construction (tag plus
-/// fields).
+/// A component's code is the smallest traversal encoding over the roots that carry
+/// its least state bytes. Every bond names both of its ports, so a breadth-first walk
+/// from a fixed root that follows ports in index order numbers the component the same
+/// way under any node labels; the code then records every member's state and links
+/// under that numbering, so it determines the component up to relabeling. Two
+/// configurations therefore have equal keys iff they are equal up to node relabeling
+/// — which, together with links determining embeddings (crate docs), means equal up
+/// to relabeling *and* per-component translation/rotation. States are compared
+/// through the protocol's snapshot encoding, which is injective by construction (tag
+/// plus fields). A component of `k` members costs `O(k²)` at worst, `O(k)` when its
+/// least state is unique (a leader).
+///
+/// # Panics
+/// If `config` has more than [`MAX_NODES`] nodes, or a state encodes to more than 255
+/// bytes: either would alias distinct configurations in the one-byte encoding.
 #[must_use]
 pub fn canonical_key<P: SnapshotProtocol>(protocol: &P, config: &Config<P>) -> Vec<u8> {
     let n = config.len();
+    assert!(
+        n <= MAX_NODES,
+        "canonical keys hold at most {MAX_NODES} nodes, got {n}"
+    );
     let state_bytes: Vec<Vec<u8>> = config
         .states
         .iter()
         .map(|s| {
             let mut w = SnapshotWriter::new();
             protocol.encode_state(s, &mut w);
-            w.into_bytes()
+            let bytes = w.into_bytes();
+            assert!(
+                bytes.len() <= 0xFF,
+                "state encodings must fit a one-byte length"
+            );
+            bytes
         })
         .collect();
-    // Group nodes by identical state bytes; groups ordered by the bytes themselves so
-    // the block layout of the canonical relabeling is itself canonical.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| state_bytes[a].cmp(&state_bytes[b]).then(a.cmp(&b)));
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &order {
-        match groups.last_mut() {
-            Some(g) if state_bytes[g[0]] == state_bytes[i] => g.push(i),
-            _ => groups.push(vec![i]),
+    let mut local = vec![usize::MAX; n];
+    let mut seen = vec![false; n];
+    let mut codes = Vec::new();
+    for start in 0..n {
+        if seen[start] {
+            continue;
         }
+        let (_, members) = traversal_code(config, &state_bytes, start, &mut local);
+        for &m in &members {
+            seen[m] = true;
+        }
+        let least = members
+            .iter()
+            .map(|&m| &state_bytes[m])
+            .min()
+            .expect("a component has its start node");
+        let code = members
+            .iter()
+            .filter(|&&root| state_bytes[root] == *least)
+            .map(|&root| traversal_code(config, &state_bytes, root, &mut local).0)
+            .min()
+            .expect("some member carries the least state");
+        codes.push(code);
     }
-    let mut perm = vec![0usize; n];
-    let mut best: Option<Vec<u8>> = None;
-    assign_group(config, &state_bytes, &groups, 0, 0, &mut perm, &mut best);
-    best.unwrap_or_default()
+    codes.sort_unstable();
+    let mut key = Vec::with_capacity(codes.iter().map(|c| c.len() + 4).sum());
+    for code in codes {
+        key.extend_from_slice(&(code.len() as u32).to_le_bytes());
+        key.extend_from_slice(&code);
+    }
+    key
 }
 
-/// Recursively assigns new ids to group `g` (whose block starts at `base`), trying
-/// every ordering of its members, then recurses into the next group; at the leaves
-/// the full permutation is encoded and the minimum retained.
-fn assign_group<P: Protocol>(
+/// Encodes the component of `root` in breadth-first order from `root`, following
+/// ports in index order, and returns the code with the members in visiting order.
+///
+/// Members are numbered by first visit (`root` is 0). Each member, in that order,
+/// contributes its state's length and bytes, then per port either `0xFF` (free) or
+/// the peer's number and port. `local` is scratch space, all `usize::MAX` on entry
+/// and on return.
+fn traversal_code<P: Protocol>(
     config: &Config<P>,
     state_bytes: &[Vec<u8>],
-    groups: &[Vec<usize>],
-    g: usize,
-    base: usize,
-    perm: &mut Vec<usize>,
-    best: &mut Option<Vec<u8>>,
-) {
-    if g == groups.len() {
-        let key = encode_under(config, state_bytes, perm);
-        if best.as_ref().is_none_or(|b| key < *b) {
-            *best = Some(key);
-        }
-        return;
-    }
-    let members = groups[g].clone();
-    permute(&members, base, &mut |assignment| {
-        for (member, new_id) in assignment {
-            perm[*member] = *new_id;
-        }
-        assign_group(
-            config,
-            state_bytes,
-            groups,
-            g + 1,
-            base + members.len(),
-            perm,
-            best,
-        );
-    });
-}
-
-/// Calls `f` with every assignment of `members` to new ids `base..base+len`.
-fn permute(members: &[usize], base: usize, f: &mut impl FnMut(&[(usize, usize)])) {
-    fn rec(
-        members: &[usize],
-        base: usize,
-        used: &mut Vec<bool>,
-        acc: &mut Vec<(usize, usize)>,
-        f: &mut impl FnMut(&[(usize, usize)]),
-    ) {
-        if acc.len() == members.len() {
-            f(acc);
-            return;
-        }
-        let slot = base + acc.len();
-        for (i, &m) in members.iter().enumerate() {
-            if !used[i] {
-                used[i] = true;
-                acc.push((m, slot));
-                rec(members, base, used, acc, f);
-                acc.pop();
-                used[i] = false;
-            }
-        }
-    }
-    rec(
-        members,
-        base,
-        &mut vec![false; members.len()],
-        &mut Vec::new(),
-        f,
-    );
-}
-
-/// Encodes `config` under the relabeling `perm` (`perm[old] = new`).
-fn encode_under<P: Protocol>(
-    config: &Config<P>,
-    state_bytes: &[Vec<u8>],
-    perm: &[usize],
-) -> Vec<u8> {
-    let n = config.len();
-    debug_assert!(n < 0xFF, "node ids must fit the one-byte encoding");
-    let mut inv = vec![0usize; n];
-    for (old, &new) in perm.iter().enumerate() {
-        inv[new] = old;
-    }
-    let mut out = Vec::with_capacity(n * 16);
-    for &old in &inv {
-        out.push(state_bytes[old].len() as u8);
-        out.extend_from_slice(&state_bytes[old]);
-        for link in &config.links[old] {
-            match link {
-                None => out.push(0xFF),
-                Some((peer, peer_port)) => {
-                    out.push(perm[*peer] as u8);
-                    out.push(peer_port.index() as u8);
+    root: usize,
+    local: &mut [usize],
+) -> (Vec<u8>, Vec<usize>) {
+    let mut order = vec![root];
+    local[root] = 0;
+    let mut code = Vec::new();
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        code.push(state_bytes[u].len() as u8);
+        code.extend_from_slice(&state_bytes[u]);
+        for link in &config.links[u] {
+            match *link {
+                None => code.push(0xFF),
+                Some((v, pv)) => {
+                    if local[v] == usize::MAX {
+                        local[v] = order.len();
+                        order.push(v);
+                    }
+                    code.push(local[v] as u8);
+                    code.push(pv.index() as u8);
                 }
             }
         }
     }
-    out
+    for &u in &order {
+        local[u] = usize::MAX;
+    }
+    (code, order)
 }
 
 /// A raw, embedding-inclusive fingerprint of a world: states, placements (position
@@ -316,8 +300,11 @@ pub fn fingerprint<P: Protocol>(world: &World<P>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
     use nc_core::Simulation;
     use nc_core::SimulationConfig;
+    use nc_protocols::counting_line::CountingOnALine;
     use nc_protocols::line::GlobalLine;
     use nc_protocols::square::Square;
 
@@ -435,5 +422,280 @@ mod tests {
         assert!(rebuilt
             .shape_of(NodeId::new(0), false)
             .congruent(&world.shape_of(NodeId::new(0), false)));
+    }
+
+    /// The permutation minimiser the traversal key replaced, kept as the differential
+    /// oracle: the minimum, over all state-preserving node permutations, of a fixed
+    /// byte encoding of `(states, links)`. Factorial in the size of each same-state
+    /// group, so only usable at small `n`.
+    fn oracle_key<P: SnapshotProtocol>(protocol: &P, config: &Config<P>) -> Vec<u8> {
+        let n = config.len();
+        let state_bytes: Vec<Vec<u8>> = config
+            .states
+            .iter()
+            .map(|s| {
+                let mut w = SnapshotWriter::new();
+                protocol.encode_state(s, &mut w);
+                w.into_bytes()
+            })
+            .collect();
+        // Group nodes by identical state bytes; groups ordered by the bytes themselves
+        // so the block layout of the canonical relabeling is itself canonical.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| state_bytes[a].cmp(&state_bytes[b]).then(a.cmp(&b)));
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for &i in &order {
+            match groups.last_mut() {
+                Some(g) if state_bytes[g[0]] == state_bytes[i] => g.push(i),
+                _ => groups.push(vec![i]),
+            }
+        }
+        let mut perm = vec![0usize; n];
+        let mut best: Option<Vec<u8>> = None;
+        assign_group(config, &state_bytes, &groups, 0, 0, &mut perm, &mut best);
+        best.unwrap_or_default()
+    }
+
+    /// Recursively assigns new ids to group `g` (whose block starts at `base`), trying
+    /// every ordering of its members, then recurses into the next group; at the leaves
+    /// the full permutation is encoded and the minimum retained.
+    fn assign_group<P: Protocol>(
+        config: &Config<P>,
+        state_bytes: &[Vec<u8>],
+        groups: &[Vec<usize>],
+        g: usize,
+        base: usize,
+        perm: &mut Vec<usize>,
+        best: &mut Option<Vec<u8>>,
+    ) {
+        if g == groups.len() {
+            let key = encode_under(config, state_bytes, perm);
+            if best.as_ref().is_none_or(|b| key < *b) {
+                *best = Some(key);
+            }
+            return;
+        }
+        let members = groups[g].clone();
+        permute(&members, base, &mut |assignment| {
+            for (member, new_id) in assignment {
+                perm[*member] = *new_id;
+            }
+            assign_group(
+                config,
+                state_bytes,
+                groups,
+                g + 1,
+                base + members.len(),
+                perm,
+                best,
+            );
+        });
+    }
+
+    /// Calls `f` with every assignment of `members` to new ids `base..base+len`.
+    fn permute(members: &[usize], base: usize, f: &mut impl FnMut(&[(usize, usize)])) {
+        fn rec(
+            members: &[usize],
+            base: usize,
+            used: &mut Vec<bool>,
+            acc: &mut Vec<(usize, usize)>,
+            f: &mut impl FnMut(&[(usize, usize)]),
+        ) {
+            if acc.len() == members.len() {
+                f(acc);
+                return;
+            }
+            let slot = base + acc.len();
+            for (i, &m) in members.iter().enumerate() {
+                if !used[i] {
+                    used[i] = true;
+                    acc.push((m, slot));
+                    rec(members, base, used, acc, f);
+                    acc.pop();
+                    used[i] = false;
+                }
+            }
+        }
+        rec(
+            members,
+            base,
+            &mut vec![false; members.len()],
+            &mut Vec::new(),
+            f,
+        );
+    }
+
+    /// Encodes `config` under the relabeling `perm` (`perm[old] = new`).
+    fn encode_under<P: Protocol>(
+        config: &Config<P>,
+        state_bytes: &[Vec<u8>],
+        perm: &[usize],
+    ) -> Vec<u8> {
+        let n = config.len();
+        let mut inv = vec![0usize; n];
+        for (old, &new) in perm.iter().enumerate() {
+            inv[new] = old;
+        }
+        let mut out = Vec::with_capacity(n * 16);
+        for &old in &inv {
+            out.push(state_bytes[old].len() as u8);
+            out.extend_from_slice(&state_bytes[old]);
+            for link in &config.links[old] {
+                match link {
+                    None => out.push(0xFF),
+                    Some((peer, peer_port)) => {
+                        out.push(perm[*peer] as u8);
+                        out.push(peer_port.index() as u8);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `config` with node `i` renamed `perm[i]`.
+    fn relabel<P: Protocol>(config: &Config<P>, perm: &[usize]) -> Config<P> {
+        let n = config.len();
+        let mut states = config.states.clone();
+        let mut links = vec![[None; 6]; n];
+        for i in 0..n {
+            states[perm[i]] = config.states[i].clone();
+            for (d, link) in config.links[i].iter().enumerate() {
+                links[perm[i]][d] = link.map(|(j, pj)| (perm[j], pj));
+            }
+        }
+        Config { states, links }
+    }
+
+    /// Pairs traversal keys with oracle keys and fails on the first configuration the
+    /// two keys class differently.
+    #[derive(Default)]
+    struct SamePartition {
+        new_of_old: HashMap<Vec<u8>, Vec<u8>>,
+        old_of_new: HashMap<Vec<u8>, Vec<u8>>,
+    }
+
+    impl SamePartition {
+        fn check<P: SnapshotProtocol>(&mut self, protocol: &P, config: &Config<P>) {
+            let new = canonical_key(protocol, config);
+            let old = oracle_key(protocol, config);
+            let at = format!("{} n={}", protocol.name(), config.len());
+            assert_eq!(
+                self.new_of_old
+                    .entry(old.clone())
+                    .or_insert_with(|| new.clone()),
+                &new,
+                "{at}: one oracle class got two traversal keys"
+            );
+            assert_eq!(
+                self.old_of_new.entry(new).or_insert_with(|| old.clone()),
+                &old,
+                "{at}: one traversal key covers two oracle classes"
+            );
+        }
+    }
+
+    fn reversed(n: usize) -> Vec<usize> {
+        (0..n).rev().collect()
+    }
+
+    /// The traversal key splits configurations into exactly the oracle's classes.
+    /// Checked on every explored representative, on its reversed relabeling, and on
+    /// every raw successor the production apply produces (node ids inherited from the
+    /// parent), so both directions are exercised: equal classes under different
+    /// labels, and distinct classes with equal state multisets.
+    fn assert_same_partition<P: crate::VerifiedProtocol>(protocol: P, n: usize) {
+        let ex = crate::explore(protocol.clone(), n).expect("exploration in bounds");
+        let mut same = SamePartition::default();
+        for rec in &ex.states {
+            same.check(&protocol, &rec.config);
+            same.check(&protocol, &relabel(&rec.config, &reversed(n)));
+            let world = rebuild(&protocol, &rec.config).expect("explored configs rebuild");
+            let pairs = world
+                .enumerate_permissible(usize::MAX)
+                .expect("unbounded enumeration");
+            for pair in pairs {
+                if let Some(i) = world.effective_interaction_at(pair.a, pair.pa, pair.b, pair.pb) {
+                    let mut next = rebuild(&protocol, &rec.config).expect("rebuild");
+                    next.apply(&i);
+                    same.check(&protocol, &extract(&next));
+                }
+            }
+        }
+        assert_eq!(same.old_of_new.len(), ex.state_count());
+    }
+
+    #[test]
+    fn traversal_key_partitions_like_the_oracle_on_global_line() {
+        for n in 1..=6 {
+            assert_same_partition(GlobalLine, n);
+        }
+    }
+
+    #[test]
+    fn traversal_key_partitions_like_the_oracle_on_square() {
+        for n in 1..=6 {
+            assert_same_partition(Square::new(), n);
+        }
+    }
+
+    #[test]
+    fn traversal_key_partitions_like_the_oracle_on_counting_b1() {
+        for n in 2..=6 {
+            assert_same_partition(CountingOnALine::new(1), n);
+        }
+    }
+
+    #[test]
+    fn traversal_key_partitions_like_the_oracle_on_counting_b2() {
+        for n in 2..=6 {
+            assert_same_partition(CountingOnALine::new(2), n);
+        }
+    }
+
+    /// In the reachable configurations above every component carries a unique least
+    /// state (a leader), so each has a single candidate root. Giving every node of an
+    /// explored representative the same state makes every member a candidate, and
+    /// Square's 2×2 block is symmetric under rotation: the keys must still agree.
+    #[test]
+    fn traversal_key_partitions_like_the_oracle_on_uniform_states() {
+        fn check_uniform<P: crate::VerifiedProtocol>(protocol: P, n: usize) {
+            let ex = crate::explore(protocol.clone(), n).expect("exploration in bounds");
+            let mut same = SamePartition::default();
+            for rec in &ex.states {
+                let uniform = Config::<P> {
+                    states: vec![rec.config.states[0].clone(); n],
+                    links: rec.config.links.clone(),
+                };
+                same.check(&protocol, &uniform);
+                same.check(&protocol, &relabel(&uniform, &reversed(n)));
+            }
+        }
+        for n in 1..=6 {
+            check_uniform(Square::new(), n);
+        }
+        for n in 1..=5 {
+            check_uniform(GlobalLine, n);
+        }
+    }
+
+    /// Past [`MAX_NODES`] the one-byte ids would alias distinct configurations, so the
+    /// bound holds in release builds too: the explorer refuses such `n` up front...
+    #[test]
+    fn explore_refuses_populations_past_the_key_bound() {
+        let err = crate::explore(GlobalLine, MAX_NODES + 1)
+            .err()
+            .expect("n past the key bound must be refused");
+        assert!(err.contains("at most 254"), "{err}");
+        let at_bound = extract(&World::new(GlobalLine, MAX_NODES));
+        assert!(!canonical_key(&GlobalLine, &at_bound).is_empty());
+    }
+
+    /// ...and the key itself panics rather than alias.
+    #[test]
+    #[should_panic(expected = "at most 254 nodes")]
+    fn canonical_key_panics_past_the_key_bound() {
+        let past = extract(&World::new(GlobalLine, MAX_NODES + 1));
+        let _ = canonical_key(&GlobalLine, &past);
     }
 }

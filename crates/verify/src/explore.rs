@@ -107,211 +107,191 @@ pub struct Violation {
     pub path: Vec<PairChoice>,
 }
 
-/// Exploration parameters.
-pub struct Explorer<P: VerifiedProtocol> {
-    protocol: P,
-    n: usize,
-    max_states: usize,
-}
+/// Safety valve on the number of canonical states; exceeding it is an error.
+const MAX_STATES: usize = 2_000_000;
 
-impl<P: VerifiedProtocol> Explorer<P> {
-    /// Creates an explorer for `n` nodes of `protocol`.
-    pub fn new(protocol: P, n: usize) -> Explorer<P> {
-        Explorer {
-            protocol,
-            n,
-            max_states: 2_000_000,
-        }
+/// Explores every configuration reachable from the initial world of `n` nodes of
+/// `protocol`, breadth-first, and checks the three verified properties on the graph.
+///
+/// # Errors
+/// If `n` exceeds [`canon::MAX_NODES`], the state cap is exceeded, or a
+/// configuration cannot be rebuilt (the latter would itself be a machinery bug,
+/// reported eagerly).
+pub fn explore<P: VerifiedProtocol>(protocol: P, n: usize) -> Result<Exploration<P>, String> {
+    if n > canon::MAX_NODES {
+        return Err(format!(
+            "n = {n}: canonical keys hold at most {} nodes",
+            canon::MAX_NODES
+        ));
     }
+    let initial = World::new(protocol.clone(), n);
+    let init_config = canon::extract(&initial);
+    let init_key = canon::canonical_key(&protocol, &init_config);
+    let mut states = vec![StateRec {
+        config: init_config,
+        key: init_key.clone(),
+        parent: None,
+        depth: 0,
+        successors: Vec::new(),
+        stable: false,
+        good_terminal: false,
+    }];
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::from([(init_key, 0)]);
+    let mut violations = Vec::new();
+    let mut edges = 0usize;
+    let mut queue = VecDeque::from([0usize]);
 
-    /// Caps the number of canonical states (safety valve; exceeding it is an error).
-    #[must_use]
-    pub fn max_states(mut self, max_states: usize) -> Explorer<P> {
-        self.max_states = max_states;
-        self
-    }
-
-    /// Runs the exhaustive exploration.
-    ///
-    /// # Errors
-    /// If the state cap is exceeded or a configuration cannot be rebuilt (the latter
-    /// would itself be a machinery bug, reported eagerly).
-    pub fn run(self) -> Result<Exploration<P>, String> {
-        let Explorer {
-            protocol,
-            n,
-            max_states,
-        } = self;
-        let initial = World::new(protocol.clone(), n);
-        let init_config = canon::extract(&initial);
-        let init_key = canon::canonical_key(&protocol, &init_config);
-        let mut states = vec![StateRec {
-            config: init_config,
-            key: init_key.clone(),
-            parent: None,
-            depth: 0,
-            successors: Vec::new(),
-            stable: false,
-            good_terminal: false,
-        }];
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::from([(init_key, 0)]);
-        let mut violations = Vec::new();
-        let mut edges = 0usize;
-        let mut queue = VecDeque::from([0usize]);
-
-        while let Some(at) = queue.pop_front() {
-            let world = canon::rebuild(&protocol, &states[at].config)?;
-            let depth = states[at].depth;
-            let pairs = world
-                .enumerate_permissible(usize::MAX)
-                .expect("unbounded enumeration cannot exceed its budget");
-            let mut effective = 0usize;
-            let mut successors = Vec::new();
-            let mut mismatch: Option<String> = None;
-            for pair in &pairs {
-                let choice = PairChoice {
-                    a: pair.a,
-                    pa: pair.pa,
-                    b: pair.b,
-                    pb: pair.pb,
-                };
-                let Some(interaction) =
-                    world.effective_interaction_at(pair.a, pair.pa, pair.b, pair.pb)
-                else {
-                    continue;
-                };
-                effective += 1;
-                // The edge is taken on a fresh copy, so `world` stays this state's
-                // configuration. Querying stability first builds the copy's pair
-                // index, which the apply then maintains incrementally.
-                let mut next = canon::rebuild(&protocol, &states[at].config)?;
-                let _ = next.is_stable();
-                let outcome = next.apply(&interaction);
-                let checked = if !outcome.effective {
-                    Err(format!(
-                        "effective_interaction_at said {choice} is effective, apply disagreed"
-                    ))
-                } else if !next.check_invariants() {
-                    Err(format!("embedding invariants broken after {choice}"))
-                } else {
-                    next.validate_pair_index()
-                        .map_err(|e| format!("pair index diverged after {choice}: {e}"))
-                };
-                if let Err(detail) = checked {
-                    mismatch.get_or_insert(detail);
-                    continue;
-                }
-                let succ_config = canon::extract(&next);
-                let succ_key = canon::canonical_key(&protocol, &succ_config);
-                let succ = match index.get(&succ_key) {
-                    Some(&idx) => idx,
-                    None => {
-                        let idx = states.len();
-                        if idx >= max_states {
-                            return Err(format!("state cap {max_states} exceeded"));
-                        }
-                        index.insert(succ_key.clone(), idx);
-                        states.push(StateRec {
-                            config: succ_config,
-                            key: succ_key,
-                            parent: Some((at, choice)),
-                            depth: depth + 1,
-                            successors: Vec::new(),
-                            stable: false,
-                            good_terminal: false,
-                        });
-                        queue.push_back(idx);
-                        idx
+    while let Some(at) = queue.pop_front() {
+        let world = canon::rebuild(&protocol, &states[at].config)?;
+        let depth = states[at].depth;
+        let pairs = world
+            .enumerate_permissible(usize::MAX)
+            .expect("unbounded enumeration cannot exceed its budget");
+        let mut effective = 0usize;
+        let mut successors = Vec::new();
+        let mut mismatch: Option<String> = None;
+        for pair in &pairs {
+            let choice = PairChoice {
+                a: pair.a,
+                pa: pair.pa,
+                b: pair.b,
+                pb: pair.pb,
+            };
+            let Some(interaction) =
+                world.effective_interaction_at(pair.a, pair.pa, pair.b, pair.pb)
+            else {
+                continue;
+            };
+            effective += 1;
+            // The edge is taken on a fresh copy, so `world` stays this state's
+            // configuration. Querying stability first builds the copy's pair
+            // index, which the apply then maintains incrementally.
+            let mut next = canon::rebuild(&protocol, &states[at].config)?;
+            let _ = next.is_stable();
+            let outcome = next.apply(&interaction);
+            let checked = if !outcome.effective {
+                Err(format!(
+                    "effective_interaction_at said {choice} is effective, apply disagreed"
+                ))
+            } else if !next.check_invariants() {
+                Err(format!("embedding invariants broken after {choice}"))
+            } else {
+                next.validate_pair_index()
+                    .map_err(|e| format!("pair index diverged after {choice}: {e}"))
+            };
+            if let Err(detail) = checked {
+                mismatch.get_or_insert(detail);
+                continue;
+            }
+            let succ_config = canon::extract(&next);
+            let succ_key = canon::canonical_key(&protocol, &succ_config);
+            let succ = match index.get(&succ_key) {
+                Some(&idx) => idx,
+                None => {
+                    let idx = states.len();
+                    if idx >= MAX_STATES {
+                        return Err(format!("state cap {MAX_STATES} exceeded"));
                     }
-                };
-                if !successors.contains(&succ) {
-                    successors.push(succ);
-                    edges += 1;
+                    index.insert(succ_key.clone(), idx);
+                    states.push(StateRec {
+                        config: succ_config,
+                        key: succ_key,
+                        parent: Some((at, choice)),
+                        depth: depth + 1,
+                        successors: Vec::new(),
+                        stable: false,
+                        good_terminal: false,
+                    });
+                    queue.push_back(idx);
+                    idx
                 }
+            };
+            if !successors.contains(&succ) {
+                successors.push(succ);
+                edges += 1;
             }
-            // Stability must be answered identically by the enumeration above, the
-            // O(1) indexed answer and the exhaustive reference scan.
-            let enumerated_stable = effective == 0;
-            if world.is_stable() != enumerated_stable || world.is_stable_scan() != enumerated_stable
-            {
-                mismatch.get_or_insert(format!(
-                    "stability oracles disagree: enumerated={enumerated_stable}, \
-                     indexed={}, scan={}",
-                    world.is_stable(),
-                    world.is_stable_scan()
-                ));
-            }
-            if let Some(detail) = mismatch {
-                violations.push(Violation {
+        }
+        // Stability must be answered identically by the enumeration above, the
+        // O(1) indexed answer and the exhaustive reference scan.
+        let enumerated_stable = effective == 0;
+        if world.is_stable() != enumerated_stable || world.is_stable_scan() != enumerated_stable {
+            mismatch.get_or_insert(format!(
+                "stability oracles disagree: enumerated={enumerated_stable}, \
+                 indexed={}, scan={}",
+                world.is_stable(),
+                world.is_stable_scan()
+            ));
+        }
+        if let Some(detail) = mismatch {
+            violations.push(Violation {
+                state: at,
+                kind: ViolationKind::OracleMismatch,
+                detail,
+                path: path_to(&states, at),
+            });
+        }
+        states[at].successors = successors;
+        states[at].stable = enumerated_stable;
+        if enumerated_stable {
+            match protocol.check_terminal(&world) {
+                Ok(()) => states[at].good_terminal = true,
+                Err(detail) => violations.push(Violation {
                     state: at,
-                    kind: ViolationKind::OracleMismatch,
+                    kind: ViolationKind::BadTerminal,
                     detail,
                     path: path_to(&states, at),
-                });
-            }
-            states[at].successors = successors;
-            states[at].stable = enumerated_stable;
-            if enumerated_stable {
-                match protocol.check_terminal(&world) {
-                    Ok(()) => states[at].good_terminal = true,
-                    Err(detail) => violations.push(Violation {
-                        state: at,
-                        kind: ViolationKind::BadTerminal,
-                        detail,
-                        path: path_to(&states, at),
-                    }),
-                }
+                }),
             }
         }
-
-        // Fair termination = backward reachability from the good terminals: a state
-        // that cannot reach any good terminal stays avoidable forever even under a
-        // fair scheduler, so reachability of the goal from *every* state is exactly
-        // the guarantee "fairness implies eventual correct termination".
-        let mut predecessors: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
-        for (i, rec) in states.iter().enumerate() {
-            for &s in &rec.successors {
-                predecessors[s].push(i);
-            }
-        }
-        let mut can_finish = vec![false; states.len()];
-        let mut back: VecDeque<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.good_terminal)
-            .map(|(i, _)| i)
-            .collect();
-        for &i in &back {
-            can_finish[i] = true;
-        }
-        while let Some(i) = back.pop_front() {
-            for &p in &predecessors[i] {
-                if !can_finish[p] {
-                    can_finish[p] = true;
-                    back.push_back(p);
-                }
-            }
-        }
-        for (i, finishes) in can_finish.iter().enumerate() {
-            if !finishes {
-                violations.push(Violation {
-                    state: i,
-                    kind: ViolationKind::Unfair,
-                    detail: "no path to any good terminal from here".into(),
-                    path: path_to(&states, i),
-                });
-            }
-        }
-        violations.sort_by_key(|v| (v.path.len(), v.state));
-
-        Ok(Exploration {
-            protocol,
-            n,
-            states,
-            violations,
-            edges,
-        })
     }
+
+    // Fair termination = backward reachability from the good terminals: a state
+    // that cannot reach any good terminal stays avoidable forever even under a
+    // fair scheduler, so reachability of the goal from *every* state is exactly
+    // the guarantee "fairness implies eventual correct termination".
+    let mut predecessors: Vec<Vec<usize>> = vec![Vec::new(); states.len()];
+    for (i, rec) in states.iter().enumerate() {
+        for &s in &rec.successors {
+            predecessors[s].push(i);
+        }
+    }
+    let mut can_finish = vec![false; states.len()];
+    let mut back: VecDeque<usize> = states
+        .iter()
+        .enumerate()
+        .filter(|(_, r)| r.good_terminal)
+        .map(|(i, _)| i)
+        .collect();
+    for &i in &back {
+        can_finish[i] = true;
+    }
+    while let Some(i) = back.pop_front() {
+        for &p in &predecessors[i] {
+            if !can_finish[p] {
+                can_finish[p] = true;
+                back.push_back(p);
+            }
+        }
+    }
+    for (i, finishes) in can_finish.iter().enumerate() {
+        if !finishes {
+            violations.push(Violation {
+                state: i,
+                kind: ViolationKind::Unfair,
+                detail: "no path to any good terminal from here".into(),
+                path: path_to(&states, i),
+            });
+        }
+    }
+    violations.sort_by_key(|v| (v.path.len(), v.state));
+
+    Ok(Exploration {
+        protocol,
+        n,
+        states,
+        violations,
+        edges,
+    })
 }
 
 fn path_to<P: VerifiedProtocol>(states: &[StateRec<P>], mut at: usize) -> Vec<PairChoice> {
@@ -322,14 +302,6 @@ fn path_to<P: VerifiedProtocol>(states: &[StateRec<P>], mut at: usize) -> Vec<Pa
     }
     path.reverse();
     path
-}
-
-/// Convenience wrapper: explore `protocol` at population size `n`.
-///
-/// # Errors
-/// See [`Explorer::run`].
-pub fn explore<P: VerifiedProtocol>(protocol: P, n: usize) -> Result<Exploration<P>, String> {
-    Explorer::new(protocol, n).run()
 }
 
 /// The fully explored configuration graph plus verification verdicts.

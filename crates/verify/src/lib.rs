@@ -1,7 +1,7 @@
 //! Exhaustive small-`n` model checking for the network constructors.
 //!
 //! The simulator samples runs; this crate *proves* properties, for small populations,
-//! by enumerating every reachable configuration. The explorer ([`explore`]) walks the
+//! by enumerating every reachable configuration. The explorer ([`explore()`]) walks the
 //! reachable configuration graph breadth-first, quotienting configurations by node
 //! relabeling and rigid motion ([`canon`]), and checks three properties against a
 //! per-protocol terminal specification ([`spec`]):
@@ -36,8 +36,13 @@
 //! table determines every component's embedding up to one rigid motion per component.
 //! Permissibility and the transition function are invariant under rigid motions and
 //! node relabeling, so the quotient graph has exactly the same dynamics — and the
-//! canonical form only needs `(states, links)`, minimized over state-preserving node
-//! permutations ([`canon::canonical_key`]).
+//! canonical form only needs `(states, links)` up to node relabeling
+//! ([`canon::canonical_key`]). The same bond argument makes that form cheap: a bond
+//! names both of its ports, so a breadth-first walk from a fixed root that follows
+//! ports in index order numbers a component identically under any labels. Encoding
+//! each component from the roots carrying its least state, keeping the smallest
+//! encoding and sorting the components gives a complete invariant of `(states,
+//! links)` up to relabeling in polynomial time, with no search over permutations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,5 +52,5 @@ pub mod explore;
 pub mod spec;
 
 pub use canon::{canonical_key, extract, fingerprint, rebuild, Config};
-pub use explore::{explore, Exploration, Explorer, PairChoice, StateRec, Violation, ViolationKind};
+pub use explore::{explore, Exploration, PairChoice, StateRec, Violation, ViolationKind};
 pub use spec::VerifiedProtocol;

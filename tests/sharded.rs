@@ -130,6 +130,12 @@ fn sharded_first_effective_interaction_is_uniform() {
         k,
         "every enumerated effective pair must be reachable"
     );
+    for i in &effective {
+        assert!(
+            tally.contains_key(&canonical(i.a, i.pa, i.b, i.pb)),
+            "missing effective pair {i:?}"
+        );
+    }
     let expected = trials as f64 / k as f64;
     let chi2: f64 = tally
         .values()
