@@ -53,7 +53,7 @@ pub struct Placement {
 impl Placement {
     /// The placement of a freshly created free node.
     #[must_use]
-    pub fn origin() -> Placement {
+    pub const fn origin() -> Placement {
         Placement {
             pos: Coord::ORIGIN,
             rot: Rotation::IDENTITY,
@@ -75,18 +75,28 @@ impl Default for Placement {
 ///
 /// A component that has only ever held one node (every free node, and the lone node a
 /// split cuts off) keeps that member inline as `(node, cell)` and allocates nothing;
-/// the second [`Component::insert`] spills it into `members`/`occupied`, in that order,
-/// ahead of the new node. A spilled component never goes back inline, even when
+/// the second [`Component::insert`] boxes a [`Spill`] and moves the inline member into
+/// it, ahead of the new node. A spilled component never goes back inline, even when
 /// removals shrink it to one member, so multi-node components keep exactly the
 /// membership order (sampler-visible: the cross-pair walks and snapshots follow it) and
-/// occupancy-map growth they would have without the inline slot.
+/// occupancy-map growth they would have without the inline slot. Boxing the spill
+/// keeps the slot a world stores per component at 32 bytes (see the size pin below).
 #[derive(Clone, Debug, Default)]
 pub struct Component {
-    /// The sole member of a never-spilled component (`members` is then unallocated).
+    /// The sole member of a never-spilled component (`spill` is then `None`).
     inline: Option<(NodeId, Coord)>,
+    spill: Option<Box<Spill>>,
+}
+
+/// The members and occupancy map of a component that has held two nodes at once.
+#[derive(Clone, Debug, Default)]
+struct Spill {
     members: Vec<NodeId>,
     occupied: HashMap<Coord, NodeId, DeterministicState>,
 }
+
+// The world keeps one `Option<Component>` per component slot on the engine hot path.
+const _: () = assert!(std::mem::size_of::<Option<Component>>() <= 32);
 
 impl Component {
     /// Creates a singleton component containing `node` at the origin of its frame.
@@ -94,7 +104,7 @@ impl Component {
     pub fn singleton(node: NodeId) -> Component {
         Component {
             inline: Some((node, Coord::ORIGIN)),
-            ..Component::default()
+            spill: None,
         }
     }
 
@@ -107,9 +117,10 @@ impl Component {
     /// The member nodes (unsorted).
     #[must_use]
     pub fn members(&self) -> &[NodeId] {
-        match &self.inline {
-            Some((node, _)) => std::slice::from_ref(node),
-            None => &self.members,
+        match (&self.inline, &self.spill) {
+            (Some((node, _)), _) => std::slice::from_ref(node),
+            (None, Some(spill)) => &spill.members,
+            (None, None) => &[],
         }
     }
 
@@ -128,9 +139,10 @@ impl Component {
     /// The node occupying `pos` in the component frame, if any.
     #[must_use]
     pub fn node_at(&self, pos: Coord) -> Option<NodeId> {
-        match self.inline {
-            Some((node, at)) => (at == pos).then_some(node),
-            None => self.occupied.get(&pos).copied(),
+        match (self.inline, &self.spill) {
+            (Some((node, at)), _) => (at == pos).then_some(node),
+            (None, Some(spill)) => spill.occupied.get(&pos).copied(),
+            (None, None) => None,
         }
     }
 
@@ -146,21 +158,23 @@ impl Component {
     /// Panics if `pos` is already occupied (that would mean two nodes falling onto the
     /// same grid cell, which the model forbids).
     pub fn insert(&mut self, node: NodeId, pos: Coord) {
-        match self.inline.take() {
+        let spill = match (self.inline.take(), &mut self.spill) {
             // Never spilled and empty: the first member stays inline.
-            None if self.members.capacity() == 0 => {
+            (None, None) => {
                 self.inline = Some((node, pos));
                 return;
             }
-            Some((first, at)) => {
-                self.occupied.insert(at, first);
-                self.members.push(first);
+            (None, Some(spill)) => spill,
+            (Some((first, at)), spill) => {
+                let spill = spill.insert(Box::default());
+                spill.occupied.insert(at, first);
+                spill.members.push(first);
+                spill
             }
-            None => {}
-        }
-        let prev = self.occupied.insert(pos, node);
+        };
+        let prev = spill.occupied.insert(pos, node);
         assert!(prev.is_none(), "cell {pos} already occupied");
-        self.members.push(node);
+        spill.members.push(node);
     }
 
     /// Removes a member (by value) located at `pos`.
@@ -177,21 +191,24 @@ impl Component {
             self.inline = None;
             return;
         }
-        let at = self.occupied.remove(&pos);
+        let spill = self.spill.as_mut().expect("node must be a member");
+        let at = spill.occupied.remove(&pos);
         assert_eq!(at, Some(node), "node {node} was not at {pos}");
-        let idx = self
+        let idx = spill
             .members
             .iter()
             .position(|&m| m == node)
             .expect("node must be a member");
-        self.members.swap_remove(idx);
+        spill.members.swap_remove(idx);
     }
 
     /// Iterates over `(node, position)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Coord)> + '_ {
-        self.inline
-            .into_iter()
-            .chain(self.occupied.iter().map(|(&pos, &node)| (node, pos)))
+        self.inline.into_iter().chain(
+            self.spill
+                .iter()
+                .flat_map(|spill| spill.occupied.iter().map(|(&pos, &node)| (node, pos))),
+        )
     }
 }
 
@@ -231,8 +248,7 @@ mod tests {
     #[test]
     fn singleton_allocates_nothing() {
         let c = Component::singleton(NodeId::new(7));
-        assert_eq!(c.members.capacity(), 0);
-        assert_eq!(c.occupied.capacity(), 0);
+        assert!(c.spill.is_none(), "a singleton boxes no spill");
         assert_eq!(c.members(), &[NodeId::new(7)]);
         assert_eq!(
             c.iter().collect::<Vec<_>>(),
@@ -244,14 +260,16 @@ mod tests {
     fn second_insert_spills_the_inline_member_first() {
         let mut c = Component::empty();
         c.insert(NodeId::new(3), Coord::new2(2, -1));
-        assert_eq!(c.members.capacity(), 0);
+        assert!(c.spill.is_none(), "one member stays inline");
         assert_eq!(c.node_at(Coord::new2(2, -1)), Some(NodeId::new(3)));
         c.insert(NodeId::new(9), Coord::new2(2, 0));
+        assert!(c.inline.is_none());
         assert_eq!(c.members(), &[NodeId::new(3), NodeId::new(9)]);
         // Shrinking back to one member keeps the spilled representation.
         c.remove(NodeId::new(3), Coord::new2(2, -1));
         assert_eq!(c.members(), &[NodeId::new(9)]);
         assert!(c.inline.is_none());
+        assert!(c.spill.is_some());
     }
 
     /// Random inserts and removes against a `BTreeMap` model, through every 0↔1↔2
@@ -276,6 +294,7 @@ mod tests {
                 (Component::empty(), BTreeMap::new())
             };
             let mut order: Vec<NodeId> = model.values().copied().collect();
+            let mut spilled = false;
             for _ in 0..rng.gen_range(1..12usize) {
                 let grow = model.is_empty() || (model.len() < 4 && rng.gen_bool(0.6));
                 if grow {
@@ -299,6 +318,9 @@ mod tests {
                     let idx = order.iter().position(|&m| m == node).expect("member");
                     order.swap_remove(idx);
                 }
+                spilled |= model.len() >= 2;
+                assert_eq!(c.spill.is_some(), spilled, "spilled once two members met");
+                assert_eq!(c.inline.is_some(), !spilled && model.len() == 1);
                 assert_eq!(c.len(), model.len());
                 assert_eq!(c.is_empty(), model.is_empty());
                 assert_eq!(c.members(), order.as_slice(), "membership order");

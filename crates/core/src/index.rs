@@ -8,7 +8,8 @@
 
 use crate::component::{Component, DeterministicState};
 use crate::rank_set::{RankSet, EMPTY};
-use crate::{NodeId, Placement, Protocol};
+use crate::world::NodeGeo;
+use crate::{NodeId, Protocol};
 use nc_geometry::{Dim, Dir};
 use nc_obs::{Telemetry, TraceEventKind};
 use std::collections::HashMap;
@@ -76,6 +77,10 @@ pub struct IndexStats {
 // exactly like their canonical pair keys because a node-port belongs to at most one
 // intra pair. Registration changes and `select(k)` are `O(log n)` and iteration is
 // ascending, so the per-step cost carries no `O(bucket)` memmove of a sorted `Vec`.
+// Everything registered *per node* — its class id, its singleton and free-port flags
+// and the intra pair at each of its ports, each packed into a `u32`
+// ([`PackedIntra`]) — sits in one 32-byte [`NodeReg`], so re-deriving a node reads and
+// writes one cache line of the index (two with the peer it is bonded to or faces).
 // Beside the buckets an **aggregate** keeps, per state class, the bucket sizes
 // (`g[class][port]`, `s[class]`) and a running total of the effective pair count,
 // updated with an exact `O(classes·ports)` delta on every single registration change
@@ -125,7 +130,13 @@ pub const CLASS_CAP: usize = 64;
 /// Ports per node in the widest (3D) model; dense per-class tables are sized by it.
 const PORT_CAP: usize = 6;
 
-/// Sentinel for "not a member" positions.
+/// Largest population the index serves. Node ids get 24 bits in a `pair_key` (and
+/// 28 in a packed intra entry); past this bound the keys would alias silently, so
+/// `PairIndex::build` refuses such worlds the way it refuses a class-table overflow,
+/// and they run on the exhaustive fallback path.
+pub const MAX_INDEXED_NODES: usize = 1 << 24;
+
+/// Sentinel for "no class yet".
 const NONE: u32 = u32::MAX;
 
 /// Packs an unordered node-port pair into a canonical `u64` key. The smaller
@@ -133,10 +144,9 @@ const NONE: u32 = u32::MAX;
 /// endpoint — the order the intra sets reproduce — and the identity the validation
 /// oracle compares effective sets by.
 pub(crate) fn pair_key(a: NodeId, pa: Dir, b: NodeId, pb: Dir) -> u64 {
-    // Node ids get 24 bits each; beyond that the keys would alias silently.
     debug_assert!(
-        a.index() < (1 << 24) && b.index() < (1 << 24),
-        "pair keys support at most 2^24 nodes"
+        a.index() < MAX_INDEXED_NODES && b.index() < MAX_INDEXED_NODES,
+        "pair keys support at most MAX_INDEXED_NODES nodes"
     );
     let (lo, hi) = if (a.index(), pa.index()) <= (b.index(), pb.index()) {
         ((a, pa), (b, pb))
@@ -158,8 +168,7 @@ pub(crate) struct GeomView<'a, S> {
     pub(crate) halted: &'a [bool],
     pub(crate) comp_of: &'a [usize],
     pub(crate) components: &'a [Option<Component>],
-    pub(crate) placements: &'a [Placement],
-    pub(crate) links: &'a [[Option<(NodeId, Dir)>; 6]],
+    pub(crate) geo: &'a [NodeGeo],
 }
 
 impl<S> GeomView<'_, S> {
@@ -167,42 +176,6 @@ impl<S> GeomView<'_, S> {
         self.components[self.comp_of[x.index()]]
             .as_ref()
             .expect("component slot of a live node must be occupied")
-    }
-
-    fn is_singleton(&self, x: NodeId) -> bool {
-        self.comp(x).len() == 1
-    }
-
-    /// Whether the cell faced by `x`'s port `pa` is unoccupied in `x`'s component.
-    fn port_free(&self, x: NodeId, pa: Dir) -> bool {
-        let pl = self.placements[x.index()];
-        let target = pl.pos + pl.rot.apply_dir(pa).unit();
-        !self.comp(x).is_occupied(target)
-    }
-
-    /// The intra-component pair `x`'s port `pa` currently participates in, if any:
-    /// the bonded peer, or the same-component node whose facing cell it touches.
-    fn intra_entry_at(&self, x: NodeId, pa: Dir) -> Option<IntraEntry> {
-        if let Some((peer, pport)) = self.links[x.index()][pa.index()] {
-            return Some(IntraEntry {
-                peer,
-                pport,
-                bonded: true,
-            });
-        }
-        let pl = self.placements[x.index()];
-        let facing = pl.rot.apply_dir(pa);
-        let target = pl.pos + facing.unit();
-        let peer = self.comp(x).node_at(target)?;
-        let pport = self.placements[peer.index()]
-            .rot
-            .inverse()
-            .apply_dir(facing.opposite());
-        Some(IntraEntry {
-            peer,
-            pport,
-            bonded: false,
-        })
     }
 }
 
@@ -214,30 +187,99 @@ pub(crate) struct IntraEntry {
     bonded: bool,
 }
 
+/// An optional [`IntraEntry`] in one `u32`: `peer << 4 | pport << 1 | bonded`, with
+/// `u32::MAX` (port bits 7, no port) meaning none. Peers below
+/// [`MAX_INDEXED_NODES`] fit the 28 peer bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PackedIntra(u32);
+
+impl PackedIntra {
+    const NONE: PackedIntra = PackedIntra(u32::MAX);
+
+    fn pack(peer: NodeId, pport: Dir, bonded: bool) -> PackedIntra {
+        debug_assert!(peer.index() < MAX_INDEXED_NODES);
+        PackedIntra(
+            ((peer.index() as u32) << 4) | ((pport.index() as u32) << 1) | u32::from(bonded),
+        )
+    }
+
+    fn get(self) -> Option<IntraEntry> {
+        (self != PackedIntra::NONE).then(|| IntraEntry {
+            peer: NodeId::new(self.0 >> 4),
+            pport: Dir::from_index(((self.0 >> 1) & 0b111) as usize),
+            bonded: self.0 & 1 == 1,
+        })
+    }
+}
+
+/// Everything the index registers for one node, in one 32-byte record: the hot
+/// per-node data of a re-derivation shares one cache line instead of four arrays.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(32))]
+struct NodeReg {
+    /// Per port: the intra-component pair the port participates in.
+    intra: [PackedIntra; 6],
+    /// Class id the node is registered under (`NONE` before `build`).
+    class: u32,
+    /// Whether the node is registered as a free singleton.
+    singleton: bool,
+    /// Bit `p` set ⇔ the node is registered as a free port on `p`.
+    free: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeReg>() <= 32);
+
+impl NodeReg {
+    const UNREGISTERED: NodeReg = NodeReg {
+        intra: [PackedIntra::NONE; 6],
+        class: NONE,
+        singleton: false,
+        free: 0,
+    };
+}
+
 /// The geometry-derived facts a re-derivation of one node needs: computed read-only
 /// from the [`GeomView`], then applied to the index.
 struct NodeFacts {
     singleton: bool,
     /// Bit `p` set ⇔ the node is multi-component and its port `p` faces a free cell.
     free_mask: u8,
-    intra: [Option<IntraEntry>; 6],
+    intra: [PackedIntra; 6],
 }
 
+/// Derives `x`'s facts with one occupancy lookup per unbonded port of a
+/// multi-component node, and none otherwise: a bonded peer occupies the cell its
+/// port faces, and a singleton's frame holds nothing but the node itself.
 fn derive_facts<S>(view: &GeomView<'_, S>, x: NodeId) -> NodeFacts {
-    let singleton = view.is_singleton(x);
-    let mut free_mask = 0u8;
-    let mut intra = [None; 6];
+    let comp = view.comp(x);
+    let mut facts = NodeFacts {
+        singleton: comp.len() == 1,
+        free_mask: 0,
+        intra: [PackedIntra::NONE; 6],
+    };
+    if facts.singleton {
+        return facts;
+    }
+    let geo = &view.geo[x.index()];
     for &pa in view.dim.dirs() {
-        if !singleton && view.port_free(x, pa) {
-            free_mask |= 1 << pa.index();
+        if let Some((peer, pport)) = geo.links[pa.index()] {
+            facts.intra[pa.index()] = PackedIntra::pack(peer, pport, true);
+            continue;
         }
-        intra[pa.index()] = view.intra_entry_at(x, pa);
+        let facing = geo.pl.rot.apply_dir(pa);
+        match comp.node_at(geo.pl.pos + facing.unit()) {
+            None => facts.free_mask |= 1 << pa.index(),
+            Some(peer) => {
+                let pport = view.geo[peer.index()]
+                    .pl
+                    .rot
+                    .inverse()
+                    .apply_dir(facing.opposite());
+                facts.intra[pa.index()] = PackedIntra::pack(peer, pport, false);
+            }
+        }
     }
-    NodeFacts {
-        singleton,
-        free_mask,
-        intra,
-    }
+    facts
 }
 
 /// A live state class of the shared class table.
@@ -315,7 +357,7 @@ pub(crate) struct PairIndex<S> {
     /// Population size: the universe of the node-keyed sets.
     nodes: usize,
     /// The intra pairs, keyed by their lower endpoint (see [`port_key`]); the peer is
-    /// read back from `intra`.
+    /// read back from the endpoint's [`NodeReg`].
     intra_pairs: RankSet,
     /// The effective subset of `intra_pairs`.
     intra_eff: RankSet,
@@ -324,14 +366,8 @@ pub(crate) struct PairIndex<S> {
     /// Per state class and port: the multi-component nodes in that state whose port
     /// faces a free cell.
     free_ports: Vec<[RankSet; PORT_CAP]>,
-    /// Class id each node is registered under (`NONE` before `build`).
-    node_class: Vec<u32>,
-    /// Whether the node is registered as a free singleton.
-    reg_singleton: Vec<bool>,
-    /// Bit `p` set ⇔ the node is registered as a free port on `p`.
-    reg_free: Vec<u8>,
-    /// Per node-port: the intra-component pair the port participates in.
-    intra: Vec<[Option<IntraEntry>; 6]>,
+    /// Per node: its class, singleton and free-port registrations and intra pairs.
+    regs: Vec<NodeReg>,
     /// The shared class table.
     classes: Vec<Option<ClassSlot<S>>>,
     free_class_slots: Vec<u32>,
@@ -372,9 +408,10 @@ pub(crate) struct PairIndex<S> {
     obs: Telemetry,
 }
 
-/// Raised when the live class count exceeds [`CLASS_CAP`]; the world then abandons the
-/// index for the rest of the execution.
-pub(crate) struct ClassOverflow;
+/// Raised when the index cannot serve the world: the live class count exceeds
+/// [`CLASS_CAP`], or the population exceeds [`MAX_INDEXED_NODES`]. The world then
+/// abandons the index for the rest of the execution.
+pub(crate) struct Unindexable;
 
 impl<S: Clone + PartialEq> PairIndex<S> {
     pub(crate) fn new() -> PairIndex<S> {
@@ -384,10 +421,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             intra_eff: RankSet::new(0),
             singletons: Vec::new(),
             free_ports: Vec::new(),
-            node_class: Vec::new(),
-            reg_singleton: Vec::new(),
-            reg_free: Vec::new(),
-            intra: Vec::new(),
+            regs: Vec::new(),
             classes: Vec::new(),
             free_class_slots: Vec::new(),
             live_ids: Vec::new(),
@@ -417,8 +451,11 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         &mut self,
         view: &GeomView<'_, S>,
         protocol: &P,
-    ) -> Result<(), ClassOverflow> {
+    ) -> Result<(), Unindexable> {
         let n = view.states.len();
+        if n > MAX_INDEXED_NODES {
+            return Err(Unindexable);
+        }
         self.reset(n);
         let all: Vec<NodeId> = (0..n as u32).map(NodeId::new).collect();
         self.flush_batch(view, protocol, &all)
@@ -438,10 +475,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.nodes = n;
         self.intra_pairs = RankSet::new(n * PORT_CAP);
         self.intra_eff = RankSet::new(n * PORT_CAP);
-        self.node_class = vec![NONE; n];
-        self.reg_singleton = vec![false; n];
-        self.reg_free = vec![0; n];
-        self.intra = vec![[None; 6]; n];
+        self.regs = vec![NodeReg::UNREGISTERED; n];
         self.g = vec![[0; PORT_CAP]; CLASS_CAP];
         self.s = vec![0; CLASS_CAP];
         self.effmask = vec![0; CLASS_CAP * PORT_CAP * CLASS_CAP];
@@ -512,6 +546,9 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     ) -> Result<(), &'static str> {
         if slots.len() > CLASS_CAP {
             return Err("class table exceeds the class cap");
+        }
+        if view.states.len() > MAX_INDEXED_NODES {
+            return Err("population exceeds the pair index's node bound");
         }
         // The free stack must list exactly the empty slots, each once.
         let mut freed = vec![false; slots.len()];
@@ -611,7 +648,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         view: &GeomView<'_, S>,
         protocol: &P,
         nodes: &[NodeId],
-    ) -> Result<(), ClassOverflow> {
+    ) -> Result<(), Unindexable> {
         debug_assert!(
             nodes.windows(2).all(|w| w[0] < w[1]),
             "batch must be sorted"
@@ -631,89 +668,74 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         view: &GeomView<'_, S>,
         protocol: &P,
         x: NodeId,
-    ) -> Result<(), ClassOverflow> {
+    ) -> Result<(), Unindexable> {
         let facts = derive_facts(view, x);
         let xi = x.index();
         let dim = view.dim;
-        let halted = view.halted[xi];
-        let class = match self.class_for(&view.states[xi], halted) {
-            Ok(class) => class,
-            Err(ClassOverflow) => {
-                // If `x` is the sole member of its current class, that class is about
-                // to be retired anyway: retiring it first frees a slot, so protocols
-                // whose *steady-state* diversity sits exactly at the cap (one node
-                // churning through fresh states) do not spuriously overflow.
-                let old = self.node_class[xi];
-                if old == NONE || self.class(old).refs > 1 {
-                    return Err(ClassOverflow);
-                }
-                self.drop_singleton_reg(dim, x);
-                for &pa in dim.dirs() {
-                    self.drop_free_port_reg(x, pa);
-                }
-                self.node_class[xi] = NONE;
-                self.release_class(old);
-                self.class_for(&view.states[xi], halted)?
-            }
+        let state = &view.states[xi];
+        let current = self.regs[xi].class;
+        // A node whose state kept its class needs no scan: a live state has exactly
+        // one class, so `class_for` would return the same id.
+        let class = if current != NONE && self.class(current).state == *state {
+            current
+        } else {
+            self.class_for_node(view, x)?
         };
-        let old_class = self.node_class[xi];
+        let old_class = self.regs[xi].class;
         if old_class != class {
             // Memberships are keyed by class: detach them before re-registering.
-            self.drop_singleton_reg(dim, x);
-            for &pa in dim.dirs() {
-                self.drop_free_port_reg(x, pa);
-            }
+            self.drop_node_regs(dim, x);
             self.class_mut(class).refs += 1;
-            self.node_class[xi] = class;
+            self.regs[xi].class = class;
             if old_class != NONE {
                 self.release_class(old_class);
             }
         }
-        if facts.singleton != self.reg_singleton[xi] {
+        if facts.singleton != self.regs[xi].singleton {
             if facts.singleton {
                 self.register_singleton(protocol, dim, class, x);
             } else {
                 self.drop_singleton_reg(dim, x);
             }
         }
-        for &pa in dim.dirs() {
-            let free = !facts.singleton && facts.free_mask & (1 << pa.index()) != 0;
-            let registered = self.reg_free[xi] & (1 << pa.index()) != 0;
-            if free && !registered {
+        let mut flips = facts.free_mask ^ self.regs[xi].free;
+        while flips != 0 {
+            let pa = Dir::from_index(flips.trailing_zeros() as usize);
+            flips &= flips - 1;
+            if facts.free_mask & (1 << pa.index()) != 0 {
                 self.register_free_port(protocol, dim, class, x, pa);
-            } else if !free && registered {
+            } else {
                 self.drop_free_port_reg(x, pa);
             }
-            // Intra pair at this port.
+        }
+        for &pa in dim.dirs() {
             let desired = facts.intra[pa.index()];
-            let stored = self.intra[xi][pa.index()];
+            let stored = self.regs[xi].intra[pa.index()];
             if stored != desired {
-                if let Some(old) = stored {
+                if let Some(old) = stored.get() {
                     self.unlink_intra(x, pa, old);
                 }
-                if let Some(new) = desired {
-                    if let Some(stale) = self.intra[new.peer.index()][new.pport.index()] {
+                if let Some(new) = desired.get() {
+                    let mirror = PackedIntra::pack(x, pa, new.bonded);
+                    let peer_slot = self.regs[new.peer.index()].intra[new.pport.index()];
+                    if let Some(stale) = peer_slot.get() {
                         if stale.peer != x || stale.pport != pa {
                             self.unlink_intra(new.peer, new.pport, stale);
                         }
                     }
-                    self.intra[xi][pa.index()] = Some(new);
-                    self.intra[new.peer.index()][new.pport.index()] = Some(IntraEntry {
-                        peer: x,
-                        pport: pa,
-                        bonded: new.bonded,
-                    });
+                    self.regs[xi].intra[pa.index()] = desired;
+                    self.regs[new.peer.index()].intra[new.pport.index()] = mirror;
                     let (lo, lo_port) = lower_endpoint(x, pa, new.peer, new.pport);
                     self.intra_pairs.insert(port_key(lo, lo_port));
                 }
             }
-            if let Some(entry) = self.intra[xi][pa.index()] {
+            if let Some(entry) = desired.get() {
                 let lo = lower_endpoint(x, pa, entry.peer, entry.pport);
                 let eff = !view.halted[xi]
                     && !view.halted[entry.peer.index()]
                     && crate::world::transition_effective(
                         protocol,
-                        &view.states[xi],
+                        state,
                         pa,
                         &view.states[entry.peer.index()],
                         entry.pport,
@@ -723,6 +745,41 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             }
         }
         Ok(())
+    }
+
+    /// The class of `x`'s current state from the live-class scan, allocating one when
+    /// none matches.
+    fn class_for_node(&mut self, view: &GeomView<'_, S>, x: NodeId) -> Result<u32, Unindexable> {
+        let xi = x.index();
+        let (state, halted) = (&view.states[xi], view.halted[xi]);
+        match self.class_for(state, halted) {
+            Ok(class) => Ok(class),
+            Err(Unindexable) => {
+                // If `x` is the sole member of its current class, that class is about
+                // to be retired anyway: retiring it first frees a slot, so protocols
+                // whose *steady-state* diversity sits exactly at the cap (one node
+                // churning through fresh states) do not spuriously overflow.
+                let old = self.regs[xi].class;
+                if old == NONE || self.class(old).refs > 1 {
+                    return Err(Unindexable);
+                }
+                self.drop_node_regs(view.dim, x);
+                self.regs[xi].class = NONE;
+                self.release_class(old);
+                self.class_for(state, halted)
+            }
+        }
+    }
+
+    /// Drops `x`'s singleton and free-port registrations (they are keyed by class).
+    fn drop_node_regs(&mut self, dim: Dim, x: NodeId) {
+        self.drop_singleton_reg(dim, x);
+        let mut free = self.regs[x.index()].free;
+        while free != 0 {
+            let pa = Dir::from_index(free.trailing_zeros() as usize);
+            free &= free - 1;
+            self.drop_free_port_reg(x, pa);
+        }
     }
 
     // --- class table -------------------------------------------------------------------
@@ -739,14 +796,14 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             .expect("class id must be live")
     }
 
-    fn class_for(&mut self, state: &S, halted: bool) -> Result<u32, ClassOverflow> {
+    fn class_for(&mut self, state: &S, halted: bool) -> Result<u32, Unindexable> {
         for &id in &self.live_ids {
             if self.class(id).state == *state {
                 return Ok(id);
             }
         }
         if self.live_ids.len() == CLASS_CAP {
-            return Err(ClassOverflow);
+            return Err(Unindexable);
         }
         let slot = ClassSlot {
             state: state.clone(),
@@ -907,7 +964,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         class: u32,
         x: NodeId,
     ) {
-        debug_assert!(!self.reg_singleton[x.index()]);
+        debug_assert!(!self.regs[x.index()].singleton);
         // A singleton pairs with every free port and every singleton (its own class
         // included).
         for i in 0..self.live_ids.len() {
@@ -925,17 +982,17 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.singleton_total += 1;
         let inserted = self.singleton_bucket_mut(class).insert(x.index());
         debug_assert!(inserted);
-        self.reg_singleton[x.index()] = true;
+        self.regs[x.index()].singleton = true;
     }
 
     fn drop_singleton_reg(&mut self, dim: Dim, x: NodeId) {
-        if !self.reg_singleton[x.index()] {
+        if !self.regs[x.index()].singleton {
             return;
         }
-        let class = self.node_class[x.index()];
+        let class = self.regs[x.index()].class;
         let removed = self.singleton_bucket_mut(class).remove(x.index());
         debug_assert!(removed);
-        self.reg_singleton[x.index()] = false;
+        self.regs[x.index()].singleton = false;
         self.s[class as usize] -= 1;
         self.singleton_total -= 1;
         // Post-removal totals: exactly the pairs the departed singleton was part of.
@@ -963,17 +1020,17 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.free_total += 1;
         let inserted = self.free_bucket_mut(class, pa).insert(x.index());
         debug_assert!(inserted);
-        self.reg_free[x.index()] |= 1 << pa.index();
+        self.regs[x.index()].free |= 1 << pa.index();
     }
 
     fn drop_free_port_reg(&mut self, x: NodeId, pa: Dir) {
-        if self.reg_free[x.index()] & (1 << pa.index()) == 0 {
+        if self.regs[x.index()].free & (1 << pa.index()) == 0 {
             return;
         }
-        let class = self.node_class[x.index()];
+        let class = self.regs[x.index()].class;
         let removed = self.free_bucket_mut(class, pa).remove(x.index());
         debug_assert!(removed);
-        self.reg_free[x.index()] &= !(1 << pa.index());
+        self.regs[x.index()].free &= !(1 << pa.index());
         self.g[class as usize][pa.index()] -= 1;
         self.free_total -= 1;
         self.class2_eff -= self.free_port_rate(class, pa);
@@ -996,10 +1053,10 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         let lo = lower_endpoint(x, pa, entry.peer, entry.pport);
         self.intra_pairs.remove(port_key(lo.0, lo.1));
         self.set_intra_eff(lo, false);
-        self.intra[x.index()][pa.index()] = None;
-        let mirror = &mut self.intra[entry.peer.index()][entry.pport.index()];
-        if mirror.is_some_and(|m| m.peer == x && m.pport == pa) {
-            *mirror = None;
+        self.regs[x.index()].intra[pa.index()] = PackedIntra::NONE;
+        let mirror = &mut self.regs[entry.peer.index()].intra[entry.pport.index()];
+        if mirror.get().is_some_and(|m| m.peer == x && m.pport == pa) {
+            *mirror = PackedIntra::NONE;
         }
     }
 
@@ -1145,8 +1202,9 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     /// first (the [`pair_key`] orientation).
     fn intra_pair_at(&self, key: usize) -> (NodeId, Dir, NodeId, Dir) {
         let (x, pa) = port_at(key);
-        let entry =
-            self.intra[x.index()][pa.index()].expect("an intra set member has its pair cell");
+        let entry = self.regs[x.index()].intra[pa.index()]
+            .get()
+            .expect("an intra set member has its pair cell");
         (x, pa, entry.peer, entry.pport)
     }
 
@@ -1497,6 +1555,67 @@ mod tests {
                 sim.stats().effective_steps - 1,
             );
         }
+    }
+
+    /// Every node in one state, never effective: enough to build an index over.
+    struct Inert;
+
+    impl Protocol for Inert {
+        type State = ();
+
+        fn initial_state(&self, _node: NodeId, _n: usize) {}
+
+        fn transition(&self, _: &(), _: Dir, _: &(), _: Dir, _: bool) -> Option<Transition<()>> {
+            None
+        }
+    }
+
+    #[test]
+    fn build_refuses_populations_past_the_node_bound() {
+        // Zero-sized states: the view spans `MAX_INDEXED_NODES + 1` nodes without
+        // allocating them, and the refusal comes before any other slice is read.
+        let states = vec![(); MAX_INDEXED_NODES + 1];
+        let view = GeomView {
+            dim: Dim::Two,
+            states: &states,
+            halted: &[],
+            comp_of: &[],
+            components: &[],
+            geo: &[],
+        };
+        let mut index = PairIndex::new();
+        assert!(index.build(&view, &Inert).is_err());
+        assert!(index
+            .restore_pinned(&view, &Inert, vec![Some(())], Vec::new())
+            .is_err());
+        // At the bound's scale nothing else changes: a small world still builds.
+        let world = crate::World::new(Inert, 5);
+        world
+            .validate_pair_index()
+            .expect("a small world is indexed");
+    }
+
+    #[test]
+    fn packed_intra_round_trips_up_to_the_largest_indexed_id() {
+        let largest = NodeId::new((MAX_INDEXED_NODES - 1) as u32);
+        for peer in [NodeId::new(0), NodeId::new(1), largest] {
+            for port in 0..PORT_CAP {
+                let pport = Dir::from_index(port);
+                for bonded in [false, true] {
+                    let packed = PackedIntra::pack(peer, pport, bonded);
+                    assert_ne!(packed, PackedIntra::NONE);
+                    assert_eq!(
+                        packed.get(),
+                        Some(IntraEntry {
+                            peer,
+                            pport,
+                            bonded
+                        })
+                    );
+                }
+            }
+        }
+        assert_eq!(PackedIntra::NONE.get(), None);
     }
 
     #[test]

@@ -91,5 +91,9 @@ pub use nc_obs::{Phase, PhaseProfile, PhaseStat, Telemetry, TraceEvent, TraceEve
 /// runtime overflow the index and fall back to adaptive sampling.
 pub use index::CLASS_CAP as MAX_LIVE_STATE_CLASSES;
 
+/// Largest population the permissible-pair index serves; larger worlds answer every
+/// stability query and jump draw from the exhaustive fallback paths.
+pub use index::MAX_INDEXED_NODES;
+
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

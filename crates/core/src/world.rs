@@ -143,6 +143,29 @@ pub struct InteractionOutcome {
     pub split: bool,
 }
 
+/// The geometry of one node: the peer bonded at each port, and the node's pose in
+/// its component's frame. Kept in one 64-byte record because the pair index reads
+/// both for every node it re-derives: one cache line per node on that path instead
+/// of one per array.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C, align(64))]
+pub(crate) struct NodeGeo {
+    /// Per port: the bonded peer and its port (`None` while the bond is inactive).
+    pub(crate) links: [Option<(NodeId, Dir)>; 6],
+    /// The node's placement in its component's frame.
+    pub(crate) pl: Placement,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeGeo>() == 64);
+
+impl NodeGeo {
+    /// A free node: no bonds, at the origin of its own frame.
+    const FREE: NodeGeo = NodeGeo {
+        links: [None; 6],
+        pl: Placement::origin(),
+    };
+}
+
 /// A configuration `(C_V, C_E)` of the model together with the rigid embedding of every
 /// connected component, for a fixed protocol.
 ///
@@ -154,10 +177,10 @@ pub struct World<P: Protocol> {
     protocol: P,
     dim: Dim,
     states: Vec<P::State>,
-    placements: Vec<Placement>,
+    /// Per node: its bonds and its pose, one cache line each.
+    geo: Vec<NodeGeo>,
     comp_of: Vec<usize>,
     components: Vec<Option<Component>>,
-    links: Vec<[Option<(NodeId, Dir)>; 6]>,
     bond_count: usize,
     rotations: Vec<Rotation>,
     /// Cached `protocol.is_halted(state)` per node, kept in sync with every state write.
@@ -221,10 +244,9 @@ impl<P: Protocol> World<P> {
             protocol,
             dim,
             states,
-            placements: vec![Placement::origin(); n],
+            geo: vec![NodeGeo::FREE; n],
             comp_of: (0..n).collect(),
             components,
-            links: vec![[None; 6]; n],
             bond_count: 0,
             halted,
             halted_count,
@@ -376,13 +398,13 @@ impl<P: Protocol> World<P> {
     /// The peer currently bonded to `node`'s port `port`, if any.
     #[must_use]
     pub fn bonded_peer(&self, node: NodeId, port: Dir) -> Option<(NodeId, Dir)> {
-        self.links[node.index()][port.index()]
+        self.geo[node.index()].links[port.index()]
     }
 
     /// The placement of `node` within its component's frame.
     #[must_use]
     pub fn placement(&self, node: NodeId) -> Placement {
-        self.placements[node.index()]
+        self.geo[node.index()].pl
     }
 
     /// The identifier of the component containing `node`.
@@ -429,11 +451,11 @@ impl<P: Protocol> World<P> {
         if a.index() >= self.len() || b.index() >= self.len() {
             return None;
         }
-        if self.links[a.index()][pa.index()] == Some((b, pb)) {
+        if self.geo[a.index()].links[pa.index()] == Some((b, pb)) {
             return Some(Permissibility::Bonded);
         }
-        let pl_a = self.placements[a.index()];
-        let pl_b = self.placements[b.index()];
+        let pl_a = self.geo[a.index()].pl;
+        let pl_b = self.geo[b.index()].pl;
         let ga = pl_a.rot.apply_dir(pa);
         if self.comp_of[a.index()] == self.comp_of[b.index()] {
             // Same component: the ports must already face each other at unit distance.
@@ -548,8 +570,8 @@ impl<P: Protocol> World<P> {
                     self.merge_components(a, b, rotation, translation);
                     outcome.merged = true;
                 }
-                self.links[a.index()][pa.index()] = Some((b, pb));
-                self.links[b.index()][pb.index()] = Some((a, pa));
+                self.geo[a.index()].links[pa.index()] = Some((b, pb));
+                self.geo[b.index()].links[pb.index()] = Some((a, pa));
                 self.bond_count += 1;
                 outcome.bond_activated = true;
             }
@@ -610,9 +632,9 @@ impl<P: Protocol> World<P> {
         // unlike the hash map — is part of the serialized configuration, so a resumed
         // run reproduces this walk exactly.
         for &node in absorbed.members() {
-            let pos = self.placements[node.index()].pos;
+            let pos = self.geo[node.index()].pl.pos;
             let new_pos = rotation.apply_coord(pos) + translation;
-            let placement = &mut self.placements[node.index()];
+            let placement = &mut self.geo[node.index()].pl;
             placement.pos = new_pos;
             placement.rot = rotation.compose(placement.rot);
             self.comp_of[node.index()] = surviving_id;
@@ -649,9 +671,9 @@ impl<P: Protocol> World<P> {
         pb: Dir,
         outcome: &mut InteractionOutcome,
     ) {
-        debug_assert_eq!(self.links[a.index()][pa.index()], Some((b, pb)));
-        self.links[a.index()][pa.index()] = None;
-        self.links[b.index()][pb.index()] = None;
+        debug_assert_eq!(self.geo[a.index()].links[pa.index()], Some((b, pb)));
+        self.geo[a.index()].links[pa.index()] = None;
+        self.geo[b.index()].links[pb.index()] = None;
         self.bond_count -= 1;
         outcome.bond_deactivated = true;
         // The component may have split: collect everything still reachable from `a`.
@@ -669,7 +691,7 @@ impl<P: Protocol> World<P> {
                 reached_b = true;
                 break;
             }
-            for (peer, _) in self.links[node.index()].iter().flatten() {
+            for (peer, _) in self.geo[node.index()].links.iter().flatten() {
                 if !reached(&self.scratch_stamp, *peer) {
                     self.scratch_stamp[peer.index()] = epoch;
                     queue.push_back(*peer);
@@ -695,7 +717,7 @@ impl<P: Protocol> World<P> {
             // member: re-derive them all.
             self.pair_touch(node);
             if self.comp_of[node.index()] == comp_id && !reached(&self.scratch_stamp, node) {
-                let pos = self.placements[node.index()].pos;
+                let pos = self.geo[node.index()].pl.pos;
                 self.components[comp_id]
                     .as_mut()
                     .expect("component slot of a live node must be occupied")
@@ -753,8 +775,8 @@ impl<P: Protocol> World<P> {
                 });
             }
         }
-        self.links[a.index()][pa.index()] = Some((b, pb));
-        self.links[b.index()][pb.index()] = Some((a, pa));
+        self.geo[a.index()].links[pa.index()] = Some((b, pb));
+        self.geo[b.index()].links[pb.index()] = Some((a, pa));
         self.bond_count += 1;
         self.version += 1;
         self.pair_touch(a);
@@ -849,9 +871,9 @@ impl<P: Protocol> World<P> {
         // Bonded pairs and same-component facing adjacencies: O(n · ports).
         for ai in 0..self.len() {
             let a = NodeId::new(ai as u32);
-            let pl_a = self.placements[ai];
+            let pl_a = self.geo[ai].pl;
             for &pa in ports {
-                if let Some((b, pb)) = self.links[ai][pa.index()] {
+                if let Some((b, pb)) = self.geo[ai].links[pa.index()] {
                     if (ai, pa.index()) < (b.index(), pb.index()) {
                         out.push(Interaction {
                             a,
@@ -866,7 +888,8 @@ impl<P: Protocol> World<P> {
                 let facing = pl_a.rot.apply_dir(pa);
                 let target = pl_a.pos + facing.unit();
                 if let Some(b) = self.component(a).node_at(target) {
-                    let pb = self.placements[b.index()]
+                    let pb = self.geo[b.index()]
+                        .pl
                         .rot
                         .inverse()
                         .apply_dir(facing.opposite());
@@ -932,13 +955,16 @@ impl<P: Protocol> World<P> {
             halted: &self.halted,
             comp_of: &self.comp_of,
             components: &self.components,
-            placements: &self.placements,
-            links: &self.links,
+            geo: &self.geo,
         }
     }
 
     /// Re-derives the queued nodes in the permissible-pair index. Called at the end of
-    /// every mutation; each queued node costs `O(ports · classes)`. The batch is
+    /// every mutation. A queued node costs one occupancy lookup per unbonded port (none
+    /// for a singleton), a class check against its current class (the `O(classes)`
+    /// scan only when its state left that class), and `O(classes)` rate updates per
+    /// registration that flips; it reads one [`NodeGeo`] record and writes one
+    /// 32-byte index record, plus those of the peers its ports pair with. The batch is
     /// sorted (ascending node id — the canonical re-derivation order that makes class
     /// allocation a function of the configuration), deduplicated and handed to the index.
     fn flush_pairs(&mut self) {
@@ -1074,7 +1100,7 @@ impl<P: Protocol> World<P> {
         out.u64(0);
         for i in 0..self.len() {
             self.protocol.encode_state(&self.states[i], out);
-            let placement = self.placements[i];
+            let placement = self.geo[i].pl;
             out.i32(placement.pos.x);
             out.i32(placement.pos.y);
             out.i32(placement.pos.z);
@@ -1085,7 +1111,7 @@ impl<P: Protocol> World<P> {
             out.u8(placement.rot.apply_dir(Dir::Up).index() as u8);
             out.u8(placement.rot.apply_dir(Dir::ZPlus).index() as u8);
             out.u64(self.comp_of[i] as u64);
-            for link in &self.links[i] {
+            for link in &self.geo[i].links {
                 match link {
                     Some((peer, port)) => {
                         out.u8(1);
@@ -1189,9 +1215,8 @@ impl<P: Protocol> World<P> {
         let live_components = r.u64()?;
         let _reserved = r.u64()?;
         let mut states = Vec::with_capacity(n);
-        let mut placements = Vec::with_capacity(n);
+        let mut geo: Vec<NodeGeo> = Vec::with_capacity(n);
         let mut comp_of = Vec::with_capacity(n);
-        let mut links = Vec::with_capacity(n);
         for _ in 0..n {
             states.push(world.protocol.decode_state(r)?);
             let pos = Coord::new(r.i32()?, r.i32()?, r.i32()?);
@@ -1213,7 +1238,7 @@ impl<P: Protocol> World<P> {
             }
             let rot = Rotation::from_axis_images(axes[0], axes[1], axes[2])
                 .ok_or_else(|| corrupt("axis images do not form a rigid grid rotation"))?;
-            placements.push(Placement { pos, rot });
+            let pl = Placement { pos, rot };
             let comp = r.u64()?;
             comp_of.push(usize::try_from(comp).map_err(|_| corrupt("component id out of range"))?);
             let mut node_links = [None; 6];
@@ -1234,7 +1259,10 @@ impl<P: Protocol> World<P> {
                     _ => return Err(corrupt("link tag is neither 0 nor 1")),
                 }
             }
-            links.push(node_links);
+            geo.push(NodeGeo {
+                links: node_links,
+                pl,
+            });
         }
         let slot_count = r.count(1)?;
         let mut components: Vec<Option<Component>> = Vec::with_capacity(slot_count);
@@ -1262,7 +1290,7 @@ impl<P: Protocol> World<P> {
                                 "component membership disagrees with the node's component id",
                             ));
                         }
-                        let pos = placements[member].pos;
+                        let pos = geo[member].pl.pos;
                         // `Component::insert` treats double occupancy as a caller
                         // bug and panics; on snapshot input it is corruption.
                         if comp.is_occupied(pos) {
@@ -1280,7 +1308,7 @@ impl<P: Protocol> World<P> {
         }
         // The stored scalar bookkeeping is redundant with the structures above:
         // recount and compare, so a corrupted scalar cannot skew the samplers.
-        let linked = links.iter().flatten().flatten().count();
+        let linked = geo.iter().flat_map(|g| g.links).flatten().count();
         if linked % 2 != 0 || (linked / 2) as u64 != bond_count {
             return Err(corrupt("bond count disagrees with the link table"));
         }
@@ -1327,10 +1355,9 @@ impl<P: Protocol> World<P> {
         world.halted = states.iter().map(|s| world.protocol.is_halted(s)).collect();
         world.halted_count = world.halted.iter().filter(|&&h| h).count();
         world.states = states;
-        world.placements = placements;
+        world.geo = geo;
         world.comp_of = comp_of;
         world.components = components;
-        world.links = links;
         world.bond_count = bond_count as usize;
         world.sum_sq_sizes = sum_sq_sizes;
         world.live_components = live;
@@ -1587,9 +1614,9 @@ impl<P: Protocol> World<P> {
                 continue;
             }
             cells.push(pos);
-            for &(peer, _) in self.links[member.index()].iter().flatten() {
+            for &(peer, _) in self.geo[member.index()].links.iter().flatten() {
                 if peer > member && self.comp_of[peer.index()] == comp_id && included(peer) {
-                    edges.push((pos, self.placements[peer.index()].pos));
+                    edges.push((pos, self.geo[peer.index()].pl.pos));
                 }
             }
         }
@@ -1635,7 +1662,7 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn check_invariants(&self) -> bool {
         for node in self.nodes() {
-            let placement = self.placements[node.index()];
+            let placement = self.geo[node.index()].pl;
             let comp_id = self.comp_of[node.index()];
             let comp = self.components[comp_id].as_ref();
             let Some(comp) = comp else {
@@ -1644,7 +1671,7 @@ impl<P: Protocol> World<P> {
             if comp.node_at(placement.pos) != Some(node) {
                 return false;
             }
-            for (idx, link) in self.links[node.index()].iter().enumerate() {
+            for (idx, link) in self.geo[node.index()].links.iter().enumerate() {
                 let Some((peer, peer_port)) = link else {
                     continue;
                 };
@@ -1655,10 +1682,10 @@ impl<P: Protocol> World<P> {
                 if self.comp_of[peer.index()] != comp_id {
                     return false;
                 }
-                if self.links[peer.index()][peer_port.index()] != Some((node, port)) {
+                if self.geo[peer.index()].links[peer_port.index()] != Some((node, port)) {
                     return false;
                 }
-                let peer_placement = self.placements[peer.index()];
+                let peer_placement = self.geo[peer.index()].pl;
                 let facing = placement.rot.apply_dir(port);
                 if peer_placement.pos != placement.pos + facing.unit() {
                     return false;

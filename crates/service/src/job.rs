@@ -14,11 +14,11 @@ use nc_core::scheduler::SamplingMode;
 /// Identifier of a submitted job (dense, assigned in submission order).
 pub type JobId = u64;
 
-/// Largest population a job may ask for: `2^24`, the node-id range the pair index's
-/// pair keys support. A world allocates per-node vectors of `n` up front, so a
-/// larger `n` could demand an allocation that aborts the worker process, which no
-/// `catch_unwind` can absorb.
-pub const MAX_N: usize = 1 << 24;
+/// Largest population a job may ask for: `2^24`, the largest population the pair
+/// index serves ([`nc_core::MAX_INDEXED_NODES`]). A world allocates per-node vectors
+/// of `n` up front, so a larger `n` could demand an allocation that aborts the worker
+/// process, which no `catch_unwind` can absorb.
+pub const MAX_N: usize = nc_core::MAX_INDEXED_NODES;
 
 /// The protocols the service tier can run. Each maps onto one of the repository's
 /// snapshot-capable reference protocols.
