@@ -478,18 +478,24 @@ impl<P: Protocol> World<P> {
             }
             let translation = target - rotation.apply_coord(pl_b.pos);
             // Overlap is symmetric, so scan the cells of the *smaller* component against
-            // the occupancy map of the larger one: a cell `c` of `a`'s component collides
-            // iff `b`'s component occupies `R⁻¹(c − t)`. This turns the hot
-            // free-node-against-big-component checks into O(1).
-            let collision = if comp_b.len() <= comp_a.len() {
+            // the occupancy of the larger one: a cell `c` of `a`'s component collides
+            // iff `b`'s component occupies `R⁻¹(c − t)`. A singleton `b` needs no scan:
+            // its one cell lands on `target`, found free above. The cells are read from
+            // the members' placements, which skips the empty cells of a dense grid.
+            let pos = |m: &NodeId| self.geo[m.index()].pl.pos;
+            let collision = if comp_b.len() == 1 {
+                false
+            } else if comp_b.len() <= comp_a.len() {
                 comp_b
+                    .members()
                     .iter()
-                    .any(|(_, pos)| comp_a.is_occupied(rotation.apply_coord(pos) + translation))
+                    .any(|m| comp_a.is_occupied(rotation.apply_coord(pos(m)) + translation))
             } else {
                 let inverse = rotation.inverse();
                 comp_a
+                    .members()
                     .iter()
-                    .any(|(_, pos)| comp_b.is_occupied(inverse.apply_coord(pos - translation)))
+                    .any(|m| comp_b.is_occupied(inverse.apply_coord(pos(m) - translation)))
             };
             if !collision {
                 return Some(Permissibility::Merge {
@@ -625,11 +631,10 @@ impl<P: Protocol> World<P> {
             .expect("component slot of a live node must be occupied");
         let absorbed_len = absorbed.len() as u64;
         let surviving_len = surviving.len() as u64;
-        let mut moved: Vec<(NodeId, Coord)> = Vec::with_capacity(absorbed.len());
         // Walk the absorbed members in their membership-vector order, not the
-        // occupancy map's hash order: the surviving `members` push order is
+        // occupancy's cell order: the surviving `members` push order is
         // sampler-visible through cross-pair enumeration, and the membership vector —
-        // unlike the hash map — is part of the serialized configuration, so a resumed
+        // unlike the occupancy — is part of the serialized configuration, so a resumed
         // run reproduces this walk exactly.
         for &node in absorbed.members() {
             let pos = self.geo[node.index()].pl.pos;
@@ -639,7 +644,6 @@ impl<P: Protocol> World<P> {
             placement.rot = rotation.compose(placement.rot);
             self.comp_of[node.index()] = surviving_id;
             surviving.insert(node, new_pos);
-            moved.push((node, new_pos));
         }
         // Component-size bookkeeping: (a+b)² replaces a² + b².
         self.sum_sq_sizes += 2 * absorbed_len * surviving_len;
@@ -648,11 +652,14 @@ impl<P: Protocol> World<P> {
             // The moved nodes must be re-derived (new component, new adjacency, new
             // free-port flags), and so must the *unmoved* neighbours of every inserted
             // cell — their ports just got blocked, which is exactly the non-local
-            // removal a grown component can cause in the singleton cross classes.
+            // removal a grown component can cause in the singleton cross classes. A
+            // second walk of the absorbed members, in the same order, reads their new
+            // cells back from their placements.
             let surviving = self.components[surviving_id]
                 .as_ref()
                 .expect("component slot of a live node must be occupied");
-            for &(node, new_pos) in &moved {
+            for &node in absorbed.members() {
+                let new_pos = self.geo[node.index()].pl.pos;
                 self.pair_pending.push(node);
                 for &d in self.dim.dirs() {
                     if let Some(neighbour) = surviving.node_at(new_pos + d.unit()) {
@@ -1275,7 +1282,7 @@ impl<P: Protocol> World<P> {
                     if members == 0 {
                         return Err(corrupt("live component slot with no members"));
                     }
-                    let mut comp = Component::empty();
+                    let mut cells = Vec::with_capacity(members);
                     for _ in 0..members {
                         let member = r.u32()? as usize;
                         if member >= n {
@@ -1290,14 +1297,12 @@ impl<P: Protocol> World<P> {
                                 "component membership disagrees with the node's component id",
                             ));
                         }
-                        let pos = geo[member].pl.pos;
-                        // `Component::insert` treats double occupancy as a caller
-                        // bug and panics; on snapshot input it is corruption.
-                        if comp.is_occupied(pos) {
-                            return Err(corrupt("two component members occupy one cell"));
-                        }
-                        comp.insert(NodeId::new(member as u32), pos);
+                        cells.push((NodeId::new(member as u32), geo[member].pl.pos));
                     }
+                    // Sized once from every member's cell; members far apart get the
+                    // sparse map, never a grid spanning their distance.
+                    let comp = Component::from_members(&cells)
+                        .ok_or_else(|| corrupt("two component members occupy one cell"))?;
                     components.push(Some(comp));
                 }
                 _ => return Err(corrupt("component slot tag is neither 0 nor 1")),
@@ -1599,9 +1604,10 @@ impl<P: Protocol> World<P> {
     /// When `only_output` is set, only members in output states (and bonds between them)
     /// are included, matching the paper's definition of the output of a configuration.
     ///
-    /// One pass over the members collects their cells and each bond once, from its
-    /// lower-id endpoint; [`Shape::from_cells_and_edges`] then builds the shape in one
-    /// bulk call, `O(k log k)` for a component of `k` members.
+    /// One pass over the component's cells collects them and each bond once, from its
+    /// lower-coordinate endpoint. A dense component yields its cells in ascending
+    /// order, so both lists reach [`Shape::from_cells_and_edges`] already sorted and its
+    /// sorts cost one linear pass; a sparse one costs `O(k log k)` for `k` members.
     #[must_use]
     pub fn shape_of(&self, node: NodeId, only_output: bool) -> Shape {
         let comp = self.component(node);
@@ -1614,11 +1620,15 @@ impl<P: Protocol> World<P> {
                 continue;
             }
             cells.push(pos);
+            let first = edges.len();
             for &(peer, _) in self.geo[member.index()].links.iter().flatten() {
-                if peer > member && self.comp_of[peer.index()] == comp_id && included(peer) {
-                    edges.push((pos, self.geo[peer.index()].pl.pos));
+                let peer_pos = self.geo[peer.index()].pl.pos;
+                if peer_pos > pos && self.comp_of[peer.index()] == comp_id && included(peer) {
+                    edges.push((pos, peer_pos));
                 }
             }
+            // At most three bonds leave a cell upwards; keep them in order.
+            edges[first..].sort_unstable();
         }
         Shape::from_cells_and_edges(cells, edges)
             .expect("bonded members of a component sit on adjacent cells")
@@ -1657,8 +1667,9 @@ impl<P: Protocol> World<P> {
 
     /// Checks internal consistency of the embedding: every bonded pair of nodes is in the
     /// same component, at unit distance, with ports facing each other, and no two nodes
-    /// of a component occupy the same cell; the `O(1)`-maintained component and halted
-    /// counts agree with a recount. Used by tests and debug assertions.
+    /// of a component occupy the same cell; every live component's occupancy holds
+    /// exactly its members (no stale cells); the `O(1)`-maintained component and
+    /// halted counts agree with a recount. Used by tests and debug assertions.
     #[must_use]
     pub fn check_invariants(&self) -> bool {
         for node in self.nodes() {
@@ -1694,6 +1705,16 @@ impl<P: Protocol> World<P> {
                     return false;
                 }
             }
+        }
+        // Every member sits at its cell (above), so a cell count equal to the member
+        // count leaves no stale cell behind.
+        if self
+            .components
+            .iter()
+            .flatten()
+            .any(|c| c.occupied_cells() != c.len())
+        {
+            return false;
         }
         // The O(1)-maintained component bookkeeping must agree with a recount.
         let live = self.components.iter().filter(|c| c.is_some()).count();
@@ -1773,6 +1794,92 @@ mod tests {
                 None
             }
         }
+    }
+
+    impl crate::SnapshotProtocol for Chain {
+        fn encode_state(&self, state: &C, out: &mut crate::SnapshotWriter) {
+            out.u8(match state {
+                C::Head => 0,
+                C::Body => 1,
+                C::Free => 2,
+            });
+        }
+
+        fn decode_state(&self, r: &mut crate::SnapshotReader<'_>) -> crate::Result<C> {
+            match r.u8()? {
+                0 => Ok(C::Head),
+                1 => Ok(C::Body),
+                2 => Ok(C::Free),
+                _ => Err(CoreError::SnapshotCorrupt {
+                    what: "unknown chain state tag",
+                }),
+            }
+        }
+    }
+
+    /// A hand-written world blob: two unbonded free `Chain` nodes that form one
+    /// component, with its members at `x0` and `x1` on the x axis.
+    fn two_member_world(x0: i32, x1: i32) -> crate::Result<World<Chain>> {
+        let mut out = crate::SnapshotWriter::new();
+        out.u8(2);
+        out.u64(0); // bonds
+        out.u64(4); // Σ |component|²
+        out.u64(1); // live components
+        out.u64(0); // reserved
+        for x in [x0, x1] {
+            out.u8(2); // C::Free
+            out.i32(x);
+            out.i32(0);
+            out.i32(0);
+            for axis in [Dir::Right, Dir::Up, Dir::ZPlus] {
+                out.u8(axis.index() as u8);
+            }
+            out.u64(0); // component id
+            for _ in 0..6 {
+                out.u8(0);
+            }
+        }
+        out.u64(1);
+        out.u8(1);
+        out.u64(2);
+        out.u32(0);
+        out.u32(1);
+        out.u8(0); // pair index disabled
+        let bytes = out.into_bytes();
+        World::snapshot_decode(Chain, 2, &mut crate::SnapshotReader::new(&bytes))
+    }
+
+    #[test]
+    fn decode_sizes_member_boxes_without_trusting_coordinates() {
+        let near = two_member_world(-2, 3).expect("a plausible world decodes");
+        let comp = near.component(NodeId::new(0));
+        assert_eq!(comp.dense_cells(), Some(6), "one box over both members");
+        assert_eq!(comp.node_at(Coord::new2(3, 0)), Some(NodeId::new(1)));
+        assert!(near.check_invariants());
+
+        // Far apart but within the coordinate bound: the sparse map, not a 2³¹-cell
+        // grid.
+        let far = two_member_world(-(1 << 30), 1 << 30).expect("decodes on the map");
+        let comp = far.component(NodeId::new(1));
+        assert_eq!(comp.dense_cells(), None);
+        assert_eq!(
+            comp.node_at(Coord::new2(-(1 << 30), 0)),
+            Some(NodeId::new(0))
+        );
+        assert_eq!(comp.node_at(Coord::new2(1 << 30, 0)), Some(NodeId::new(1)));
+        assert!(far.check_invariants());
+
+        // At the ends of the `i32` range: rejected, typed.
+        assert!(matches!(
+            two_member_world(i32::MIN, i32::MAX),
+            Err(CoreError::SnapshotCorrupt { .. })
+        ));
+        assert!(matches!(
+            two_member_world(7, 7),
+            Err(CoreError::SnapshotCorrupt {
+                what: "two component members occupy one cell"
+            })
+        ));
     }
 
     #[test]

@@ -180,7 +180,8 @@ const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
 /// not skip itself (descriptor exhaustion, say) is counted in
 /// `service_http_accept_errors_total` and followed by a short pause, never by an
 /// exit: only the server's stop ends the loop. Each request leaves one access-log
-/// line on stderr (method, path, status, response bytes) — stdout stays reserved
+/// line on stderr (method, path, status, response bytes), written after the
+/// response has been sent — stdout stays reserved
 /// for the binary's own protocol output, so `--smoke` stdout is unaffected.
 pub fn serve(server: &Server, service: &ServiceHandle, stop: &Arc<AtomicBool>) {
     while !stop.load(Ordering::SeqCst) {
@@ -190,12 +191,10 @@ pub fn serve(server: &Server, service: &ServiceHandle, stop: &Arc<AtomicBool>) {
                 let url = request.url().to_string();
                 let body = request.content().to_vec();
                 let response = route(service, method, &url, &body);
-                eprintln!(
-                    "service: {method} {url} -> {} ({} bytes)",
-                    response.status_code(),
-                    response.data().len()
-                );
+                let (status, bytes) = (response.status_code(), response.data().len());
+                // Answer first: the client need not wait on the unbuffered stderr write.
                 let _ = request.respond(response);
+                eprintln!("service: {method} {url} -> {status} ({bytes} bytes)");
             }
             Ok(None) => break,
             Err(_) => {

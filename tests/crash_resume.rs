@@ -299,6 +299,33 @@ fn resuming_with_the_wrong_protocol_is_a_typed_mismatch() {
     );
 }
 
+#[test]
+fn committed_fixture_resumes_and_runs_like_a_fresh_run() {
+    // `tests/fixtures/square_25steps.ncss`: Square n=16, seed 42, jump sampler, two
+    // recorded shards, checkpointed after 25 `step` calls (see the `replay` binary).
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/square_25steps.ncss"
+    );
+    let bytes = std::fs::read(path).expect("the fixture is committed");
+    let snapshot = Snapshot::from_bytes(bytes).expect("fixture validates");
+    let mut resumed = Simulation::resume(Square::new(), &snapshot).expect("fixture resumes");
+    assert!(resumed.world().check_invariants());
+    let mut fresh = Simulation::new(
+        Square::new(),
+        config(16, 42, SamplingMode::Sharded).with_shards(2),
+    );
+    for _ in 0..25 {
+        assert!(fresh.step());
+    }
+    assert_eq!(resumed.stats(), fresh.stats());
+    let (a, b) = (resumed.run_until_stable(), fresh.run_until_stable());
+    assert_eq!(a.steps, b.steps);
+    assert_eq!(resumed.stats(), fresh.stats());
+    assert!(resumed.world().check_invariants());
+    assert!(resumed.output_shape().is_full_square(4));
+}
+
 // ---------------------------------------------------------------------------------------
 // 4. Jumps cut short by a step budget continue exactly
 // ---------------------------------------------------------------------------------------
