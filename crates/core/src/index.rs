@@ -83,27 +83,41 @@ pub struct IndexStats {
 // writes one cache line of the index (two with the peer it is bonded to or faces).
 // Beside the buckets an **aggregate** keeps, per state class, the bucket sizes
 // (`g[class][port]`, `s[class]`) and a running total of the effective pair count,
-// updated with an exact `O(classes·ports)` delta on every single registration change
-// — the rates the jump sampler composes its geometric jumps from. Class-pair
-// effectiveness lives in dense tables, so both the delta maintenance and the uniform
-// sampling walk touch plain arrays, never a hash map.
+// updated with an exact delta on every single registration change — the rates the
+// jump sampler composes its geometric jumps from. Since `CLASS_CAP = 64`, the classes
+// with a non-empty bucket fit one `u64` **member mask** each: `single_classes` (bit
+// `c` ⇔ `s[c] > 0`) and, per port, `free_classes[pa]` (bit `c` ⇔ `g[c][pa] > 0`). The
+// rate deltas, the sampling walks and the effective-set expansion visit only the set
+// bits (`trailing_zeros`, ascending — the order of `live_ids`, so every draw is the
+// same as a walk over all live classes that skips empty buckets), never a class with
+// nothing registered. Class-pair effectiveness lives in a dense table, so both the
+// delta maintenance and the uniform sampling walk touch plain arrays, never a hash
+// map: `effmask[ca·CLASS_CAP + cb]` packs one byte per port `pa` of `ca`, the *row*
+// `(ca, pa, cb)` whose bit `pb` says whether an unbonded pair of those states and
+// ports is effective.
 //
-// The tables are filled lazily, one class pair at a time ([`PairIndex::ensure_pair`]),
-// because only free-port/singleton × singleton cells are ever read: the rates, the
-// sampling walks and the effective-set expansion skip every cell with an empty bucket
-// on either side. A per-class `filled` bitmask records which pairs hold valid entries,
-// and the registrations keep one invariant — every pair of a class registered as a
-// singleton or free port with a class holding singletons is filled:
+// The table is filled lazily, one row of `ports` evaluations at a time
+// ([`PairIndex::ensure_row`]), because only free-port/singleton × singleton rows are
+// ever read, and only in one orientation. A per-class-pair `filled` byte records
+// which rows are valid, and the registrations keep one invariant:
 //
-// * `register_singleton(c)` fills `c` against every class with a registration, itself
-//   included;
-// * `register_free_port(c)` fills `c` against every class holding singletons;
-// * a slot's row and column bits are cleared whenever its tenant changes (allocation
-//   in `class_for`), and a rebuild starts with every bit clear.
+// * a row `(ca, pa, cb)` is valid whenever `g[ca][pa] > 0` and `s[cb] > 0` (the
+//   class-2 rows);
+// * the rows `(lo, ·, hi)` are valid whenever both classes hold singletons, `lo ≤ hi`
+//   (the class-3 rows; the per-pair count `epc(lo, hi)` is their popcount).
 //
-// Protocols whose leader takes a fresh state on almost every effective step (the
-// counters of Counting-on-a-Line) thus pay for the handful of singleton classes it
-// meets, not for every live class.
+// A registration that makes a bucket non-empty fills the rows the invariant newly
+// demands: `register_free_port(c, pa)` the rows `(c, pa, ·)` of the singleton classes,
+// `register_singleton(c)` the rows `(·, ·, c)` of the free ports and the `(lo, ·, hi)`
+// rows of the singleton classes, `c` itself included. Drops only shrink the premise.
+// A re-tenanted slot (allocation in `class_for`) clears its own rows and its column
+// in the rows of the live classes — a non-live slot's rows are cleared when it is
+// re-tenanted in turn — and a rebuild starts with every row clear.
+//
+// Protocols whose leader takes a fresh state on almost every effective step (every
+// constructor of the paper) thus pay per step for the leader's free ports × the
+// singleton classes, one row of `ports` evaluations each, not for every live class
+// and both orientations of each pair.
 //
 // # Canonical order
 //
@@ -113,7 +127,8 @@ pub struct IndexStats {
 // * state-class ids are allocated in the order classes are first seen, and nodes are
 //   re-derived in ascending id order (`World::flush_pairs` sorts its batch);
 // * the uniform draws map an index `idx ∈ 0..E` through a deterministic cell walk
-//   (intra pairs, then class-2 cells, then class-3 cells, in class/port order) with
+//   (intra pairs, then class-2 cells, then class-3 cells, in ascending class/port
+//   order over the member masks) with
 //   arithmetic decomposition inside each cell — no storage-order-dependent choice
 //   remains.
 //
@@ -129,6 +144,10 @@ pub const CLASS_CAP: usize = 64;
 
 /// Ports per node in the widest (3D) model; dense per-class tables are sized by it.
 const PORT_CAP: usize = 6;
+
+// A class-pair entry of `effmask` packs one byte-wide row per port into a `u64`, and a
+// member mask holds one bit per class.
+const _: () = assert!(PORT_CAP <= 8 && CLASS_CAP <= 64);
 
 /// Largest population the index serves. Node ids get 24 bits in a `pair_key` (and
 /// 28 in a packed intra entry); past this bound the keys would alias silently, so
@@ -329,6 +348,22 @@ fn lower_endpoint(x: NodeId, pa: Dir, peer: NodeId, pport: Dir) -> (NodeId, Dir)
     }
 }
 
+/// The set bits of a class member mask, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Index of the class pair `(ca, cb)` in the dense per-pair tables.
+fn pair_at(ca: u32, cb: u32) -> usize {
+    ca as usize * CLASS_CAP + cb as usize
+}
+
 /// Inserts into a sorted vector (no-op when present); returns whether it was new.
 fn sorted_insert<T: Ord + Copy>(list: &mut Vec<T>, value: T) -> bool {
     match list.binary_search(&value) {
@@ -380,23 +415,25 @@ pub(crate) struct PairIndex<S> {
     s: Vec<u64>,
     free_total: u64,
     singleton_total: u64,
+    /// Member mask: bit `c` set ⇔ `s[c] > 0`.
+    single_classes: u64,
+    /// Per port: member mask, bit `c` set ⇔ `g[c][pa] > 0`.
+    free_classes: [u64; PORT_CAP],
     /// Running effective count of class 2 (free port × singleton) pairs.
     class2_eff: u64,
     /// Running effective count of class 3 (singleton × singleton) pairs.
     class3_eff: u64,
-    /// Dense per-(class, port, class) bitmask over the peer port: bit `pb` set ⇔ an
-    /// unbonded cross pair of those states/ports is effective. Valid only for the
-    /// class pairs marked in `filled`; lets the aggregate deltas and the sampling walk
-    /// avoid hashing.
-    effmask: Vec<u8>,
-    /// Dense per-class-pair count of effective ordered port pairs (`Σ popcount`).
-    epc: Vec<u16>,
-    /// Per class: bit `cb` set ⇔ the pair `(class, cb)` has valid `effmask`/`epc`
-    /// entries in both orientations (see [`PairIndex::ensure_pair`]).
-    filled: Vec<u64>,
-    /// Class pairs filled since the index was built (a work counter for the tests).
+    /// Per class pair ([`pair_at`]): byte `pa` is the row `(ca, pa, cb)`, a bitmask over
+    /// the peer port — bit `pb` set ⇔ an unbonded cross pair of those states/ports is
+    /// effective. A row holds a value only when marked in `filled` (zero otherwise);
+    /// lets the aggregate deltas and the sampling walk avoid hashing.
+    effmask: Vec<u64>,
+    /// Per class pair: bit `pa` set ⇔ the row `(ca, pa, cb)` of `effmask` is valid for
+    /// the slots' current tenants (see [`PairIndex::ensure_row`]).
+    filled: Vec<u8>,
+    /// Work counters of the row fills, for the tests.
     #[cfg(test)]
-    pair_fills: u64,
+    fills: FillStats,
     /// Effectiveness memo for the *recount* path ([`PairIndex::counts`]), kept
     /// hash-based and independent of the dense tables so the two computations
     /// cross-validate each other.
@@ -406,6 +443,19 @@ pub(crate) struct PairIndex<S> {
     /// happen in the ascending node order of a flush — and are worth a step-indexed
     /// trace entry each.
     obs: Telemetry,
+}
+
+/// Work counters of the lazy class-pair table since the index was built.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct FillStats {
+    /// Class pairs filled: an unordered pair counts when its first row (in either
+    /// orientation) is filled since the slots' tenants last changed.
+    pub(crate) pairs: u64,
+    /// `transition_effective` evaluations spent filling rows.
+    pub(crate) evaluations: u64,
+    /// Live classes holding singletons now (the bound the pair count is held to).
+    pub(crate) singleton_classes: u32,
 }
 
 /// Raised when the index cannot serve the world: the live class count exceeds
@@ -429,13 +479,14 @@ impl<S: Clone + PartialEq> PairIndex<S> {
             s: Vec::new(),
             free_total: 0,
             singleton_total: 0,
+            single_classes: 0,
+            free_classes: [0; PORT_CAP],
             class2_eff: 0,
             class3_eff: 0,
             effmask: Vec::new(),
-            epc: Vec::new(),
             filled: Vec::new(),
             #[cfg(test)]
-            pair_fills: 0,
+            fills: FillStats::default(),
             memo: HashMap::default(),
             obs: Telemetry::disabled(),
         }
@@ -478,9 +529,8 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.regs = vec![NodeReg::UNREGISTERED; n];
         self.g = vec![[0; PORT_CAP]; CLASS_CAP];
         self.s = vec![0; CLASS_CAP];
-        self.effmask = vec![0; CLASS_CAP * PORT_CAP * CLASS_CAP];
-        self.epc = vec![0; CLASS_CAP * CLASS_CAP];
-        self.filled = vec![0; CLASS_CAP];
+        self.effmask = vec![0; CLASS_CAP * CLASS_CAP];
+        self.filled = vec![0; CLASS_CAP * CLASS_CAP];
     }
 
     fn singleton_bucket(&self, class: u32) -> &RankSet {
@@ -621,11 +671,13 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.singleton_total as usize
     }
 
-    /// `(class pairs filled since the build, live classes holding singletons)`.
+    /// The row-fill work counters since the build.
     #[cfg(test)]
-    pub(crate) fn pair_fill_stats(&self) -> (u64, usize) {
-        let singleton_classes = self.live_ids.iter().filter(|&&c| self.s[c as usize] > 0);
-        (self.pair_fills, singleton_classes.count())
+    pub(crate) fn fill_stats(&self) -> FillStats {
+        FillStats {
+            singleton_classes: self.single_classes.count_ones(),
+            ..self.fills
+        }
     }
 
     /// The incrementally maintained aggregate counts (exact at every configuration).
@@ -819,61 +871,84 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         };
         sorted_insert(&mut self.live_ids, id);
         self.obs.trace(0, TraceEventKind::ClassAlloc { class: id });
-        self.clear_filled(id);
+        self.clear_rows(id);
         Ok(id)
     }
 
-    /// Fills both orientations of the class pair `(ca, cb)` in the dense tables, unless
-    /// they are already valid for the slots' current tenants. Entries depend only on
-    /// the two classes' states, so filling never disturbs the running aggregate.
-    fn ensure_pair<P: Protocol<State = S>>(&mut self, protocol: &P, dim: Dim, ca: u32, cb: u32) {
-        if self.filled[ca as usize] & (1 << cb) != 0 {
+    /// Fills the row `(ca, pa, cb)` of the dense table — `ports` evaluations — unless
+    /// it is already valid for the slots' current tenants. Entries depend only on the
+    /// two classes' states, so filling never disturbs the running aggregate.
+    ///
+    /// `transition_effective` resolves the unordered pair by trying the first-argument
+    /// order first, so effectiveness is not automatically symmetric in the two
+    /// (state, port) roles: rows are stored *directionally*, and every consumer reads
+    /// the same canonical orientation as the recount and the sampling walks (the free
+    /// port's class first in class 2, the lower class id first in class 3).
+    fn ensure_row<P: Protocol<State = S>>(
+        &mut self,
+        protocol: &P,
+        dim: Dim,
+        ca: u32,
+        pa: Dir,
+        cb: u32,
+    ) {
+        let at = pair_at(ca, cb);
+        let bit = 1u8 << pa.index();
+        if self.filled[at] & bit != 0 {
             return;
         }
-        // `transition_effective` resolves the unordered pair by trying the first-argument
-        // order first, so effectiveness is not automatically symmetric in the two
-        // (state, port) roles: the tables are stored *directionally*
-        // (`epc[x][y] = Σ eff(x, pa, y, pb)`), and every consumer picks the same
-        // canonical orientation as the recount and the sampling walks (lower live class
-        // id first).
-        let mut pairs_fwd = 0u16;
-        let mut pairs_rev = 0u16;
-        for &pa in dim.dirs() {
-            let mut mask_fwd = 0u8;
-            let mut mask_rev = 0u8;
-            for &pb in dim.dirs() {
-                if self.raw_cross_effective(protocol, ca, pa, cb, pb) {
-                    mask_fwd |= 1 << pb.index();
-                }
-                if self.raw_cross_effective(protocol, cb, pa, ca, pb) {
-                    mask_rev |= 1 << pb.index();
-                }
-            }
-            self.effmask[Self::mask_at(ca, pa, cb)] = mask_fwd;
-            self.effmask[Self::mask_at(cb, pa, ca)] = mask_rev;
-            pairs_fwd += u16::from(mask_fwd.count_ones() as u8);
-            pairs_rev += u16::from(mask_rev.count_ones() as u8);
-        }
-        self.epc[ca as usize * CLASS_CAP + cb as usize] = pairs_fwd;
-        self.epc[cb as usize * CLASS_CAP + ca as usize] = pairs_rev;
-        self.filled[ca as usize] |= 1 << cb;
-        self.filled[cb as usize] |= 1 << ca;
         #[cfg(test)]
         {
-            self.pair_fills += 1;
+            if self.filled[at] | self.filled[pair_at(cb, ca)] == 0 {
+                self.fills.pairs += 1;
+            }
+            self.fills.evaluations += dim.port_count() as u64;
+        }
+        let row = u64::from(self.evaluate_row(protocol, dim, ca, pa, cb));
+        let shift = 8 * pa.index();
+        self.effmask[at] = (self.effmask[at] & !(0xFF << shift)) | (row << shift);
+        self.filled[at] |= bit;
+    }
+
+    /// The row `(ca, pa, cb)` evaluated afresh: `ports` uncached evaluations.
+    fn evaluate_row<P: Protocol<State = S>>(
+        &self,
+        protocol: &P,
+        dim: Dim,
+        ca: u32,
+        pa: Dir,
+        cb: u32,
+    ) -> u8 {
+        dim.dirs()
+            .iter()
+            .filter(|&&pb| self.raw_cross_effective(protocol, ca, pa, cb, pb))
+            .fold(0, |row, pb| row | 1 << pb.index())
+    }
+
+    /// Invalidates every row of slot `id`, which just took a new tenant: its own rows,
+    /// and its column in the rows of the live classes. A slot that is not live keeps
+    /// stale rows against `id` until it is re-tenanted and clears them itself.
+    fn clear_rows(&mut self, id: u32) {
+        let own = pair_at(id, 0)..pair_at(id + 1, 0);
+        self.filled[own.clone()].fill(0);
+        self.effmask[own].fill(0);
+        for &c in &self.live_ids {
+            self.filled[pair_at(c, id)] = 0;
+            self.effmask[pair_at(c, id)] = 0;
         }
     }
 
-    /// Forgets every filled pair of slot `id`: its tenant changed.
-    fn clear_filled(&mut self, id: u32) {
-        self.filled[id as usize] = 0;
-        for row in &mut self.filled {
-            *row &= !(1 << id);
-        }
+    /// The row `(ca, pa, cb)`: bit `pb` set ⇔ the unbonded pair is effective. Valid
+    /// under the invariant of the section comment.
+    fn row(&self, ca: u32, pa: Dir, cb: u32) -> u8 {
+        (self.effmask[pair_at(ca, cb)] >> (8 * pa.index())) as u8
     }
 
-    fn mask_at(ca: u32, pa: Dir, cb: u32) -> usize {
-        (ca as usize * PORT_CAP + pa.index()) * CLASS_CAP + cb as usize
+    /// Effective ordered port pairs of the class pair `(lo, hi)`, `lo` in the `pa`
+    /// role: the popcount over its rows (unfilled rows hold zero; the invariant keeps
+    /// them all filled while both classes hold singletons).
+    fn epc(&self, lo: u32, hi: u32) -> u64 {
+        u64::from(self.effmask[pair_at(lo, hi)].count_ones())
     }
 
     /// Uncached effectiveness of an unbonded cross pair between the two classes.
@@ -911,50 +986,37 @@ impl<S: Clone + PartialEq> PairIndex<S> {
 
     // --- registrations and the running aggregate ---------------------------------------
 
-    /// `Σ_{cb live} s[cb] · |{pb : eff(ca, pa, cb, pb)}|` — the class-2 effective pairs
-    /// one free port on `(ca, pa)` participates in.
+    /// `Σ_{cb : s[cb] > 0} s[cb] · |{pb : eff(ca, pa, cb, pb)}|` — the class-2
+    /// effective pairs one free port on `(ca, pa)` participates in.
     fn free_port_rate(&self, ca: u32, pa: Dir) -> u64 {
-        let mut sum = 0;
-        for &cb in &self.live_ids {
-            let sc = self.s[cb as usize];
-            if sc > 0 {
-                sum += sc * u64::from(self.effmask[Self::mask_at(ca, pa, cb)].count_ones());
-            }
-        }
-        sum
+        bits(self.single_classes)
+            .map(|cb| self.s[cb as usize] * u64::from(self.row(ca, pa, cb).count_ones()))
+            .sum()
     }
 
-    /// `Σ_{ca live, pa} g[ca][pa] · |{pb : eff(ca, pa, c, pb)}|` — the class-2
-    /// effective pairs one singleton of class `c` participates in.
+    /// `Σ_{pa, ca : g[ca][pa] > 0} g[ca][pa] · |{pb : eff(ca, pa, c, pb)}|` — the
+    /// class-2 effective pairs one singleton of class `c` participates in.
     fn singleton_class2_rate(&self, dim: Dim, c: u32) -> u64 {
         let mut sum = 0;
-        for &ca in &self.live_ids {
-            for &pa in dim.dirs() {
+        for &pa in dim.dirs() {
+            for ca in bits(self.free_classes[pa.index()]) {
                 let ga = self.g[ca as usize][pa.index()];
-                if ga > 0 {
-                    sum += ga * u64::from(self.effmask[Self::mask_at(ca, pa, c)].count_ones());
-                }
+                sum += ga * u64::from(self.row(ca, pa, c).count_ones());
             }
         }
         sum
     }
 
-    /// `Σ_{cb live} s[cb] · epc[lo][hi]` (with `(lo, hi) = (min(c, cb), max(c, cb))`) —
-    /// the class-3 effective pairs one singleton of class `c` forms with the currently
-    /// registered singletons, evaluated in the same canonical orientation (lower live
-    /// class id takes the `pa` role) as the recount and the sampling walk, so the
-    /// running aggregate stays consistent with both even for protocols whose
-    /// transition table is not symmetric in the two roles.
+    /// `Σ_{cb : s[cb] > 0} s[cb] · epc(lo, hi)` (with `(lo, hi) = (min(c, cb),
+    /// max(c, cb))`) — the class-3 effective pairs one singleton of class `c` forms
+    /// with the currently registered singletons, evaluated in the same canonical
+    /// orientation (lower class id takes the `pa` role) as the recount and the
+    /// sampling walk, so the running aggregate stays consistent with both even for
+    /// protocols whose transition table is not symmetric in the two roles.
     fn singleton_class3_rate(&self, c: u32) -> u64 {
-        let mut sum = 0;
-        for &cb in &self.live_ids {
-            let sc = self.s[cb as usize];
-            if sc > 0 {
-                let (lo, hi) = (c.min(cb) as usize, c.max(cb) as usize);
-                sum += sc * u64::from(self.epc[lo * CLASS_CAP + hi]);
-            }
-        }
-        sum
+        bits(self.single_classes)
+            .map(|cb| self.s[cb as usize] * self.epc(c.min(cb), c.max(cb)))
+            .sum()
     }
 
     fn register_singleton<P: Protocol<State = S>>(
@@ -965,13 +1027,20 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         x: NodeId,
     ) {
         debug_assert!(!self.regs[x.index()].singleton);
-        // A singleton pairs with every free port and every singleton (its own class
-        // included).
-        for i in 0..self.live_ids.len() {
-            let other = self.live_ids[i];
-            let registered = self.s[other as usize] > 0 || self.g[other as usize] != [0; PORT_CAP];
-            if other == class || registered {
-                self.ensure_pair(protocol, dim, class, other);
+        if self.s[class as usize] == 0 {
+            // The class's first singleton pairs with every free port and every
+            // singleton, its own class included: fill the rows the invariant now
+            // demands (a class already holding singletons has them all).
+            for &pa in dim.dirs() {
+                for ca in bits(self.free_classes[pa.index()]) {
+                    self.ensure_row(protocol, dim, ca, pa, class);
+                }
+            }
+            for cb in bits(self.single_classes | 1 << class) {
+                let (lo, hi) = (class.min(cb), class.max(cb));
+                for &pa in dim.dirs() {
+                    self.ensure_row(protocol, dim, lo, pa, hi);
+                }
             }
         }
         // Deltas are computed against the *pre-registration* totals: the new singleton
@@ -979,6 +1048,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         self.class2_eff += self.singleton_class2_rate(dim, class);
         self.class3_eff += self.singleton_class3_rate(class);
         self.s[class as usize] += 1;
+        self.single_classes |= 1 << class;
         self.singleton_total += 1;
         let inserted = self.singleton_bucket_mut(class).insert(x.index());
         debug_assert!(inserted);
@@ -994,6 +1064,9 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         debug_assert!(removed);
         self.regs[x.index()].singleton = false;
         self.s[class as usize] -= 1;
+        if self.s[class as usize] == 0 {
+            self.single_classes &= !(1 << class);
+        }
         self.singleton_total -= 1;
         // Post-removal totals: exactly the pairs the departed singleton was part of.
         self.class2_eff -= self.singleton_class2_rate(dim, class);
@@ -1008,15 +1081,15 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         x: NodeId,
         pa: Dir,
     ) {
-        // A free port pairs with every singleton.
-        for i in 0..self.live_ids.len() {
-            let other = self.live_ids[i];
-            if self.s[other as usize] > 0 {
-                self.ensure_pair(protocol, dim, class, other);
+        if self.g[class as usize][pa.index()] == 0 {
+            // The first free port on `(class, pa)` pairs with every singleton.
+            for cb in bits(self.single_classes) {
+                self.ensure_row(protocol, dim, class, pa, cb);
             }
         }
         self.class2_eff += self.free_port_rate(class, pa);
         self.g[class as usize][pa.index()] += 1;
+        self.free_classes[pa.index()] |= 1 << class;
         self.free_total += 1;
         let inserted = self.free_bucket_mut(class, pa).insert(x.index());
         debug_assert!(inserted);
@@ -1032,6 +1105,9 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         debug_assert!(removed);
         self.regs[x.index()].free &= !(1 << pa.index());
         self.g[class as usize][pa.index()] -= 1;
+        if self.g[class as usize][pa.index()] == 0 {
+            self.free_classes[pa.index()] &= !(1 << class);
+        }
         self.free_total -= 1;
         self.class2_eff -= self.free_port_rate(class, pa);
     }
@@ -1164,7 +1240,72 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         }
     }
 
+    /// Checks the lazy class layer against the aggregate and the protocol: the member
+    /// masks equal `{c : s[c] > 0}` and, per port, `{c : g[c][pa] > 0}`, and every
+    /// row the rates and walks can read — the invariant's rows — is marked filled and
+    /// equals a fresh evaluation. Validation support, `O(classes²·ports²)`.
+    pub(crate) fn check_class_tables<P: Protocol<State = S>>(
+        &self,
+        protocol: &P,
+        dim: Dim,
+    ) -> Result<(), String> {
+        fn mask_where(nonempty: impl Fn(usize) -> bool) -> u64 {
+            (0..CLASS_CAP)
+                .filter(|&c| nonempty(c))
+                .fold(0, |mask, c| mask | 1 << c)
+        }
+        let singles = mask_where(|c| self.s[c] > 0);
+        if self.single_classes != singles {
+            return Err(format!(
+                "singleton class mask {:#x} disagrees with the bucket sizes {singles:#x}",
+                self.single_classes
+            ));
+        }
+        for pa in 0..PORT_CAP {
+            let free = mask_where(|c| self.g[c][pa] > 0);
+            if self.free_classes[pa] != free {
+                return Err(format!(
+                    "free-port class mask of port {pa} is {:#x}, bucket sizes give {free:#x}",
+                    self.free_classes[pa]
+                ));
+            }
+        }
+        let check_row = |ca: u32, pa: Dir, cb: u32| {
+            if self.filled[pair_at(ca, cb)] & (1 << pa.index()) == 0 {
+                return Err(format!("row ({ca}, {pa:?}, {cb}) is read but not filled"));
+            }
+            let fresh = self.evaluate_row(protocol, dim, ca, pa, cb);
+            if self.row(ca, pa, cb) != fresh {
+                return Err(format!(
+                    "row ({ca}, {pa:?}, {cb}) holds {:#b}, a fresh evaluation gives {fresh:#b}",
+                    self.row(ca, pa, cb)
+                ));
+            }
+            Ok(())
+        };
+        for &pa in dim.dirs() {
+            for ca in bits(self.free_classes[pa.index()]) {
+                for cb in bits(self.single_classes) {
+                    check_row(ca, pa, cb)?;
+                }
+            }
+        }
+        for lo in bits(self.single_classes) {
+            for hi in bits(self.single_classes & (u64::MAX << lo)) {
+                for &pa in dim.dirs() {
+                    check_row(lo, pa, hi)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
     // --- canonical uniform sampling -----------------------------------------------------
+
+    /// Classes with a free port on any port.
+    fn free_class_union(&self) -> u64 {
+        self.free_classes.iter().fold(0, |union, mask| union | mask)
+    }
 
     /// The `k`-th singleton of class `c` in ascending node-id order.
     fn kth_singleton(&self, c: u32, k: u64) -> NodeId {
@@ -1219,18 +1360,15 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         }
         idx -= self.intra_eff.len() as u64;
         // Class 2 cells: free port (ca, pa) × singleton (cb, pb).
-        for &ca in &self.live_ids {
+        for ca in bits(self.free_class_union()) {
             for &pa in dim.dirs() {
                 let g = self.g[ca as usize][pa.index()];
                 if g == 0 {
                     continue;
                 }
-                for &cb in &self.live_ids {
+                for cb in bits(self.single_classes) {
                     let sc = self.s[cb as usize];
-                    if sc == 0 {
-                        continue;
-                    }
-                    let mask = self.effmask[Self::mask_at(ca, pa, cb)];
+                    let mask = self.row(ca, pa, cb);
                     if mask == 0 {
                         continue;
                     }
@@ -1251,22 +1389,16 @@ impl<S: Clone + PartialEq> PairIndex<S> {
         }
         // Class 3 cells: singleton × singleton by unordered class pair; within one
         // class the smaller node takes `pa` (the counting convention).
-        for (i, &ca) in self.live_ids.iter().enumerate() {
+        for ca in bits(self.single_classes) {
             let sa = self.s[ca as usize];
-            if sa == 0 {
-                continue;
-            }
-            for &cb in &self.live_ids[i..] {
+            for cb in bits(self.single_classes & (u64::MAX << ca)) {
                 let sb = self.s[cb as usize];
-                if sb == 0 {
-                    continue;
-                }
                 let pairs = if ca == cb { sa * (sa - 1) / 2 } else { sa * sb };
                 if pairs == 0 {
                     continue;
                 }
                 for &pa in dim.dirs() {
-                    let mask = self.effmask[Self::mask_at(ca, pa, cb)];
+                    let mask = self.row(ca, pa, cb);
                     if mask == 0 {
                         continue;
                     }
@@ -1326,7 +1458,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
 
     /// The `k`-th singleton in the canonical global order (class-major, then node id).
     fn global_singleton(&self, mut k: u64) -> NodeId {
-        for &c in &self.live_ids {
+        for c in bits(self.single_classes) {
             let sc = self.s[c as usize];
             if k < sc {
                 return self.kth_singleton(c, k);
@@ -1338,7 +1470,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
 
     /// The `k`-th free port in the canonical global order (class-major, port, node id).
     fn global_free_port(&self, mut k: u64) -> (NodeId, Dir) {
-        for &c in &self.live_ids {
+        for c in bits(self.free_class_union()) {
             for pa in 0..PORT_CAP {
                 let pa = Dir::from_index(pa);
                 let g = self.g[c as usize][pa.index()];
@@ -1361,16 +1493,13 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                 pair_key(x, pa, y, pb)
             })
             .collect();
-        for &ca in &self.live_ids {
+        for ca in bits(self.free_class_union()) {
             for &pa in dim.dirs() {
                 if self.g[ca as usize][pa.index()] == 0 {
                     continue;
                 }
-                for &cb in &self.live_ids {
-                    if self.s[cb as usize] == 0 {
-                        continue;
-                    }
-                    let mask = self.effmask[Self::mask_at(ca, pa, cb)];
+                for cb in bits(self.single_classes) {
+                    let mask = self.row(ca, pa, cb);
                     for &pb in dim.dirs() {
                         if mask & (1 << pb.index()) == 0 {
                             continue;
@@ -1384,16 +1513,10 @@ impl<S: Clone + PartialEq> PairIndex<S> {
                 }
             }
         }
-        for (i, &ca) in self.live_ids.iter().enumerate() {
-            if self.s[ca as usize] == 0 {
-                continue;
-            }
-            for &cb in &self.live_ids[i..] {
-                if self.s[cb as usize] == 0 {
-                    continue;
-                }
+        for ca in bits(self.single_classes) {
+            for cb in bits(self.single_classes & (u64::MAX << ca)) {
                 for &pa in dim.dirs() {
-                    let mask = self.effmask[Self::mask_at(ca, pa, cb)];
+                    let mask = self.row(ca, pa, cb);
                     for &pb in dim.dirs() {
                         if mask & (1 << pb.index()) == 0 {
                             continue;
@@ -1536,14 +1659,13 @@ mod tests {
             let mut sim = Simulation::new(CountingLine { head_start: 1 }, config);
             // The first call builds the index, filling the initial classes' pairs.
             assert!(sim.step());
-            let (start, _) = sim.world().pair_fill_stats();
+            let start = sim.world().fill_stats().pairs;
             let mut budget = 0;
             while !sim.world().any_halted() {
                 assert!(sim.step());
-                let (_, singleton_classes) = sim.world().pair_fill_stats();
-                budget += singleton_classes as u64 + 1;
+                budget += u64::from(sim.world().fill_stats().singleton_classes) + 1;
             }
-            let (end, _) = sim.world().pair_fill_stats();
+            let end = sim.world().fill_stats().pairs;
             assert!(
                 sim.stats().effective_steps > 1_000,
                 "seed {seed}: run too short"
@@ -1554,6 +1676,97 @@ mod tests {
                 end - start,
                 sim.stats().effective_steps - 1,
             );
+        }
+    }
+
+    /// The leader-driven rules of the paper's Global Line and Square (the protocol
+    /// crate's `GlobalLine` and `Square`, restated because this crate cannot depend on
+    /// it): a leader `Lead(side)` absorbs free `Free` nodes and hands its role on.
+    #[derive(Clone, Copy)]
+    enum LeaderRules {
+        /// `(L_i, i), (q0, j), 0 → (q1, L_j̄, 1)`.
+        Line,
+        /// Rules 1–4 `(L_i, i), (q0, ī), 0 → (q1, L_{cw(i)}, 1)` and 5–8
+        /// `(L_i, i), (q1, ī), 0 → (L_{ccw(i)}, q1, 1)`.
+        Square,
+    }
+
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum LeaderState {
+        Lead(Dir),
+        Settled,
+        Free,
+    }
+
+    impl Protocol for LeaderRules {
+        type State = LeaderState;
+
+        fn initial_state(&self, node: NodeId, _n: usize) -> LeaderState {
+            match (node.index(), self) {
+                (0, LeaderRules::Line) => LeaderState::Lead(Dir::Right),
+                (0, LeaderRules::Square) => LeaderState::Lead(Dir::Up),
+                _ => LeaderState::Free,
+            }
+        }
+
+        fn transition(
+            &self,
+            a: &LeaderState,
+            pa: Dir,
+            b: &LeaderState,
+            pb: Dir,
+            bonded: bool,
+        ) -> Option<Transition<LeaderState>> {
+            let &LeaderState::Lead(side) = a else {
+                return None;
+            };
+            if bonded || pa != side {
+                return None;
+            }
+            let (a, b) = match (self, b) {
+                (LeaderRules::Line, LeaderState::Free) => {
+                    (LeaderState::Settled, LeaderState::Lead(pb.opposite()))
+                }
+                (LeaderRules::Square, LeaderState::Free) if pb == side.opposite() => {
+                    (LeaderState::Settled, LeaderState::Lead(side.clockwise()))
+                }
+                (LeaderRules::Square, LeaderState::Settled) if pb == side.opposite() => (
+                    LeaderState::Lead(side.counter_clockwise()),
+                    LeaderState::Settled,
+                ),
+                _ => return None,
+            };
+            Some(Transition { a, b, bond: true })
+        }
+    }
+
+    /// Row fills: a leader that takes a fresh class on an effective step pays one row
+    /// per free port against the one singleton class (`Free`) — at most 3 free ports
+    /// (it is bonded to its predecessor) × 4 ports in 2D — and the settled class's rows
+    /// are filled once. Pair fills paid both orientations of every port pair, 32
+    /// evaluations per fresh leader class, about once per effective step.
+    #[test]
+    fn leader_steps_fill_at_most_the_leaders_free_port_rows() {
+        for (protocol, name) in [(LeaderRules::Line, "line"), (LeaderRules::Square, "square")] {
+            for seed in [1, 2, 3] {
+                let config = SimulationConfig::new(256)
+                    .with_seed(seed)
+                    .with_sharded_sampling();
+                let mut sim = Simulation::new(protocol, config);
+                // The first call builds the index and makes the leader multi-node.
+                assert!(sim.step());
+                let start = sim.world().fill_stats().evaluations;
+                let report = sim.run_until_stable();
+                assert!(report.stabilized, "{name} seed {seed}");
+                let evaluations = sim.world().fill_stats().evaluations - start;
+                let steps = sim.stats().effective_steps - 1;
+                assert!(steps + 1 >= 255, "{name} seed {seed}: run too short");
+                assert!(
+                    evaluations <= 3 * 4 * steps,
+                    "{name} seed {seed}: {evaluations} row-fill evaluations over {steps} \
+                     effective steps exceed 12 per step"
+                );
+            }
         }
     }
 

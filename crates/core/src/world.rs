@@ -318,12 +318,11 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// `(class pairs filled, live classes holding singletons)` of the pair index:
-    /// the lazy-fill work counter and the bound it is held to. Test-only, so it shows
-    /// up in no report.
+    /// The pair index's lazy-fill work counters and the bound the pair count is held
+    /// to. Test-only, so they show up in no report.
     #[cfg(test)]
-    pub(crate) fn pair_fill_stats(&self) -> (u64, usize) {
-        self.pairs.borrow().index.pair_fill_stats()
+    pub(crate) fn fill_stats(&self) -> crate::index::FillStats {
+        self.pairs.borrow().index.fill_stats()
     }
 
     /// The population size `n`.
@@ -969,9 +968,11 @@ impl<P: Protocol> World<P> {
     /// Re-derives the queued nodes in the permissible-pair index. Called at the end of
     /// every mutation. A queued node costs one occupancy lookup per unbonded port (none
     /// for a singleton), a class check against its current class (the `O(classes)`
-    /// scan only when its state left that class), and `O(classes)` rate updates per
-    /// registration that flips; it reads one [`NodeGeo`] record and writes one
-    /// 32-byte index record, plus those of the peers its ports pair with. The batch is
+    /// scan only when its state left that class), and per registration that flips a
+    /// rate update over the classes holding singletons (or free ports) — plus, when
+    /// the flip makes a bucket non-empty, one `ports`-evaluation row fill per such
+    /// class whose row is not yet valid; it reads one [`NodeGeo`] record and writes
+    /// one 32-byte index record, plus those of the peers its ports pair with. The batch is
     /// sorted (ascending node id — the canonical re-derivation order that makes class
     /// allocation a function of the configuration), deduplicated and handed to the index.
     fn flush_pairs(&mut self) {
@@ -1470,7 +1471,10 @@ impl<P: Protocol> World<P> {
     /// [`World::enumerate_permissible`] classification, the incrementally maintained
     /// shared aggregate must equal the recount (the two are computed through
     /// independent code paths — bucket sizes with a hash memo vs running deltas over
-    /// dense tables), and the maintained effective *set* must match pair for pair. Activates the index if necessary.
+    /// dense tables), the lazy class tables must hold every row the index can read,
+    /// each equal to a fresh evaluation, under member masks that match the bucket
+    /// sizes, and the maintained effective *set* must match pair for pair. Activates
+    /// the index if necessary.
     ///
     /// # Errors
     /// Returns a description of the first discrepancy. Intended for the equivalence
@@ -1479,6 +1483,12 @@ impl<P: Protocol> World<P> {
         let Some(summary) = self.pair_counts() else {
             return Err("pair index overflowed its class table".to_string());
         };
+        // The class tables first: a stale row or mask is the cause of the aggregate
+        // drift the next check would report.
+        self.pairs
+            .borrow()
+            .index
+            .check_class_tables(&self.protocol, self.dim)?;
         let aggregate = self
             .aggregate_pair_counts()
             .expect("aggregate counts must be available while the index is active");
@@ -1606,8 +1616,9 @@ impl<P: Protocol> World<P> {
     ///
     /// One pass over the component's cells collects them and each bond once, from its
     /// lower-coordinate endpoint. A dense component yields its cells in ascending
-    /// order, so both lists reach [`Shape::from_cells_and_edges`] already sorted and its
-    /// sorts cost one linear pass; a sparse one costs `O(k log k)` for `k` members.
+    /// order, so both lists reach [`Shape::from_cells_and_edges`] already sorted: its
+    /// cell sort costs one linear pass, and it checks the edge order in one pass and
+    /// keeps the list as given; a sparse one costs `O(k log k)` for `k` members.
     #[must_use]
     pub fn shape_of(&self, node: NodeId, only_output: bool) -> Shape {
         let comp = self.component(node);

@@ -90,7 +90,9 @@ impl Shape {
 
     /// Builds a shape from explicit cells and edges in one bulk pass: the cells and the
     /// edges are sorted and deduplicated, then every edge is checked against the sorted
-    /// cells by forward cursors.
+    /// cells by forward cursors. Edges that already come strictly ascending, each from
+    /// its lower endpoint (as the simulator's `World::shape_of` emits them), are used as
+    /// given, without a second list.
     ///
     /// # Errors
     /// Returns an error for the first edge, in input order, that joins non-adjacent
@@ -101,15 +103,23 @@ impl Shape {
         J: IntoIterator<Item = (Coord, Coord)>,
     {
         let input: Vec<(Coord, Coord)> = edges.into_iter().collect();
+        let canonical = input.iter().all(|&(a, b)| a <= b) && input.windows(2).all(|w| w[0] < w[1]);
+        // The input order survives only where sorting changes it, for error reports.
+        let (edges, input) = if canonical {
+            (input, None)
+        } else {
+            let edges = sorted(input.iter().map(|&(a, b)| ordered(a, b)).collect());
+            (edges, Some(input))
+        };
         let shape = Shape {
             cells: sorted(cells.into_iter().collect()),
-            edges: sorted(input.iter().map(|&(a, b)| ordered(a, b)).collect()),
+            edges,
         };
         if locate_ends(&shape.cells, &shape.edges).all(|ends| ends.is_some()) {
             return Ok(shape);
         }
         // Some edge is bad: report the first one in input order.
-        for (a, b) in input {
+        for &(a, b) in input.as_deref().unwrap_or(&shape.edges) {
             shape.check_edge(a, b)?;
         }
         unreachable!("an edge failed the sorted pass but passes its own check")
@@ -950,19 +960,28 @@ mod tests {
                 }
             }
 
+            let incremental = |edge_input: &[(Coord, Coord)]| {
+                let mut shape = Shape::new();
+                for &c in &cell_input {
+                    shape.insert_cell(c);
+                }
+                edge_input
+                    .iter()
+                    .try_for_each(|&(a, b)| shape.insert_edge(a, b))
+                    .map(|()| shape)
+            };
             let bulk = Shape::from_cells_and_edges(cell_input.clone(), edge_input.clone());
-            let mut incremental = Shape::new();
-            for &c in &cell_input {
-                incremental.insert_cell(c);
-            }
-            let incremental = edge_input
-                .iter()
-                .try_for_each(|&(a, b)| incremental.insert_edge(a, b))
-                .map(|()| incremental);
-            assert_eq!(bulk, incremental);
+            let expected = incremental(&edge_input);
+            assert_eq!(bulk, expected);
             if let Ok(shape) = bulk {
-                assert_eq!(hash_of(&shape), hash_of(incremental.as_ref().unwrap()));
+                assert_eq!(hash_of(&shape), hash_of(expected.as_ref().unwrap()));
             }
+            // The same edges already canonical (strictly ascending, each from its lower
+            // end) take the path that keeps the list as given: same shape, same first
+            // bad edge.
+            let canonical = sorted(edge_input.iter().map(|&(a, b)| ordered(a, b)).collect());
+            let bulk = Shape::from_cells_and_edges(cell_input.clone(), canonical.clone());
+            assert_eq!(bulk, incremental(&canonical));
         }
     }
 
