@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p nc-bench --release --bin experiments -- all          # every experiment, quick sizes
-//! cargo run -p nc-bench --release --bin experiments -- all --full   # full sizes (EXPERIMENTS.md)
+//! cargo run -p nc-bench --release --bin experiments -- all --full   # full (paper-scale) sizes
 //! cargo run -p nc-bench --release --bin experiments -- e1 e9 e11    # a subset
 //! ```
 

@@ -2,7 +2,7 @@
 //!
 //! Each experiment accepts a `quick` flag: `true` uses reduced population sizes and trial
 //! counts (seconds of runtime, used by `cargo test` and default CLI invocations), `false`
-//! the full parameters recorded in `EXPERIMENTS.md`.
+//! the full parameters, which each experiment function states beside its quick ones.
 
 pub mod basic_shapes;
 pub mod conjecture;

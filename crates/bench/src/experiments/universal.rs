@@ -59,8 +59,8 @@ pub fn e9(quick: bool) -> Experiment {
     }
 }
 
-/// E10b — DESIGN.md §2 ablation: deciding pixels with the predicate oracle versus running
-/// a genuine Turing machine for every pixel (Definition 3). Both must construct the same
+/// E10b — decider ablation: deciding pixels with the predicate oracle versus running a
+/// genuine Turing machine for every pixel (Definition 3). Both must construct the same
 /// shape; the TM path is the faithful (and slower, in machine steps) route.
 #[must_use]
 pub fn e10b(quick: bool) -> Experiment {

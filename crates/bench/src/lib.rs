@@ -2,8 +2,8 @@
 //!
 //! The paper is a theory paper without numeric result tables; its "evaluation" consists
 //! of theorems, remarks and figures. Every theorem/remark/figure with measurable content
-//! is turned into an experiment (E1–E13, see `DESIGN.md` §4 and `EXPERIMENTS.md`), and
-//! this crate regenerates each of them:
+//! is turned into an experiment (E1–E13; each table's heading names the theorem, remark
+//! or figure it measures), and this crate regenerates each of them:
 //!
 //! * the [`experiments`] module contains one function per experiment, each returning a
 //!   plain-text table;

@@ -76,7 +76,7 @@ impl Default for Placement {
 ///
 /// A component that has only ever held one node (every free node, and the lone node a
 /// split cuts off) keeps that member inline as `(node, cell)` and allocates nothing;
-/// the second [`Component::insert`] boxes a [`Spill`] and moves the inline member into
+/// the second [`Component::insert`] boxes a `Spill` and moves the inline member into
 /// it, ahead of the new node. A spilled component never goes back inline, even when
 /// removals shrink it to one member, so multi-node components keep exactly the
 /// membership order they would have without the inline slot (sampler-visible: the

@@ -8,9 +8,13 @@
 //! queues the nodes it re-classifies and flushes them, in ascending node order, before
 //! it returns (see the canonical-order notes in [`crate::index`]).
 
-use crate::index::{BaseCounts, GeomView, IndexStats, PairIndex};
-use crate::{Component, CoreError, NodeId, Placement, Protocol};
-use nc_geometry::{Coord, Dim, Dir, Rotation, Shape};
+mod codec;
+mod cross;
+mod output;
+
+use crate::index::{GeomView, IndexStats, PairIndex};
+use crate::{Component, NodeId, Placement, Protocol};
+use nc_geometry::{Coord, Dim, Dir, Rotation};
 use nc_obs::{Phase, Telemetry, TraceEventKind};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -62,10 +66,9 @@ pub(crate) fn transition_effective<P: Protocol>(
     })
 }
 
-/// Lifecycle of the permissible-pair index: built lazily on first use — a jump draw
-/// or a stability query — so executions that need neither pay nothing; abandoned permanently when the
-/// protocol's live state diversity overflows the class table. The mode only ever
-/// advances (`Disabled → Active → Overflowed`).
+/// Lifecycle of the permissible-pair index: built on first use (a jump draw or a
+/// stability query), abandoned for good when the protocol's live state diversity
+/// overflows the class table; it only advances (`Disabled → Active → Overflowed`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum PairMode {
     Disabled,
@@ -78,10 +81,8 @@ struct PairCell<S> {
     index: PairIndex<S>,
 }
 
-/// Exact pair counts of a frozen configuration, as reported by
-/// [`World::pair_counts`]: the base classes are maintained incrementally; multi×multi
-/// cross-component pairs (if any) must be added by the caller via
-/// [`World::enumerate_cross_multi`].
+/// Exact pair counts of a frozen configuration ([`World::aggregate_pair_counts`]),
+/// excluding the multi×multi cross pairs ([`World::enumerate_cross_multi`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PairSummary {
     /// Permissible pairs excluding multi×multi cross pairs.
@@ -318,8 +319,7 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// The pair index's lazy-fill work counters and the bound the pair count is held
-    /// to. Test-only, so they show up in no report.
+    /// The class table's row-fill work counters (test-only, so in no report).
     #[cfg(test)]
     pub(crate) fn fill_stats(&self) -> crate::index::FillStats {
         self.pairs.borrow().index.fill_stats()
@@ -965,16 +965,14 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// Re-derives the queued nodes in the permissible-pair index. Called at the end of
-    /// every mutation. A queued node costs one occupancy lookup per unbonded port (none
-    /// for a singleton), a class check against its current class (the `O(classes)`
-    /// scan only when its state left that class), and per registration that flips a
-    /// rate update over the classes holding singletons (or free ports) — plus, when
-    /// the flip makes a bucket non-empty, one `ports`-evaluation row fill per such
-    /// class whose row is not yet valid; it reads one [`NodeGeo`] record and writes
-    /// one 32-byte index record, plus those of the peers its ports pair with. The batch is
-    /// sorted (ascending node id — the canonical re-derivation order that makes class
-    /// allocation a function of the configuration), deduplicated and handed to the index.
+    /// Re-derives the queued nodes in the permissible-pair index, at the end of every
+    /// mutation. A queued node costs one occupancy lookup per unbonded port, a class
+    /// check (the `O(classes)` scan only when its state left its class), and per
+    /// flipped registration a rate update over the member masks, plus a row fill per
+    /// class whose row the flip newly needs; it reads one [`NodeGeo`] and writes one
+    /// 32-byte index record (and its peers'). The batch is sorted (ascending node id,
+    /// the canonical order that makes class allocation a function of the
+    /// configuration), deduplicated and handed to the index.
     fn flush_pairs(&mut self) {
         if !self.pairs_active.get() || self.pair_pending.is_empty() {
             return;
@@ -1023,47 +1021,27 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    fn summary_from(&self, cell: &PairCell<P::State>, counts: BaseCounts) -> PairSummary {
-        PairSummary {
-            permissible_base: counts.permissible,
-            effective_base: counts.effective,
-            multi_components: self.live_components - cell.index.singleton_count(),
-        }
-    }
-
     /// Exact permissible/effective pair counts of the current configuration, excluding
-    /// multi×multi cross-component pairs (see [`World::enumerate_cross_multi`]),
-    /// *recounted* from the stored sets. Activates (builds) the incremental pair
+    /// multi×multi cross-component pairs (see [`World::enumerate_cross_multi`]), from
+    /// the incrementally maintained aggregate in `O(1)`. Activates (builds) the pair
     /// index on first use; returns `None` when the protocol's live state diversity has
-    /// overflowed the index's class table. Only the recount oracle of
-    /// [`World::validate_pair_index`]; the sampler reads the `O(1)` running aggregate
-    /// ([`World::aggregate_pair_counts`]).
-    fn pair_counts(&self) -> Option<PairSummary> {
-        let mut cell = self.pairs.borrow_mut();
-        if !self.ensure_pairs_active(&mut cell) {
-            return None;
-        }
-        let counts = cell.index.counts(&self.protocol, self.dim);
-        Some(self.summary_from(&cell, counts))
-    }
-
-    /// Exact pair counts served from the incrementally maintained aggregate in `O(1)`
-    /// per call, no
-    /// per-version recount. Same activation/overflow contract as
-    /// [`World::pair_counts`]; the two are asserted equal by
-    /// [`World::validate_pair_index`].
+    /// overflowed the index's class table.
     pub(crate) fn aggregate_pair_counts(&self) -> Option<PairSummary> {
         let mut cell = self.pairs.borrow_mut();
         if !self.ensure_pairs_active(&mut cell) {
             return None;
         }
         let counts = cell.index.aggregate_counts(self.dim);
-        Some(self.summary_from(&cell, counts))
+        Some(PairSummary {
+            permissible_base: counts.permissible,
+            effective_base: counts.effective,
+            multi_components: self.live_components - cell.index.singleton_count(),
+        })
     }
 
     /// The `idx`-th effective base pair as a ready-to-apply [`Interaction`]; uniform
     /// over the effective base set when `idx` is uniform over `0..effective_base`, by
-    /// the configuration-determined canonical cell walk. Must only be called right after [`World::pair_counts`] /
+    /// the configuration-determined canonical cell walk. Must only be called right after
     /// [`World::aggregate_pair_counts`] on the same (frozen) configuration version.
     pub(crate) fn sample_effective_base(&self, idx: u64) -> Interaction {
         let cell = self.pairs.borrow();
@@ -1084,419 +1062,28 @@ impl<P: Protocol> World<P> {
             .expect("pair-index permissible entry must be permissible")
     }
 
-    // --- snapshots (see `crate::snapshot` for the format and the exactness notes) ------
-
-    /// Encodes the sampler-visible runtime state of the configuration: the scalar
-    /// bookkeeping, every node's state/placement/links, the component-slot layout
-    /// with each component's membership order, and — when the permissible-pair index
-    /// is active — its pinned class-table layout. Derived state (halted flags, count
-    /// caches) is deliberately omitted; see the module docs of
-    /// [`crate::snapshot`] for what is recomputed on resume and why that is exact.
-    pub(crate) fn snapshot_encode(&self, out: &mut crate::SnapshotWriter)
-    where
-        P: crate::SnapshotProtocol,
-    {
-        out.u8(match self.dim {
-            Dim::Two => 2,
-            Dim::Three => 3,
-        });
-        out.u64(self.bond_count as u64);
-        out.u64(self.sum_sq_sizes);
-        out.u64(self.live_components as u64);
-        // Reserved: formerly a count of cross-shard merges/splits. Written as 0, read
-        // and ignored.
-        out.u64(0);
-        for i in 0..self.len() {
-            self.protocol.encode_state(&self.states[i], out);
-            let placement = self.geo[i].pl;
-            out.i32(placement.pos.x);
-            out.i32(placement.pos.y);
-            out.i32(placement.pos.z);
-            // A rotation is determined by the images of the three axes; encoding
-            // them through the public `apply_dir` round-trips via
-            // `Rotation::from_axis_images`, which validates on decode.
-            out.u8(placement.rot.apply_dir(Dir::Right).index() as u8);
-            out.u8(placement.rot.apply_dir(Dir::Up).index() as u8);
-            out.u8(placement.rot.apply_dir(Dir::ZPlus).index() as u8);
-            out.u64(self.comp_of[i] as u64);
-            for link in &self.geo[i].links {
-                match link {
-                    Some((peer, port)) => {
-                        out.u8(1);
-                        out.u32(peer.index() as u32);
-                        out.u8(port.index() as u8);
-                    }
-                    None => out.u8(0),
-                }
-            }
-        }
-        out.u64(self.components.len() as u64);
-        for slot in &self.components {
-            match slot {
-                Some(comp) => {
-                    out.u8(1);
-                    out.u64(comp.len() as u64);
-                    // Membership order is sampler-visible (cross-pair enumeration
-                    // walks it) and execution-history dependent: persist it. Frame
-                    // positions are not stored — the occupancy map is rebuilt from
-                    // the members' placements.
-                    for &member in comp.members() {
-                        out.u32(member.index() as u32);
-                    }
-                }
-                None => out.u8(0),
-            }
-        }
-        let cell = self.pairs.borrow();
-        out.u8(match cell.mode {
-            PairMode::Disabled => 0,
-            PairMode::Active => 1,
-            PairMode::Overflowed => 2,
-        });
-        if matches!(cell.mode, PairMode::Active) {
-            let (slots, free) = cell.index.snapshot_class_layout();
-            out.u64(slots.len() as u64);
-            for slot in &slots {
-                match slot {
-                    Some(state) => {
-                        out.u8(1);
-                        self.protocol.encode_state(state, out);
-                    }
-                    None => out.u8(0),
-                }
-            }
-            out.u64(free.len() as u64);
-            for id in free {
-                out.u32(id);
-            }
-        }
-    }
-
-    /// Decodes a configuration encoded by [`World::snapshot_encode`] into a fresh
-    /// world of `n` nodes.
-    ///
-    /// Decoding is defensive end to end: the input has only passed a checksum, so
-    /// every id is bounds-checked, every tag validated, cell occupancy pre-checked
-    /// before insertion, the stored scalar bookkeeping compared against a recount,
-    /// and the full embedding invariant suite run at the end — malformed input yields
-    /// a typed [`CoreError`], never a panic. Halted flags are recomputed from the
-    /// decoded states.
-    ///
-    /// # Errors
-    /// [`CoreError::SnapshotTruncated`] or [`CoreError::SnapshotCorrupt`].
-    pub(crate) fn snapshot_decode(
-        protocol: P,
-        n: usize,
-        r: &mut crate::SnapshotReader<'_>,
-    ) -> crate::Result<World<P>>
-    where
-        P: crate::SnapshotProtocol,
-    {
-        fn corrupt(what: &'static str) -> CoreError {
-            CoreError::SnapshotCorrupt { what }
-        }
-        if n == 0 {
-            return Err(corrupt("population size is zero"));
-        }
-        // Every node costs at least 30 body bytes (state tag, position, rotation
-        // axes, component id, six link tags), so a population the remaining bytes
-        // cannot possibly hold is rejected *before* the world — whose runtime
-        // structures are sized by `n` — is allocated. Without this bound a
-        // corrupted-but-checksum-valid population count could demand terabytes.
-        const MIN_NODE_BYTES: usize = 30;
-        if n > r.remaining() / MIN_NODE_BYTES {
-            return Err(corrupt("population size exceeds the snapshot body"));
-        }
-        let world = World::new(protocol, n);
-        let dim = match r.u8()? {
-            2 => Dim::Two,
-            3 => Dim::Three,
-            _ => return Err(corrupt("dimension tag is neither 2 nor 3")),
-        };
-        if dim != world.dim {
-            return Err(corrupt(
-                "snapshot dimensionality disagrees with the protocol",
-            ));
-        }
-        let bond_count = r.u64()?;
-        let sum_sq_sizes = r.u64()?;
-        let live_components = r.u64()?;
-        let _reserved = r.u64()?;
-        let mut states = Vec::with_capacity(n);
-        let mut geo: Vec<NodeGeo> = Vec::with_capacity(n);
-        let mut comp_of = Vec::with_capacity(n);
-        for _ in 0..n {
-            states.push(world.protocol.decode_state(r)?);
-            let pos = Coord::new(r.i32()?, r.i32()?, r.i32()?);
-            // Reachable embeddings stay within O(n) of the origin; a generous ±2³⁰
-            // bound rejects corrupted coordinates long before the neighbour
-            // arithmetic (`pos + dir.unit()`) could overflow an `i32`.
-            const COORD_BOUND: i32 = 1 << 30;
-            let in_bounds = |c: i32| (-COORD_BOUND..=COORD_BOUND).contains(&c);
-            if !(in_bounds(pos.x) && in_bounds(pos.y) && in_bounds(pos.z)) {
-                return Err(corrupt("node position is outside the plausible grid"));
-            }
-            let mut axes = [Dir::Up; 3];
-            for axis in &mut axes {
-                let idx = r.u8()? as usize;
-                if idx >= 6 {
-                    return Err(corrupt("direction index out of range"));
-                }
-                *axis = Dir::from_index(idx);
-            }
-            let rot = Rotation::from_axis_images(axes[0], axes[1], axes[2])
-                .ok_or_else(|| corrupt("axis images do not form a rigid grid rotation"))?;
-            let pl = Placement { pos, rot };
-            let comp = r.u64()?;
-            comp_of.push(usize::try_from(comp).map_err(|_| corrupt("component id out of range"))?);
-            let mut node_links = [None; 6];
-            for entry in &mut node_links {
-                match r.u8()? {
-                    0 => {}
-                    1 => {
-                        let peer = r.u32()? as usize;
-                        if peer >= n {
-                            return Err(corrupt("link peer out of range"));
-                        }
-                        let port = r.u8()? as usize;
-                        if port >= 6 {
-                            return Err(corrupt("direction index out of range"));
-                        }
-                        *entry = Some((NodeId::new(peer as u32), Dir::from_index(port)));
-                    }
-                    _ => return Err(corrupt("link tag is neither 0 nor 1")),
-                }
-            }
-            geo.push(NodeGeo {
-                links: node_links,
-                pl,
-            });
-        }
-        let slot_count = r.count(1)?;
-        let mut components: Vec<Option<Component>> = Vec::with_capacity(slot_count);
-        let mut assigned = vec![false; n];
-        for idx in 0..slot_count {
-            match r.u8()? {
-                0 => components.push(None),
-                1 => {
-                    let members = r.count(4)?;
-                    if members == 0 {
-                        return Err(corrupt("live component slot with no members"));
-                    }
-                    let mut cells = Vec::with_capacity(members);
-                    for _ in 0..members {
-                        let member = r.u32()? as usize;
-                        if member >= n {
-                            return Err(corrupt("component member out of range"));
-                        }
-                        if assigned[member] {
-                            return Err(corrupt("node listed in two components"));
-                        }
-                        assigned[member] = true;
-                        if comp_of[member] != idx {
-                            return Err(corrupt(
-                                "component membership disagrees with the node's component id",
-                            ));
-                        }
-                        cells.push((NodeId::new(member as u32), geo[member].pl.pos));
-                    }
-                    // Sized once from every member's cell; members far apart get the
-                    // sparse map, never a grid spanning their distance.
-                    let comp = Component::from_members(&cells)
-                        .ok_or_else(|| corrupt("two component members occupy one cell"))?;
-                    components.push(Some(comp));
-                }
-                _ => return Err(corrupt("component slot tag is neither 0 nor 1")),
-            }
-        }
-        if assigned.iter().any(|&a| !a) {
-            return Err(corrupt("node missing from every component"));
-        }
-        // The stored scalar bookkeeping is redundant with the structures above:
-        // recount and compare, so a corrupted scalar cannot skew the samplers.
-        let linked = geo.iter().flat_map(|g| g.links).flatten().count();
-        if linked % 2 != 0 || (linked / 2) as u64 != bond_count {
-            return Err(corrupt("bond count disagrees with the link table"));
-        }
-        let live = components.iter().flatten().count();
-        if live as u64 != live_components {
-            return Err(corrupt("live component count disagrees with the slot list"));
-        }
-        let recount_sq: u64 = components
-            .iter()
-            .flatten()
-            .map(|c| (c.len() * c.len()) as u64)
-            .sum();
-        if recount_sq != sum_sq_sizes {
-            return Err(corrupt(
-                "component size aggregate disagrees with the slot list",
-            ));
-        }
-        let mode = match r.u8()? {
-            0 => PairMode::Disabled,
-            1 => PairMode::Active,
-            2 => PairMode::Overflowed,
-            _ => return Err(corrupt("pair-index mode tag out of range")),
-        };
-        let pinned = if matches!(mode, PairMode::Active) {
-            let class_slots = r.count(1)?;
-            let mut slots = Vec::with_capacity(class_slots);
-            for _ in 0..class_slots {
-                match r.u8()? {
-                    0 => slots.push(None),
-                    1 => slots.push(Some(world.protocol.decode_state(r)?)),
-                    _ => return Err(corrupt("class slot tag is neither 0 nor 1")),
-                }
-            }
-            let free_count = r.count(4)?;
-            let mut free = Vec::with_capacity(free_count);
-            for _ in 0..free_count {
-                free.push(r.u32()?);
-            }
-            Some((slots, free))
-        } else {
-            None
-        };
-        let mut world = world;
-        world.halted = states.iter().map(|s| world.protocol.is_halted(s)).collect();
-        world.halted_count = world.halted.iter().filter(|&&h| h).count();
-        world.states = states;
-        world.geo = geo;
-        world.comp_of = comp_of;
-        world.components = components;
-        world.bond_count = bond_count as usize;
-        world.sum_sq_sizes = sum_sq_sizes;
-        world.live_components = live;
-        if !world.check_invariants() {
-            return Err(corrupt("configuration violates the embedding invariants"));
-        }
-        match mode {
-            PairMode::Disabled => {}
-            PairMode::Overflowed => {
-                world.pairs.get_mut().mode = PairMode::Overflowed;
-            }
-            PairMode::Active => {
-                let (slots, free) = pinned.expect("decoded for the Active mode above");
-                let view = world.geom_view();
-                let mut cell = world.pairs.borrow_mut();
-                cell.index
-                    .restore_pinned(&view, &world.protocol, slots, free)
-                    .map_err(|what| CoreError::SnapshotCorrupt { what })?;
-                cell.mode = PairMode::Active;
-                drop(cell);
-                world.pairs_active.set(true);
-            }
-        }
-        Ok(world)
-    }
-
-    /// The multi-node components of the configuration, or `None` when the candidate
-    /// universe of their pairwise node products exceeds `budget`. Shared ground truth
-    /// for [`World::enumerate_cross_multi`] and the stability fast path, so both agree
-    /// on what counts as a multi component and when enumeration is affordable.
-    fn cross_multi_components(&self, budget: u64) -> Option<Vec<usize>> {
-        let multi: Vec<usize> = (0..self.components.len())
-            .filter(|&i| self.components[i].as_ref().is_some_and(|c| c.len() >= 2))
-            .collect();
-        let size = |c: usize| self.components[c].as_ref().map_or(0, Component::len) as u64;
-        let universe = Self::cross_component_pairs(&multi).fold(0u64, |acc, (ca, cb)| {
-            acc.saturating_add(size(ca) * size(cb))
-        });
-        (universe <= budget).then_some(multi)
-    }
-
-    /// The default budget for per-version multi×multi cross-pair work, in node pairs.
-    pub(crate) fn cross_multi_budget(&self) -> u64 {
-        (CROSS_BUDGET_PER_NODE * self.len()) as u64
-    }
-
-    /// Visits every permissible pair between the two given components with its
-    /// effectiveness; stops early (returning `true`) when `visit` does.
-    fn visit_cross_pair(
-        &self,
-        ca: usize,
-        cb: usize,
-        visit: &mut impl FnMut(Interaction, bool) -> bool,
-    ) -> bool {
-        let ports = self.dim.dirs();
-        let comp_a = self.components[ca].as_ref().expect("live slot");
-        let comp_b = self.components[cb].as_ref().expect("live slot");
-        for &a in comp_a.members() {
-            for &b in comp_b.members() {
-                for &pa in ports {
-                    for &pb in ports {
-                        if let Some(interaction) = self.interaction(a, pa, b, pb) {
-                            let effective = self.effective_interaction_at(a, pa, b, pb).is_some();
-                            if visit(interaction, effective) {
-                                return true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// The pairs `(ca, cb)`, `ca` before `cb` in `multi`, in the canonical order the
-    /// multi×multi enumeration and the stability fast path both walk.
-    fn cross_component_pairs(multi: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
-        multi
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &ca)| multi[i + 1..].iter().map(move |&cb| (ca, cb)))
-    }
-
-    /// Enumerates the permissible pairs spanning two *multi-node* components together
-    /// with their effectiveness, or `None` when the candidate universe (node pairs
-    /// across multi-component pairs) exceeds `budget`. This is the one class of the
-    /// pair decomposition whose permissibility depends on non-local geometry (shape
-    /// collision), so it is enumerated per frozen configuration instead of being
-    /// maintained incrementally; in single-growth workloads it is empty and costs
-    /// `O(components)`.
-    pub(crate) fn enumerate_cross_multi(&self, budget: u64) -> Option<Vec<(Interaction, bool)>> {
-        let multi = self.cross_multi_components(budget)?;
-        let mut out = Vec::new();
-        for (ca, cb) in Self::cross_component_pairs(&multi) {
-            self.visit_cross_pair(ca, cb, &mut |interaction, effective| {
-                out.push((interaction, effective));
-                false
-            });
-        }
-        Some(out)
-    }
-
     /// Validates the incremental permissible-pair index against the enumeration oracle:
-    /// the recounted permissible/effective totals must equal the brute-force
-    /// [`World::enumerate_permissible`] classification, the incrementally maintained
-    /// shared aggregate must equal the recount (the two are computed through
-    /// independent code paths — bucket sizes with a hash memo vs running deltas over
-    /// dense tables), the lazy class tables must hold every row the index can read,
-    /// each equal to a fresh evaluation, under member masks that match the bucket
-    /// sizes, and the maintained effective *set* must match pair for pair. Activates
+    /// the class table must pass its self-check (masks, refcounts and bucket sizes
+    /// against the stored registrations, every row of the cell walk equal to a fresh
+    /// evaluation, and the running rates equal to their recount over those rows), the
+    /// aggregate permissible total must equal the brute-force
+    /// [`World::enumerate_permissible`] count, and the effective set the draws expand
+    /// to must match the oracle's pair for pair and the aggregate in size. Activates
     /// the index if necessary.
     ///
     /// # Errors
     /// Returns a description of the first discrepancy. Intended for the equivalence
     /// suite; `O(n²·ports²)` — do not call on hot paths.
     pub fn validate_pair_index(&self) -> Result<(), String> {
-        let Some(summary) = self.pair_counts() else {
+        let Some(summary) = self.aggregate_pair_counts() else {
             return Err("pair index overflowed its class table".to_string());
         };
-        // The class tables first: a stale row or mask is the cause of the aggregate
-        // drift the next check would report.
+        // The class table first: a stale row, mask or rate is the cause of the count
+        // drift the next checks would report.
         self.pairs
             .borrow()
             .index
-            .check_class_tables(&self.protocol, self.dim)?;
-        let aggregate = self
-            .aggregate_pair_counts()
-            .expect("aggregate counts must be available while the index is active");
-        if aggregate != summary {
-            return Err(format!(
-                "aggregate counts {aggregate:?} disagree with the recount {summary:?}"
-            ));
-        }
+            .check_classes(&self.protocol, self.dim)?;
         let mm = self
             .enumerate_cross_multi(u64::MAX)
             .expect("unbounded enumeration cannot be refused");
@@ -1545,16 +1132,6 @@ impl<P: Protocol> World<P> {
             ));
         }
         Ok(())
-    }
-
-    /// Whether any permissible pair spanning two multi-node components is effective,
-    /// or `None` when the multi×multi candidate universe exceeds `budget` (early exit
-    /// on the first effective pair; no allocation beyond the component list).
-    fn any_effective_cross_multi(&self, budget: u64) -> Option<bool> {
-        let multi = self.cross_multi_components(budget)?;
-        let any = Self::cross_component_pairs(&multi)
-            .any(|(ca, cb)| self.visit_cross_pair(ca, cb, &mut |_, effective| effective));
-        Some(any)
     }
 
     /// Whether the configuration is stable: no permissible interaction is effective, so
@@ -1607,73 +1184,6 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn halted_nodes(&self) -> Vec<NodeId> {
         self.nodes().filter(|&n| self.halted[n.index()]).collect()
-    }
-
-    /// The shape of the component containing `node`, expressed in the component frame.
-    ///
-    /// When `only_output` is set, only members in output states (and bonds between them)
-    /// are included, matching the paper's definition of the output of a configuration.
-    ///
-    /// One pass over the component's cells collects them and each bond once, from its
-    /// lower-coordinate endpoint. A dense component yields its cells in ascending
-    /// order, so both lists reach [`Shape::from_cells_and_edges`] already sorted: its
-    /// cell sort costs one linear pass, and it checks the edge order in one pass and
-    /// keeps the list as given; a sparse one costs `O(k log k)` for `k` members.
-    #[must_use]
-    pub fn shape_of(&self, node: NodeId, only_output: bool) -> Shape {
-        let comp = self.component(node);
-        let comp_id = self.comp_of[node.index()];
-        let included = |n: NodeId| !only_output || self.protocol.is_output(self.state(n));
-        let mut cells = Vec::with_capacity(comp.len());
-        let mut edges = Vec::with_capacity(comp.len());
-        for (member, pos) in comp.iter() {
-            if !included(member) {
-                continue;
-            }
-            cells.push(pos);
-            let first = edges.len();
-            for &(peer, _) in self.geo[member.index()].links.iter().flatten() {
-                let peer_pos = self.geo[peer.index()].pl.pos;
-                if peer_pos > pos && self.comp_of[peer.index()] == comp_id && included(peer) {
-                    edges.push((pos, peer_pos));
-                }
-            }
-            // At most three bonds leave a cell upwards; keep them in order.
-            edges[first..].sort_unstable();
-        }
-        Shape::from_cells_and_edges(cells, edges)
-            .expect("bonded members of a component sit on adjacent cells")
-    }
-
-    /// The output shapes of the configuration: for every component, the subgraph induced
-    /// by its output-state members, skipping components with no output members. Each
-    /// shape is built by [`World::shape_of`], so the whole call is `O(n log n)`.
-    #[must_use]
-    pub fn output_shapes(&self) -> Vec<Shape> {
-        let mut seen = vec![false; self.components.len()];
-        let mut out = Vec::new();
-        for node in self.nodes() {
-            let cid = self.comp_of[node.index()];
-            if seen[cid] {
-                continue;
-            }
-            seen[cid] = true;
-            let shape = self.shape_of(node, true);
-            if !shape.is_empty() {
-                out.push(shape);
-            }
-        }
-        out
-    }
-
-    /// The largest output shape of the configuration (by number of cells), or the empty
-    /// shape when no node is in an output state.
-    #[must_use]
-    pub fn output_shape(&self) -> Shape {
-        self.output_shapes()
-            .into_iter()
-            .max_by_key(Shape::len)
-            .unwrap_or_default()
     }
 
     /// Checks internal consistency of the embedding: every bonded pair of nodes is in the
@@ -1748,7 +1258,7 @@ impl<P: Protocol> World<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Transition;
+    use crate::{CoreError, Transition};
 
     #[test]
     fn trace_lanes_are_contiguous_id_ranges() {

@@ -12,7 +12,7 @@
 //!   byte-reproducible and diffable across runs and resumes; the
 //!   [`trace::chrome_trace_json`] encoder turns it into a Chrome
 //!   `about://tracing` document.
-//! - [`telemetry`] — the [`Telemetry`](telemetry::Telemetry) handle threaded
+//! - [`telemetry`] — the [`Telemetry`] handle threaded
 //!   through the simulator: an `Option<Arc<..>>` whose hooks are `#[inline]`
 //!   early returns when disabled, carrying the trace ring and scoped phase
 //!   timers (sample/apply/flush).

@@ -196,6 +196,16 @@ impl CounterVec {
                 .or_insert_with(|| Arc::new(Counter::new())),
         )
     }
+
+    /// Every child's label value and count, in label order.
+    #[must_use]
+    pub fn values(&self) -> Vec<(String, u64)> {
+        let children = lock_unpoisoned(&self.children);
+        children
+            .iter()
+            .map(|(label, counter)| (label.clone(), counter.value()))
+            .collect()
+    }
 }
 
 /// A family of [`Gauge`] children keyed by one label value.

@@ -15,8 +15,7 @@
 //! debt bookkeeping) is maintained exactly as in the paper. This only removes an
 //! `O(log n)` multiplicative factor of ineffective "walking" interactions per increment
 //! and does not affect the probabilistic analysis of Theorem 1, because the walk happens
-//! while the process is frozen. The simplification is recorded in DESIGN.md and measured
-//! in experiment E7.
+//! while the process is frozen. Experiment E7 measures the constructor as simplified.
 
 use nc_core::{NodeId, Protocol, Transition};
 use nc_geometry::Dir;

@@ -1,6 +1,6 @@
 //! The shape-construction protocols of Michail (2015), built on the `nc-core` simulator.
 //!
-//! * [`line`] — the spanning-line constructors of Section 4.1 (stabilizing).
+//! * [`line`](mod@line) — the spanning-line constructors of Section 4.1 (stabilizing).
 //! * [`square`] — Protocol 1, the perimetric spanning-square constructor (stabilizing).
 //! * [`square2`] — Protocol 2, the spanning square with turning marks (stabilizing).
 //! * [`replication_line`] — Protocol 5, leaderless self-replicating lines (Section 6.2).

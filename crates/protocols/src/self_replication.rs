@@ -24,10 +24,10 @@
 //!    belong to different copies (the seam). What remains are two disjoint congruent
 //!    copies of `G` plus isolated dummy nodes.
 //!
-//! The substitutions with respect to the paper (coordinates carried in cell states, the
-//! image held in the leader's local memory instead of being shifted column by column) are
-//! documented in DESIGN.md; they preserve the phase structure, the interaction pattern,
-//!  the population requirement `2·|R_G|` and the waste `2·(|R_G| − |G|)` of Section 7.
+//! Two substitutions depart from the paper: cells carry their coordinates in their
+//! states, and the leader holds the image in its local memory instead of shifting it
+//! column by column. Both preserve the phase structure, the interaction pattern, the
+//! population requirement `2·|R_G|` and the waste `2·(|R_G| − |G|)` of Section 7.
 
 use nc_core::{NodeId, Protocol, Simulation, SimulationConfig, Transition};
 use nc_geometry::{Coord, Dim, Dir, Shape};

@@ -18,8 +18,11 @@
 //!    the leader simply bonds downward and **halts**: a terminating √n×√n-square
 //!    constructor. With a target shape (Theorem 4) the leader walks the zig-zag tape
 //!    backwards from pixel `d²−1` to pixel 0, marking every cell **on** or **off**
-//!    according to the shape computer (the per-pixel TM of Definition 3; see DESIGN.md
-//!    for the local-oracle vs distributed-tape discussion).
+//!    according to the shape computer (the per-pixel TM of Definition 3). The leader
+//!    asks it as a local pixel oracle ([`nc_tm::ShapeComputer`], a genuine machine run
+//!    or a predicate) instead of simulating the machine on the square's cells as a
+//!    distributed tape; the decided pixels, and so the shape, are the same, and E10b
+//!    compares the two deciders.
 //! 3. **Release** — bonds with at least one decided-off endpoint deactivate, so the off
 //!    pixels end up as isolated free nodes and the remaining active structure is exactly
 //!    the target shape. In pattern mode (Remark 4) nothing is released: the decided

@@ -12,7 +12,7 @@
 //! | Method | Path                | Answer |
 //! |--------|---------------------|--------|
 //! | GET    | `/healthz`          | `200` `ok` |
-//! | POST   | `/jobs`             | `201` `{"id": N}` (body: form-encoded [`JobSpec`](crate::job::JobSpec)) |
+//! | POST   | `/jobs`             | `201` `{"id": N}` (body: form-encoded [`JobSpec`]) |
 //! | GET    | `/jobs/<id>`        | `200` status JSON |
 //! | POST   | `/jobs/<id>/cancel` | `200` status JSON |
 //! | GET    | `/jobs/<id>/report` | `200` deterministic report JSON (`409` until done) |
@@ -20,7 +20,7 @@
 //! | GET    | `/stats/rows`       | `200` `BENCH_scheduler.json`-style rows |
 //! | GET    | `/metrics`          | `200` Prometheus text exposition (`nc_obs` registry) |
 //!
-//! Lock poisoning (a panicked worker holding the queue or stats lock) does not
+//! Lock poisoning (a panicked worker holding the queue lock) does not
 //! degrade routing to 503: the lock is recovered via the shared policy in
 //! [`crate::metrics::recover_lock`] and the event is counted in the
 //! `service_lock_poison_recoveries_total` family, so a single crash stays a
@@ -35,9 +35,9 @@ use tiny_http::{Method, Response, Server};
 use crate::job::{JobId, JobSpec};
 use crate::metrics::{recover_lock, ServiceMetrics};
 use crate::queue::JobQueue;
-use crate::stats::{escape_json, rows_json, ServiceStats};
+use crate::stats::{escape_json, rows_json, stats_json};
 
-/// Shared handles of the three components the HTTP tier fronts.
+/// Shared handles of the components the HTTP tier fronts.
 #[derive(Clone)]
 pub struct ServiceHandle {
     /// The job queue (submission, status, cancel).
@@ -45,9 +45,7 @@ pub struct ServiceHandle {
     /// Wakes idle workers when claimable work appears. Paired with `queue`:
     /// notify and wait only while holding its guard.
     pub work: Arc<Condvar>,
-    /// The live counters.
-    pub stats: Arc<Mutex<ServiceStats>>,
-    /// The metric families behind `GET /metrics`.
+    /// The metric families behind `GET /metrics` and the `/stats` counters.
     pub metrics: Arc<ServiceMetrics>,
 }
 
@@ -58,7 +56,6 @@ impl ServiceHandle {
         ServiceHandle {
             queue: Arc::new(Mutex::new(JobQueue::new(seed))),
             work: Arc::new(Condvar::new()),
-            stats: Arc::new(Mutex::new(ServiceStats::default())),
             metrics: Arc::new(ServiceMetrics::new()),
         }
     }
@@ -108,7 +105,6 @@ fn dispatch(service: &ServiceHandle, method: Method, url: &str, body: &[u8]) -> 
                 Ok(spec) => {
                     let id = queue.submit(spec);
                     service.work.notify_one();
-                    recover_lock(&service.stats, &service.metrics).submitted += 1;
                     service.metrics.jobs_submitted.inc();
                     json(201, format!("{{\"id\": {id}}}\n"))
                 }
@@ -145,13 +141,7 @@ fn dispatch(service: &ServiceHandle, method: Method, url: &str, body: &[u8]) -> 
             },
             None => error_json(404, "job ids are decimal numbers"),
         },
-        (Method::Get, ["stats"]) => json(
-            200,
-            format!(
-                "{}\n",
-                recover_lock(&service.stats, &service.metrics).to_json()
-            ),
-        ),
+        (Method::Get, ["stats"]) => json(200, format!("{}\n", stats_json(&service.metrics))),
         (Method::Get, ["stats", "rows"]) => json(200, rows_json(&queue)),
         (Method::Get, ["metrics"]) => {
             service.metrics.refresh_queue(&queue);
@@ -307,16 +297,37 @@ mod tests {
         );
     }
 
+    /// `/stats` reads the metric counters, so each submission and slice counts once:
+    /// the body after a fixed submit-and-run sequence is pinned byte for byte.
+    #[test]
+    fn stats_body_is_pinned_for_a_fixed_request_sequence() {
+        let service = ServiceHandle::new(5);
+        for spec in [
+            "protocol=square&n=9&tenant=alpha",
+            "protocol=line&n=8&tenant=beta&crash_after_slices=1",
+            "protocol=counting&n=8&tenant=alpha",
+            "protocol=warp&n=4",
+        ] {
+            let _ = route(&service, Method::Post, "/jobs", spec.as_bytes());
+        }
+        crate::worker::drain(&service, 64);
+        let response = route(&service, Method::Get, "/stats", b"");
+        assert_eq!(response.status_code(), 200);
+        assert_eq!(
+            body(&response),
+            "{\"submitted\": 3, \"slices\": 30, \"done\": 3, \"failed\": 0, \"crashes\": 1, \
+             \"tenant_slices\": {\"alpha\": 26, \"beta\": 4}}\n"
+        );
+    }
+
     #[test]
     fn poisoned_locks_recover_instead_of_answering_503() {
         let service = ServiceHandle::new(5);
-        // Poison both locks the way a crashed worker would: panic while holding.
+        // Poison the queue lock the way a crashed worker would: panic while holding.
         for _ in 0..2 {
             let queue = Arc::clone(&service.queue);
-            let stats = Arc::clone(&service.stats);
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 let _q = queue.lock().unwrap();
-                let _s = stats.lock();
                 panic!("worker crash while holding the queue lock");
             }));
         }

@@ -13,8 +13,8 @@
 //!   loses at most one slice and the retry resumes **byte-identically** (pinned by
 //!   `tests/crash_recovery.rs` and the `--smoke` gate);
 //! * **results/stats** ([`stats`], [`http`]): deterministic per-job reports, live
-//!   counters, and `BENCH_scheduler.json`-style sweep rows served over the vendored
-//!   minimal HTTP/1.1 server (`vendor/tiny_http`);
+//!   counters (read from the metrics), and `BENCH_scheduler.json`-style sweep rows,
+//!   served over the vendored minimal HTTP/1.1 server (`vendor/tiny_http`);
 //! * **metrics** ([`metrics`]): the `nc_obs`-backed registry behind `GET /metrics`
 //!   — Prometheus text with integer-only values, split into deterministic families
 //!   (queue depth/age in picks, crash/retry/backoff and step counters, HTTP status
@@ -43,5 +43,4 @@ pub use job::{JobId, JobSpec, JobState, ProtocolKind, SpecError};
 pub use metrics::ServiceMetrics;
 pub use queue::{JobQueue, SliceResult};
 pub use runner::{JobReport, JobRunner, SliceOutcome};
-pub use stats::ServiceStats;
 pub use worker::WorkerConfig;

@@ -257,7 +257,7 @@ impl Default for ServiceMetrics {
 /// panicked, counting each recovery in `service_lock_poison_recoveries_total`.
 ///
 /// Recovery is sound for the service's locks (see the policy in `nc_core::lock`):
-/// the queue and stats structures are left
+/// the queue is left
 /// consistent by every critical section — workers mutate them only through
 /// total transition functions — so the poison flag carries no integrity
 /// information beyond "some thread panicked", which the crash accounting

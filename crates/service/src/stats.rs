@@ -1,69 +1,43 @@
-//! The results/stats component: service-level counters and sweep-row export.
+//! The results/stats component: the `/stats` counter block and sweep-row export.
 //!
 //! Two views are served. `/stats` is a live counter block (submissions, slices,
-//! crashes, retries, per-tenant slice shares — the observable side of the weighted
-//! round-robin fairness claim). `/stats/rows` renders every **finished** job as a
-//! [`SweepRow`], the exact row schema of `BENCH_scheduler.json` (`nc_bench::sweep`),
-//! so the sweep binary's offline baseline and the service's online results are
-//! readable by the same tooling. Wall-clock fields in those rows are measured, not
-//! deterministic; the deterministic artifact is the job's [`JobReport`](crate::runner::JobReport).
-
-use std::collections::BTreeMap;
+//! completions, failures, crashes, per-tenant slice shares — the observable side of
+//! the weighted round-robin fairness claim), rendered from the [`ServiceMetrics`]
+//! counters that `/metrics` exposes too, so each event is counted once. `/stats/rows`
+//! renders every **finished** job as a [`SweepRow`], the exact row schema of
+//! `BENCH_scheduler.json` (`nc_bench::sweep`), so the sweep binary's offline baseline
+//! and the service's online results are readable by the same tooling. Wall-clock
+//! fields in those rows are measured, not deterministic; the deterministic artifact is
+//! the job's [`JobReport`](crate::runner::JobReport).
 
 use nc_bench::sweep::SweepRow;
 
 use crate::job::JobState;
-use crate::queue::{JobQueue, SliceResult};
+use crate::metrics::ServiceMetrics;
+use crate::queue::JobQueue;
 
-/// Live counters of the service (all monotone).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ServiceStats {
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Slices executed (parked or finished; crashed slices count separately).
-    pub slices: u64,
-    /// Jobs finished with a report.
-    pub done: u64,
-    /// Jobs failed permanently.
-    pub failed: u64,
-    /// Worker crashes absorbed (injected or genuine).
-    pub crashes: u64,
-    /// Slices executed per tenant (the fairness observable).
-    pub tenant_slices: BTreeMap<String, u64>,
-}
-
-impl ServiceStats {
-    /// Records the outcome of one executed slice for `tenant`.
-    pub fn record_slice(&mut self, tenant: &str, result: &SliceResult) {
-        match result {
-            SliceResult::Parked { .. } => {
-                self.slices += 1;
-                *self.tenant_slices.entry(tenant.to_string()).or_default() += 1;
-            }
-            SliceResult::Done { .. } => {
-                self.slices += 1;
-                self.done += 1;
-                *self.tenant_slices.entry(tenant.to_string()).or_default() += 1;
-            }
-            SliceResult::Failed { .. } => self.failed += 1,
-            SliceResult::Crashed { .. } => self.crashes += 1,
-        }
-    }
-
-    /// The counter block as one JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let tenants = self
-            .tenant_slices
-            .iter()
-            .map(|(tenant, slices)| format!("\"{}\": {}", escape_json(tenant), slices))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"submitted\": {}, \"slices\": {}, \"done\": {}, \"failed\": {}, \"crashes\": {}, \"tenant_slices\": {{{}}}}}",
-            self.submitted, self.slices, self.done, self.failed, self.crashes, tenants
-        )
-    }
+/// The `/stats` counter block as one JSON object: jobs submitted, productive slices
+/// (parked or finished; crashed slices count separately), jobs done and failed,
+/// absorbed worker crashes, and productive slices per tenant (the fairness
+/// observable).
+#[must_use]
+pub fn stats_json(metrics: &ServiceMetrics) -> String {
+    let tenant_slices = metrics.slices.values();
+    let slices: u64 = tenant_slices.iter().map(|(_, slices)| slices).sum();
+    let tenants = tenant_slices
+        .iter()
+        .map(|(tenant, slices)| format!("\"{}\": {}", escape_json(tenant), slices))
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!(
+        "{{\"submitted\": {}, \"slices\": {}, \"done\": {}, \"failed\": {}, \"crashes\": {}, \"tenant_slices\": {{{}}}}}",
+        metrics.jobs_submitted.value(),
+        slices,
+        metrics.jobs_done.value(),
+        metrics.jobs_failed.value(),
+        metrics.crashes.value(),
+        tenants
+    )
 }
 
 /// Renders every finished job of the queue as a `BENCH_scheduler.json`-style rows
@@ -126,21 +100,34 @@ pub fn escape_json(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::job::{JobSpec, ProtocolKind};
-    use crate::queue::JobQueue;
+    use crate::queue::{Claim, JobQueue, SliceResult};
     use crate::runner::JobReport;
 
     #[test]
     fn counters_track_slice_outcomes() {
-        let mut stats = ServiceStats::default();
-        stats.record_slice(
-            "a",
+        let metrics = ServiceMetrics::new();
+        let claim = |tenant: &str| Claim {
+            id: 0,
+            spec: JobSpec {
+                tenant: tenant.to_string(),
+                ..JobSpec::new(ProtocolKind::Square, 4)
+            },
+            snapshot: None,
+            slices: 0,
+            crashes: 0,
+            steps: 0,
+            queued_age_picks: 0,
+        };
+        metrics.record_slice(
+            &claim("a"),
             &SliceResult::Parked {
                 snapshot: vec![],
                 steps: 1,
             },
+            0.0,
         );
-        stats.record_slice(
-            "a",
+        metrics.record_slice(
+            &claim("a"),
             &SliceResult::Done {
                 report: JobReport {
                     protocol: "square".into(),
@@ -155,21 +142,22 @@ mod tests {
                 },
                 steps: 10,
             },
+            0.0,
         );
-        stats.record_slice(
-            "b",
+        metrics.record_slice(
+            &claim("b"),
             &SliceResult::Crashed {
                 message: "x".into(),
             },
+            0.0,
         );
-        assert_eq!(stats.slices, 2);
-        assert_eq!(stats.done, 1);
-        assert_eq!(stats.crashes, 1);
-        assert_eq!(stats.tenant_slices.get("a"), Some(&2));
-        assert_eq!(stats.tenant_slices.get("b"), None);
-        let json = stats.to_json();
-        assert!(json.contains("\"slices\": 2"), "{json}");
-        assert!(json.contains("\"a\": 2"), "{json}");
+        assert_eq!(metrics.jobs_done.value(), 1);
+        assert_eq!(metrics.crashes.value(), 1);
+        assert_eq!(metrics.slices.values(), vec![("a".to_string(), 2)]);
+        assert_eq!(
+            stats_json(&metrics),
+            "{\"submitted\": 0, \"slices\": 2, \"done\": 1, \"failed\": 0, \"crashes\": 1, \"tenant_slices\": {\"a\": 2}}"
+        );
     }
 
     #[test]

@@ -116,7 +116,7 @@ pub fn run_slice(claim: &Claim, slice: u64) -> (SliceResult, f64) {
 }
 
 /// Claims and executes one slice: poll, run, report, with every observable
-/// recorded (service counters *and* the `/metrics` families). Returns whether a
+/// recorded in the metric families behind `/metrics` and `/stats`. Returns whether a
 /// job was claimed; when none was, `on_idle` receives the guard of the failed
 /// claim, so it can wait for work without missing a notification. This is the
 /// single code path behind both the threaded [`worker_loop`] and the
@@ -138,7 +138,6 @@ pub fn service_step(
     metrics.record_claim(&claim);
     let (result, seconds) = run_slice(&claim, slice);
     metrics.record_slice(&claim, &result, seconds);
-    recover_lock(&service.stats, metrics).record_slice(&claim.spec.tenant, &result);
     let crashed = matches!(result, SliceResult::Crashed { .. });
     let state = {
         let mut queue = recover_lock(&service.queue, metrics);

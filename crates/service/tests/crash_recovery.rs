@@ -22,12 +22,13 @@ use nc_core::scheduler::SamplingMode;
 use nc_service::http::ServiceHandle;
 use nc_service::job::{JobId, JobSpec, JobState, ProtocolKind};
 use nc_service::queue::JobQueue;
-use nc_service::stats::ServiceStats;
 use nc_service::worker::{spawn_pool, WorkerConfig};
+use nc_service::ServiceMetrics;
 use std::sync::Arc;
 
-/// Runs `specs` to quiescence on a threaded pool; returns the queue afterwards.
-fn run_pool(specs: Vec<JobSpec>, workers: usize, slice: u64) -> (JobQueue, ServiceStats) {
+/// Runs `specs` to quiescence on a threaded pool; returns the queue and the service's
+/// metrics afterwards.
+fn run_pool(specs: Vec<JobSpec>, workers: usize, slice: u64) -> (JobQueue, Arc<ServiceMetrics>) {
     let service = ServiceHandle::new(0xD15C);
     {
         let mut q = service.queue.lock().expect("queue");
@@ -56,16 +57,12 @@ fn run_pool(specs: Vec<JobSpec>, workers: usize, slice: u64) -> (JobQueue, Servi
     for handle in handles {
         handle.join().expect("worker joins");
     }
-    let ServiceHandle { queue, stats, .. } = service;
+    let ServiceHandle { queue, metrics, .. } = service;
     let queue = Arc::try_unwrap(queue)
         .unwrap_or_else(|_| panic!("pool joined"))
         .into_inner()
         .expect("unpoisoned");
-    let stats = Arc::try_unwrap(stats)
-        .unwrap_or_else(|_| panic!("pool joined"))
-        .into_inner()
-        .expect("unpoisoned");
-    (queue, stats)
+    (queue, metrics)
 }
 
 fn report_json(queue: &JobQueue, id: JobId) -> String {
@@ -101,7 +98,7 @@ fn killed_worker_resumes_to_byte_identical_reports_across_protocols_and_modes() 
         let mut crashed = clean.clone();
         crashed.tenant = "crashed".to_string();
         crashed.crash_after_slices = Some(crash_after);
-        let (queue, stats) = run_pool(vec![clean, crashed], 3, slice);
+        let (queue, metrics) = run_pool(vec![clean, crashed], 3, slice);
         let clean = report_json(&queue, 0);
         let crashed = report_json(&queue, 1);
         assert_eq!(
@@ -118,8 +115,8 @@ fn killed_worker_resumes_to_byte_identical_reports_across_protocols_and_modes() 
             "cell {cell}: the crashed job must run past its crash point ({} slices)",
             record.slices
         );
-        done += stats.done;
-        crashes += stats.crashes;
+        done += metrics.jobs_done.value();
+        crashes += metrics.crashes.value();
     }
     assert_eq!(crashes, 3, "one absorbed crash per injected cell");
     assert_eq!(done, 6);
@@ -162,7 +159,7 @@ fn retry_accounting_survives_alongside_successful_tenants() {
         healthy.tenant = "steady".to_string();
         specs.push(healthy);
     }
-    let (queue, stats) = run_pool(specs, 2, 96);
+    let (queue, metrics) = run_pool(specs, 2, 96);
     for id in 0..4 {
         let record = queue.get(id).expect("record");
         assert_eq!(record.state, JobState::Done, "job {id}: {:?}", record.error);
@@ -177,6 +174,10 @@ fn retry_accounting_survives_alongside_successful_tenants() {
         flaky.attempts > flaky.slices,
         "the lost attempt is accounted"
     );
-    assert_eq!(stats.crashes, 1);
-    assert!(stats.tenant_slices.get("steady").copied().unwrap_or(0) > 0);
+    assert_eq!(metrics.crashes.value(), 1);
+    assert!(metrics
+        .slices
+        .values()
+        .iter()
+        .any(|(tenant, slices)| tenant == "steady" && *slices > 0));
 }
