@@ -2,12 +2,16 @@
 
 use super::{f1, f3, Experiment, Table};
 use nc_popproto::counting::{aggregate_counting, CountingUpperBound};
+use nc_popproto::walk::counting_walk_law;
 
 /// E1 — Remark 2 / Theorem 1: success rate and relative estimate of the counting
 /// protocol over repeated trials.
 ///
 /// The paper reports that the protocol always terminates, w.h.p. counts at least `n/2`,
 /// and that in simulations up to 1000 nodes the estimate is usually around `0.9·n`.
+/// Beside the empirical success rate the table prints the exact success probability,
+/// `1 −` the counting walk's failure: the protocol succeeds exactly when its walk does
+/// (`tests/walk_reduction.rs` checks that reduction against executions).
 #[must_use]
 pub fn e1(quick: bool) -> Experiment {
     let (sizes, trials): (&[usize], u32) = if quick {
@@ -22,6 +26,7 @@ pub fn e1(quick: bool) -> Experiment {
         "trials",
         "halt_rate",
         "success_rate",
+        "exact success",
         "mean r0/n",
         "mean steps",
     ]);
@@ -35,6 +40,7 @@ pub fn e1(quick: bool) -> Experiment {
                 trials.to_string(),
                 f3(agg.halt_rate),
                 f3(agg.success_rate),
+                format!("1 - {:.2e}", counting_walk_law(n as u64, b).failure),
                 f3(agg.mean_relative_estimate),
                 f1(agg.mean_steps),
             ]);

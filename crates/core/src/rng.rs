@@ -1,7 +1,7 @@
 //! The single seeding point for every random number generator in the runtime.
 //!
 //! Both samplers — the geometric [`crate::scheduler::UniformScheduler`] and (through it)
-//! the population-protocol clique engine — and the Monte-Carlo experiment helpers build
+//! the population-protocol clique engine — and the service's tenant scheduler build
 //! their generators here, so changing the generator or the seeding discipline is a
 //! one-module change. This replaces the scattered `StdRng::from_entropy()` /
 //! `StdRng::seed_from_u64` call sites of the original tree.

@@ -19,7 +19,7 @@
 //! * [`conjecture`] — a leaderless counting attempt used as experimental evidence for
 //!   Conjecture 1;
 //! * [`walk`] — the Ehrenfest / gambler's-ruin random-walk models used in the proof of
-//!   Theorem 1 (closed forms and Monte-Carlo simulators).
+//!   Theorem 1 (closed forms and exact dynamic programs).
 //!
 //! # Example
 //!

@@ -8,11 +8,9 @@
 //!
 //! * the exact gambler's-ruin closed form used in the proof;
 //! * the `1/n^(b−2)` failure bound of Theorem 1;
-//! * Monte-Carlo simulators of the exact counting walk and of the simplified ruin walk,
-//!   used by experiment E3 to show that the bound is (comfortably) conservative.
-
-use nc_core::rng::seeded;
-use rand::Rng;
+//! * the exact law of the counting walk and the exact failure probability of the
+//!   simplified Ehrenfest walk, each one backward dynamic program, which experiment E3
+//!   prints beside the bound.
 
 /// Probability of reaching position `target` before position 0, starting from `start`,
 /// in a biased random walk that moves forward with probability `p` and backward with
@@ -58,116 +56,85 @@ pub fn theorem1_failure_bound(n: u64, b: u64) -> f64 {
     (n as f64).powi(-(b as i32 - 2))
 }
 
-/// Result of a Monte-Carlo estimate.
+/// The exact law of the counting walk from its initial state.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MonteCarloEstimate {
-    /// Number of trials.
-    pub trials: u32,
-    /// Number of failures observed.
-    pub failures: u32,
-    /// Empirical failure probability.
-    pub failure_rate: f64,
-    /// Mean number of effective interactions per trial.
-    pub mean_effective_interactions: f64,
+pub struct CountingWalkLaw {
+    /// Probability that `j` hits 0 while `2·r0 < n`: the count fails.
+    pub failure: f64,
+    /// Expected number of effective interactions until the walk is decided, that is
+    /// until `2·r0 ≥ n` or `j = 0`.
+    pub expected_length: f64,
 }
 
-/// Simulates the *exact* effective-interaction walk of the counting protocol: starting
+/// The exact law of the effective-interaction walk of the counting protocol: starting
 /// from `i = n − b − 1` remaining `q0`s and `j = b` outstanding `q1`s, each effective
-/// interaction is a first meeting with probability `i/(i + j)` and a second meeting
-/// otherwise; the trial fails if `j` hits 0 while `r0 < n/2`.
+/// interaction is a first meeting (`i − 1`, `j + 1`, `r0 + 1`) with probability
+/// `i/(i + j)` and a second meeting (`j − 1`) otherwise; the count fails if `j` hits 0
+/// while `2·r0 < n`.
 ///
-/// This reproduces the random process of Figure 4 without the scheduling noise of the
-/// full protocol, so millions of trials are cheap.
+/// Every step lowers `i` or `j`, so one backward sweep over rows of `i`, each walked in
+/// ascending `j`, computes both values in O(n²) time. A row reads the row below it only
+/// at `j + 1`, which an ascending in-place update has not yet overwritten, so one array
+/// per quantity is all the memory it takes.
 ///
 /// # Panics
-/// Panics if `n < b + 2` or `trials == 0`.
+/// Panics if `n < b + 2`.
 #[must_use]
-pub fn simulate_counting_walk(n: u64, b: u64, trials: u32, seed: u64) -> MonteCarloEstimate {
+pub fn counting_walk_law(n: u64, b: u64) -> CountingWalkLaw {
     assert!(n >= b + 2, "need at least b + 2 agents");
-    assert!(trials > 0, "at least one trial required");
-    let mut rng = seeded(seed);
-    let mut failures = 0u32;
-    let mut total_effective = 0u64;
-    for _ in 0..trials {
-        let mut i = n - b - 1; // remaining q0
-        let mut j = b; // outstanding q1 (= r0 − r1)
-        let mut r0 = b;
-        loop {
-            if 2 * r0 >= n {
-                break;
-            }
-            if j == 0 {
-                failures += 1;
-                break;
-            }
-            if i == 0 && j == 0 {
-                break;
-            }
-            total_effective += 1;
-            let p_forward = i as f64 / (i + j) as f64;
-            if rng.gen_bool(p_forward) {
-                i -= 1;
-                j += 1;
-                r0 += 1;
-            } else {
-                j -= 1;
-            }
+    let (n, b) = (n as usize, b as usize);
+    // r0 = n − 1 − i, so every row i ≤ (n − 2)/2 has already succeeded: failure and
+    // remaining length 0, the arrays' initial contents. Row i spans j = 0..n − i, as
+    // i + j never exceeds its initial value n − 1.
+    let mut failure = vec![0.0; n + 1];
+    let mut length = vec![0.0; n + 1];
+    for i in (n - 2) / 2 + 1..n - b {
+        failure[0] = 1.0;
+        for j in 1..n - i {
+            let forward = i as f64 / (i + j) as f64;
+            let back = 1.0 - forward;
+            failure[j] = forward * failure[j + 1] + back * failure[j - 1];
+            length[j] = 1.0 + forward * length[j + 1] + back * length[j - 1];
         }
     }
-    MonteCarloEstimate {
-        trials,
-        failures,
-        failure_rate: f64::from(failures) / f64::from(trials),
-        mean_effective_interactions: total_effective as f64 / f64::from(trials),
+    CountingWalkLaw {
+        failure: failure[b],
+        expected_length: length[b],
     }
 }
 
-/// Simulates the simplified Ehrenfest-style walk used in the proof: the walk of `j` on
-/// `0..=n/2` with position-dependent probabilities `p_j = (n′ − j)/n′`, starting at `b`,
-/// failing at 0 and succeeding at `n/2`.
+/// The exact failure probability of the simplified Ehrenfest-style walk used in the
+/// proof: the walk of `j` on `0..=n/2` that starts at `b` and steps forward with
+/// probability `p_j = (n′ − j)/n′`, `n′ = n/2 − 1`, backward otherwise.
+///
+/// The boundaries are checked in this order before every step: `j = 0` fails; then
+/// `j ≥ n/2` succeeds, and so does surviving `n` steps. The proof of Theorem 1 only
+/// needs the walk to avoid 0 during the first `n` effective interactions, since after
+/// `n` of them `r0 ≥ n/2` holds whatever the position. A backward sweep over the step
+/// count, one O(n) row of positions per step, gives the value in O(n²) time.
 ///
 /// # Panics
-/// Panics if `n < 2·b + 4` or `trials == 0`.
+/// Panics if `n < 2·b + 4`.
 #[must_use]
-pub fn simulate_ehrenfest_walk(n: u64, b: u64, trials: u32, seed: u64) -> MonteCarloEstimate {
-    assert!(trials > 0, "at least one trial required");
-    let n_prime = n / 2 - 1;
+pub fn ehrenfest_walk_failure(n: u64, b: u64) -> f64 {
+    let n_prime = (n / 2).saturating_sub(1);
     assert!(n_prime > b, "population too small for the reduction");
-    let mut rng = seeded(seed);
-    let mut failures = 0u32;
-    let mut total_steps = 0u64;
-    let target = n / 2;
-    for _ in 0..trials {
-        let mut j = b;
-        let mut steps_this_trial = 0u64;
-        loop {
-            if j == 0 {
-                failures += 1;
-                break;
-            }
-            // The proof of Theorem 1 only needs the walk to avoid 0 during the first `n`
-            // effective interactions (after `n` effective interactions `r0 ≥ n/2` holds
-            // regardless of the position), so surviving `n` steps — or reaching the
-            // success barrier — ends the trial as a success.
-            if j >= target || steps_this_trial >= n {
-                break;
-            }
-            total_steps += 1;
-            steps_this_trial += 1;
-            let p_forward = (n_prime - j.min(n_prime)) as f64 / n_prime as f64;
-            if rng.gen_bool(p_forward) {
-                j += 1;
-            } else {
-                j -= 1;
-            }
+    let target = (n / 2) as usize;
+    // The row after the last step: 0 has failed, every other position survived.
+    let mut failure = vec![0.0; target + 1];
+    failure[0] = 1.0;
+    for _ in 0..n {
+        // Positions 0 and `target` are absorbing, and j ≤ n′ below `target`. The update
+        // reads the old row at j − 1, kept in `below` before the in-place write.
+        let mut below = failure[0];
+        for j in 1..target {
+            let forward = (n_prime - j as u64) as f64 / n_prime as f64;
+            let here = failure[j];
+            failure[j] = forward * failure[j + 1] + (1.0 - forward) * below;
+            below = here;
         }
     }
-    MonteCarloEstimate {
-        trials,
-        failures,
-        failure_rate: f64::from(failures) / f64::from(trials),
-        mean_effective_interactions: total_steps as f64 / f64::from(trials),
-    }
+    failure[b as usize]
 }
 
 #[cfg(test)]
@@ -211,13 +178,12 @@ mod tests {
 
     #[test]
     fn counting_walk_failure_is_below_the_bound() {
-        // Empirical failure probability must be (far) below the Theorem 1 bound.
+        // The exact failure probability must be (far) below the Theorem 1 bound.
         for b in [3u64, 4] {
-            let est = simulate_counting_walk(500, b, 20_000, 42);
+            let failure = counting_walk_law(500, b).failure;
             assert!(
-                est.failure_rate <= theorem1_failure_bound(500, b),
-                "b = {b}: rate {} exceeds bound {}",
-                est.failure_rate,
+                failure > 0.0 && failure <= theorem1_failure_bound(500, b),
+                "b = {b}: failure {failure} exceeds bound {}",
                 theorem1_failure_bound(500, b)
             );
         }
@@ -226,24 +192,85 @@ mod tests {
     #[test]
     fn counting_walk_effective_interactions_are_about_n() {
         // Success requires roughly n/2 + r1 ≤ n effective interactions.
-        let est = simulate_counting_walk(1000, 4, 2_000, 7);
-        assert!(est.mean_effective_interactions >= 500.0 - 4.0);
-        assert!(est.mean_effective_interactions <= 1000.0);
+        let length = counting_walk_law(1000, 4).expected_length;
+        assert!((length - 649.2).abs() < 0.05, "expected length {length}");
+        assert!((500.0 - 4.0..=1000.0).contains(&length));
     }
 
     #[test]
     fn ehrenfest_walk_rarely_fails_with_decent_head_start() {
-        let est = simulate_ehrenfest_walk(400, 5, 20_000, 3);
-        assert!(est.failure_rate < 0.01, "rate {}", est.failure_rate);
+        let failure = ehrenfest_walk_failure(400, 5);
+        assert!(failure > 0.0 && failure < 1e-9, "failure {failure}");
     }
 
     #[test]
     fn ehrenfest_walk_fails_often_with_head_start_one() {
-        // With b = 1 the very first backward step is fatal, which happens with
-        // probability ≈ b/n′ per visit but the walk visits b−1 = 0 immediately with
-        // probability q ≈ 1/n′ only — instead compare against b = 5 to see the trend.
-        let weak = simulate_ehrenfest_walk(400, 1, 50_000, 9);
-        let strong = simulate_ehrenfest_walk(400, 5, 50_000, 9);
-        assert!(weak.failure_rate > strong.failure_rate);
+        // With b = 1 a backward first step, probability 1/n′, is already fatal.
+        let weak = ehrenfest_walk_failure(400, 1);
+        let strong = ehrenfest_walk_failure(400, 5);
+        assert!(weak >= 1.0 / 199.0, "b = 1: failure {weak}");
+        assert!(weak > strong);
+    }
+
+    /// Adds every path of the counting walk from `(i, j, r0)`, one at a time, weighted by
+    /// its probability: the walk's own loop, unrolled into a tree.
+    fn enumerate_counting(
+        n: u64,
+        (i, j, r0): (u64, u64, u64),
+        steps: u64,
+        weight: f64,
+        law: &mut CountingWalkLaw,
+    ) {
+        if 2 * r0 >= n || j == 0 {
+            law.failure += if 2 * r0 >= n { 0.0 } else { weight };
+            law.expected_length += weight * steps as f64;
+            return;
+        }
+        let forward = i as f64 / (i + j) as f64;
+        if i > 0 {
+            enumerate_counting(n, (i - 1, j + 1, r0 + 1), steps + 1, weight * forward, law);
+        }
+        enumerate_counting(n, (i, j - 1, r0), steps + 1, weight * (1.0 - forward), law);
+    }
+
+    /// The failure weight of every path of the Ehrenfest walk from `j` after `steps`.
+    fn enumerate_ehrenfest(n: u64, j: u64, steps: u64, weight: f64) -> f64 {
+        if j == 0 {
+            return weight;
+        }
+        if j >= n / 2 || steps >= n {
+            return 0.0;
+        }
+        let n_prime = n / 2 - 1;
+        let forward = (n_prime - j) as f64 / n_prime as f64;
+        enumerate_ehrenfest(n, j + 1, steps + 1, weight * forward)
+            + enumerate_ehrenfest(n, j - 1, steps + 1, weight * (1.0 - forward))
+    }
+
+    #[test]
+    fn exact_walk_laws_match_path_enumeration() {
+        for n in 4u64..=12 {
+            for b in 1..=n - 2 {
+                let mut paths = CountingWalkLaw {
+                    failure: 0.0,
+                    expected_length: 0.0,
+                };
+                enumerate_counting(n, (n - b - 1, b, b), 0, 1.0, &mut paths);
+                let law = counting_walk_law(n, b);
+                assert!(
+                    (law.failure - paths.failure).abs() < 1e-12,
+                    "n = {n}, b = {b}"
+                );
+                assert!(
+                    (law.expected_length - paths.expected_length).abs() < 1e-12,
+                    "n = {n}, b = {b}"
+                );
+                if n / 2 - 1 > b {
+                    let failure = ehrenfest_walk_failure(n, b);
+                    let paths = enumerate_ehrenfest(n, b, 0, 1.0);
+                    assert!((failure - paths).abs() < 1e-12, "n = {n}, b = {b}");
+                }
+            }
+        }
     }
 }

@@ -114,7 +114,7 @@ impl ServiceMetrics {
             ),
             lock_poison_recoveries: registry.counter(
                 "service_lock_poison_recoveries_total",
-                "Poisoned queue/stats locks recovered instead of answered 503.",
+                "Times the poisoned queue lock was recovered instead of answering 503.",
             ),
             jobs_submitted: registry
                 .counter("service_jobs_submitted_total", "Job submissions accepted."),

@@ -11,7 +11,7 @@ use shape_constructors::geometry::{
     library, zigzag_coord, zigzag_index, Coord, LabeledSquare, Rotation, Shape,
 };
 use shape_constructors::popproto::counting::{run_counting, CountingUpperBound};
-use shape_constructors::popproto::walk::simulate_counting_walk;
+use shape_constructors::popproto::walk::counting_walk_law;
 use shape_constructors::tm::arith::{bit_width, integer_sqrt, BinaryCounter};
 
 const CASES: usize = 64;
@@ -160,15 +160,18 @@ fn counting_always_halts_with_a_sane_count() {
     }
 }
 
-/// The abstract random walk of the Theorem 1 proof fails strictly less often with a
-/// larger head start.
+/// The exact failure probability of the Theorem 1 walk falls strictly with a larger
+/// head start.
 #[test]
 fn walk_failure_is_monotone_in_the_head_start() {
     for mut rng in cases(8).take(16) {
         let n = rng.gen_range(20u64..200);
-        let low = simulate_counting_walk(n, 2, 2_000, 99).failure_rate;
-        let high = simulate_counting_walk(n, 6, 2_000, 99).failure_rate;
-        assert!(high <= low + 1e-9);
+        let low = counting_walk_law(n, 2).failure;
+        let high = counting_walk_law(n, 6).failure;
+        assert!(
+            high < low,
+            "n = {n}: b = 6 fails {high:e}, b = 2 fails {low:e}"
+        );
     }
 }
 
