@@ -56,13 +56,15 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Renders the table with aligned columns.
+    /// Renders the table with aligned columns. Widths count characters, the unit
+    /// `format!` pads by, so a header such as `n²·ln n` is as wide as it looks.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.columns.iter().map(String::len).collect();
+        let chars = |cell: &String| cell.chars().count();
+        let mut widths: Vec<usize> = self.columns.iter().map(chars).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+                *w = (*w).max(chars(cell));
             }
         }
         let mut out = String::new();
@@ -154,6 +156,21 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("   n"));
         assert!(rendered.lines().count() >= 4);
+    }
+
+    #[test]
+    fn table_sizes_multi_byte_headers_by_characters() {
+        let mut t = Table::new(&["n", "n²·ln n"]);
+        t.row(&["10".into(), "230.3".into()]);
+        let rendered = t.render();
+        let lines: Vec<&str> = rendered.lines().collect();
+        // `n²·ln n` is 7 characters (9 bytes): the column is 7 wide, not 9.
+        assert_eq!(lines[0], " n  n²·ln n");
+        assert_eq!(lines[1], "-".repeat(11));
+        assert_eq!(lines[2], "10    230.3");
+        for line in &lines {
+            assert_eq!(line.chars().count(), 11, "{line:?}");
+        }
     }
 
     #[test]

@@ -40,15 +40,23 @@
 //!
 //! Every bucket is a rank/select set ([`RankSet`]) over a dense universe, keyed by node
 //! id (per class the free singletons and, per port, the free multi-component ports) or
-//! by lower endpoint (the intra pairs): `O(log n)` updates and `select(k)`, ascending
-//! iteration. Everything registered *per node* — its class id, its singleton and
+//! by lower endpoint (the intra pairs): ascending iteration, and `select(k)` is the
+//! `k`-th smallest member. A bucket of at most eight members keeps them inline, where
+//! an update is a short shift and `select` one load; a larger one has spilled into a
+//! bitset with `O(log n)` updates and a branch-free `O(log n)` select. Most bucket
+//! traffic lands in the small form: the unique leader of a constructor sits alone in
+//! its class's free-port buckets and changes class on almost every effective step.
+//! Everything registered *per node* — its class id, its singleton and
 //! free-port flags and the intra pair at each port ([`PackedIntra`]) — sits in one
 //! 32-byte [`NodeReg`], so re-deriving a node touches one cache line of the index (two
 //! with the peer it pairs with). Nodes are re-derived in ascending id order
 //! (`World::flush_pairs` sorts its batch), which makes class allocation a function of
 //! the configuration, and the draws map an index `idx ∈ 0..E` through the intra pairs,
 //! then the class table's cell walk ([`ClassTable::rows`]): every ordering the samplers
-//! can observe is canonical in the configuration. [`crate::World::validate_pair_index`]
+//! can observe is canonical in the configuration. A draw returns the pair with its
+//! [`DrawnKind`] — an intra pair's bonded bit, or that its second node is a free
+//! singleton — from which the world builds the pair's permissibility without
+//! re-deriving it. [`crate::World::validate_pair_index`]
 //! checks all of it against the full enumeration
 //! ([`crate::World::enumerate_permissible`]).
 
@@ -208,6 +216,27 @@ pub(crate) struct BaseCounts {
     pub(crate) effective: u64,
 }
 
+/// Why a drawn pair is permissible, as far as the index knows it from where the pair
+/// is kept; the world completes it into a [`crate::Permissibility`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DrawnKind {
+    /// An intra-component pair, bonded or facing-adjacent ([`PackedIntra`]'s bit).
+    Intra { bonded: bool },
+    /// A class-cell pair: the second node is a free singleton and the first node's
+    /// port faces a free cell, so the two merge without collision.
+    WithSingleton,
+}
+
+/// A pair drawn from the index: its node-ports and [`DrawnKind`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DrawnPair {
+    pub(crate) a: NodeId,
+    pub(crate) pa: Dir,
+    pub(crate) b: NodeId,
+    pub(crate) pb: Dir,
+    pub(crate) kind: DrawnKind,
+}
+
 /// The incremental permissible-pair index. See the module docs for the
 /// decomposition, the layout and the canonical-order argument.
 pub(crate) struct PairIndex<S> {
@@ -365,6 +394,16 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     #[cfg(test)]
     pub(crate) fn fill_stats(&self) -> FillStats {
         self.classes.fill_stats()
+    }
+
+    /// Whether any free-port bucket of `x`'s class has spilled out of its inline form.
+    #[cfg(test)]
+    pub(crate) fn free_ports_spilled(&self, x: NodeId) -> bool {
+        let class = self.regs[x.index()].class;
+        Dim::Three
+            .dirs()
+            .iter()
+            .any(|&pa| self.free_bucket(class, pa).spilled())
     }
 
     /// The incrementally maintained aggregate counts (exact at every configuration).
@@ -605,30 +644,43 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     }
 
     /// The node-ports a class-cell pair stands for: its ranks selected in the buckets.
-    fn resolve(&self, pair: ClassPair) -> (NodeId, Dir, NodeId, Dir) {
+    /// The second node is always a free singleton.
+    fn resolve(&self, pair: ClassPair) -> DrawnPair {
         let ((ca, ka, pa), (cb, kb, pb)) = (pair.a, pair.b);
         let a = if pair.free_port {
             self.free_bucket(ca, pa)
         } else {
             self.singleton_bucket(ca)
         };
-        let x = NodeId::new(a.select(ka as usize) as u32);
-        let y = NodeId::new(self.singleton_bucket(cb).select(kb as usize) as u32);
-        (x, pa, y, pb)
+        DrawnPair {
+            a: NodeId::new(a.select(ka as usize) as u32),
+            pa,
+            b: NodeId::new(self.singleton_bucket(cb).select(kb as usize) as u32),
+            pb,
+            kind: DrawnKind::WithSingleton,
+        }
     }
 
     /// The intra pair with lower endpoint `(x, pa)`, in the [`pair_key`] orientation.
-    fn intra_pair_at(&self, (x, pa): (NodeId, Dir)) -> (NodeId, Dir, NodeId, Dir) {
+    fn intra_pair_at(&self, (x, pa): (NodeId, Dir)) -> DrawnPair {
         let entry = self.regs[x.index()].intra[pa.index()]
             .get()
             .expect("an intra set member has its pair cell");
-        (x, pa, entry.peer, entry.pport)
+        DrawnPair {
+            a: x,
+            pa,
+            b: entry.peer,
+            pb: entry.pport,
+            kind: DrawnKind::Intra {
+                bonded: entry.bonded,
+            },
+        }
     }
 
     /// The `idx`-th effective base pair in canonical order — intra pairs by lower
     /// endpoint, then the class cells ([`ClassTable::kth_effective`]): uniform over the
     /// effective base set when `idx` is uniform over `0..aggregate effective`.
-    pub(crate) fn sample_effective(&self, dim: Dim, idx: u64) -> (NodeId, Dir, NodeId, Dir) {
+    pub(crate) fn sample_effective(&self, dim: Dim, idx: u64) -> DrawnPair {
         let intra = self.intra.effective_len();
         if idx < intra {
             return self.intra_pair_at(self.intra.kth(true, idx));
@@ -638,7 +690,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
 
     /// The `idx`-th *permissible* base pair in canonical order (intra pairs, then
     /// [`ClassTable::kth_permissible`]): uniform when `idx` is uniform.
-    pub(crate) fn sample_permissible(&self, dim: Dim, idx: u64) -> (NodeId, Dir, NodeId, Dir) {
+    pub(crate) fn sample_permissible(&self, dim: Dim, idx: u64) -> DrawnPair {
         let intra = self.intra.len();
         if idx < intra {
             return self.intra_pair_at(self.intra.kth(false, idx));
@@ -649,7 +701,7 @@ impl<S: Clone + PartialEq> PairIndex<S> {
     /// Expands the full effective base set through the same cells and the same
     /// [`PairIndex::resolve`] the draws use (validation oracle support; `O(E log n)`).
     pub(crate) fn collect_effective(&self, dim: Dim) -> Vec<u64> {
-        let key = |(x, pa, y, pb)| pair_key(x, pa, y, pb);
+        let key = |d: DrawnPair| pair_key(d.a, d.pa, d.b, d.pb);
         let mut out: Vec<u64> = self
             .intra
             .effective()
@@ -892,6 +944,40 @@ mod tests {
                      effective steps exceed 12 per step"
                 );
             }
+        }
+    }
+
+    /// Inline buckets: the leader is alone in its class's free-port buckets, so the
+    /// class change on almost every effective step moves it between one-member sets
+    /// that never allocate. Over the whole run only the buckets that outgrow eight
+    /// members spill: the intra pairs and the settled class's free ports (the line's
+    /// members keep the two ports across it free, on any of the four ports).
+    #[test]
+    fn line_leader_free_port_buckets_never_spill() {
+        for seed in [1, 2, 3] {
+            let config = SimulationConfig::new(256)
+                .with_seed(seed)
+                .with_sharded_sampling();
+            let mut sim = Simulation::new(LeaderRules::Line, config);
+            // The first call builds the index: the free singletons' bucket spills.
+            assert!(sim.step());
+            let start = crate::rank_set::spills();
+            while !sim.world().is_stable() {
+                assert!(sim.step());
+                let leader = sim
+                    .world()
+                    .nodes()
+                    .find(|&x| matches!(sim.world().state(x), LeaderState::Lead(_)))
+                    .expect("the line has a leader");
+                assert!(
+                    !sim.world().free_ports_spilled(leader),
+                    "seed {seed}: the leader's free-port bucket spilled at step {}",
+                    sim.stats().effective_steps
+                );
+            }
+            assert_eq!(sim.stats().effective_steps, 255, "seed {seed}");
+            let spills = crate::rank_set::spills() - start;
+            assert!(spills <= 5, "seed {seed}: {spills} buckets spilled");
         }
     }
 

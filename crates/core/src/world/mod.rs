@@ -12,7 +12,7 @@ mod codec;
 mod cross;
 mod output;
 
-use crate::index::{GeomView, IndexStats, PairIndex};
+use crate::index::{DrawnKind, DrawnPair, GeomView, IndexStats, PairIndex};
 use crate::{Component, NodeId, Placement, Protocol};
 use nc_geometry::{Coord, Dim, Dir, Rotation};
 use nc_obs::{Phase, Telemetry, TraceEventKind};
@@ -184,6 +184,10 @@ pub struct World<P: Protocol> {
     components: Vec<Option<Component>>,
     bond_count: usize,
     rotations: Vec<Rotation>,
+    /// `merge_rotation[from][to]`: the first rotation of `rotations` that maps `from`
+    /// to `to` — the one [`World::permissibility`] settles on for a merge whose second
+    /// component is a singleton (identity where none does).
+    merge_rotation: [[Rotation; 6]; 6],
     /// Cached `protocol.is_halted(state)` per node, kept in sync with every state write.
     halted: Vec<bool>,
     /// Number of `true` entries of `halted`, maintained at every write so the halting
@@ -240,8 +244,18 @@ impl<P: Protocol> World<P> {
         // Disjoint per-world version ranges: each world claims a 2⁴⁰-wide window, far
         // beyond any realistic number of configuration changes.
         let version = crate::lock::next_world_ordinal() << 40;
+        let rotations = Rotation::all(dim);
+        let mut merge_rotation = [[Rotation::IDENTITY; 6]; 6];
+        for &from in dim.dirs() {
+            for &to in dim.dirs() {
+                if let Some(&r) = rotations.iter().find(|r| r.apply_dir(from) == to) {
+                    merge_rotation[from.index()][to.index()] = r;
+                }
+            }
+        }
         World {
-            rotations: Rotation::all(dim),
+            rotations,
+            merge_rotation,
             protocol,
             dim,
             states,
@@ -323,6 +337,12 @@ impl<P: Protocol> World<P> {
     #[cfg(test)]
     pub(crate) fn fill_stats(&self) -> crate::index::FillStats {
         self.pairs.borrow().index.fill_stats()
+    }
+
+    /// Whether a free-port bucket of `node`'s class has spilled (test-only).
+    #[cfg(test)]
+    pub(crate) fn free_ports_spilled(&self, node: NodeId) -> bool {
+        self.pairs.borrow().index.free_ports_spilled(node)
     }
 
     /// The population size `n`.
@@ -968,11 +988,13 @@ impl<P: Protocol> World<P> {
     /// Re-derives the queued nodes in the permissible-pair index, at the end of every
     /// mutation. A queued node costs one occupancy lookup per unbonded port, a class
     /// check (the `O(classes)` scan only when its state left its class), and per
-    /// flipped registration a rate update over the member masks, plus a row fill per
-    /// class whose row the flip newly needs; it reads one [`NodeGeo`] and writes one
-    /// 32-byte index record (and its peers'). The batch is sorted (ascending node id,
-    /// the canonical order that makes class allocation a function of the
-    /// configuration), deduplicated and handed to the index.
+    /// flipped registration a bucket update — a shift of at most eight inline members,
+    /// or an `O(log n)` Fenwick path once the bucket has spilled — and a rate update
+    /// over the member masks, plus a row fill per class whose row the flip newly needs;
+    /// it reads one [`NodeGeo`] and writes one 32-byte index record (and its peers').
+    /// The batch is sorted (ascending node id, the canonical order that makes class
+    /// allocation a function of the configuration), deduplicated and handed to the
+    /// index.
     fn flush_pairs(&mut self) {
         if !self.pairs_active.get() || self.pair_pending.is_empty() {
             return;
@@ -1043,23 +1065,54 @@ impl<P: Protocol> World<P> {
     /// over the effective base set when `idx` is uniform over `0..effective_base`, by
     /// the configuration-determined canonical cell walk. Must only be called right after
     /// [`World::aggregate_pair_counts`] on the same (frozen) configuration version.
+    /// The pair's permissibility comes with the draw ([`World::drawn_interaction`]).
     pub(crate) fn sample_effective_base(&self, idx: u64) -> Interaction {
-        let cell = self.pairs.borrow();
-        let (a, pa, b, pb) = cell.index.sample_effective(self.dim, idx);
-        drop(cell);
-        self.interaction(a, pa, b, pb)
-            .expect("pair-index effective entry must be permissible")
+        let drawn = self.pairs.borrow().index.sample_effective(self.dim, idx);
+        self.drawn_interaction(drawn)
     }
 
     /// The `idx`-th permissible base pair (uniform when `idx` is uniform over
     /// `0..permissible_base`). Same calling contract as
     /// [`World::sample_effective_base`].
     pub(crate) fn sample_permissible_base(&self, idx: u64) -> Interaction {
-        let cell = self.pairs.borrow();
-        let (a, pa, b, pb) = cell.index.sample_permissible(self.dim, idx);
-        drop(cell);
-        self.interaction(a, pa, b, pb)
-            .expect("pair-index permissible entry must be permissible")
+        let drawn = self.pairs.borrow().index.sample_permissible(self.dim, idx);
+        self.drawn_interaction(drawn)
+    }
+
+    /// Completes a drawn pair into its [`Interaction`] from what the index knows of it:
+    /// an intra pair is bonded or facing-adjacent as its record says, and a pair with a
+    /// free singleton merges by the first rotation taking the singleton's port onto
+    /// the facing direction (the singleton's one cell lands on the free facing cell,
+    /// so nothing collides). This is exactly [`World::permissibility`]'s answer, which
+    /// debug builds check on every draw, at the cost of two pose reads.
+    fn drawn_interaction(&self, drawn: DrawnPair) -> Interaction {
+        let DrawnPair { a, pa, b, pb, kind } = drawn;
+        let permissibility = match kind {
+            DrawnKind::Intra { bonded: true } => Permissibility::Bonded,
+            DrawnKind::Intra { bonded: false } => Permissibility::SameComponentAdjacent,
+            DrawnKind::WithSingleton => {
+                let (pl_a, pl_b) = (self.geo[a.index()].pl, self.geo[b.index()].pl);
+                let facing = pl_a.rot.apply_dir(pa);
+                let from = pl_b.rot.apply_dir(pb);
+                let rotation = self.merge_rotation[from.index()][facing.opposite().index()];
+                Permissibility::Merge {
+                    rotation,
+                    translation: pl_a.pos + facing.unit() - rotation.apply_coord(pl_b.pos),
+                }
+            }
+        };
+        debug_assert_eq!(
+            Some(permissibility),
+            self.permissibility(a, pa, b, pb),
+            "the drawn pair's permissibility must match the oracle's"
+        );
+        Interaction {
+            a,
+            pa,
+            b,
+            pb,
+            permissibility,
+        }
     }
 
     /// Validates the incremental permissible-pair index against the enumeration oracle:

@@ -10,7 +10,8 @@ impl<P: Protocol> World<P> {
     /// are included, matching the paper's definition of the output of a configuration.
     ///
     /// One pass over the component's cells collects them and each bond once, from its
-    /// lower-coordinate endpoint. A dense component yields its cells in ascending
+    /// lower-coordinate endpoint, reading each member's record once (a bonded peer's
+    /// cell is the member's facing cell). A dense component yields its cells in ascending
     /// order, so both lists reach [`Shape::from_cells_and_edges`] already sorted: its
     /// cell sort costs one linear pass, and it checks the edge order in one pass and
     /// keeps the list as given; a sparse one costs `O(k log k)` for `k` members.
@@ -27,9 +28,15 @@ impl<P: Protocol> World<P> {
             }
             cells.push(pos);
             let first = edges.len();
-            for &(peer, _) in self.geo[member.index()].links.iter().flatten() {
-                let peer_pos = self.geo[peer.index()].pl.pos;
-                if peer_pos > pos && self.comp_of[peer.index()] == comp_id && included(peer) {
+            // A bond joins two members of one component on facing cells, so the peer's
+            // cell follows from the member's own pose, without reading the peer's.
+            let geo = &self.geo[member.index()];
+            for (port, link) in geo.links.iter().enumerate() {
+                let Some((peer, _)) = *link else { continue };
+                let peer_pos = pos + geo.pl.rot.apply_dir(Dir::from_index(port)).unit();
+                debug_assert_eq!(peer_pos, self.geo[peer.index()].pl.pos);
+                debug_assert_eq!(self.comp_of[peer.index()], comp_id);
+                if peer_pos > pos && included(peer) {
                     edges.push((pos, peer_pos));
                 }
             }

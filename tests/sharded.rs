@@ -30,7 +30,7 @@ use shape_constructors::core::{
     ExecutionStats, NodeId, Protocol, SamplingMode, Simulation, SimulationConfig, StopReason,
     Transition, World,
 };
-use shape_constructors::geometry::Dir;
+use shape_constructors::geometry::{Dim, Dir};
 use shape_constructors::protocols::counting_line::{final_count, CountingOnALine};
 use shape_constructors::protocols::line::GlobalLine;
 use shape_constructors::protocols::square::Square;
@@ -385,6 +385,116 @@ fn pair_index_matches_oracle_across_cross_shard_churn() {
     // the oracle validation runs after every single apply while merges and splits
     // alternate.
     assert_pair_index_sound(Churn, 10, 17, 600);
+}
+
+/// A 3D leader that grows a crank: it bonds a free node's `Left` port on its own side
+/// port, and the recruit leads on, straight through its `Right` port or, at the two
+/// turns, through its `Up` port. Where a turn points in space depends on the rotation
+/// each merge settles on (four rotations take `Left` onto a direction in 3D), so the
+/// crank's shape does too. Two perpendicular turns cannot make a path collide with
+/// itself, so every run places all `n` nodes.
+struct Crank3d;
+
+/// Nodes placed before the first turn, and between the turns.
+const CRANK_ARM: u32 = 3;
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum CrankState {
+    Lead { side: Dir, placed: u32 },
+    Settled,
+    Free,
+}
+
+impl Protocol for Crank3d {
+    type State = CrankState;
+
+    fn dim(&self) -> Dim {
+        Dim::Three
+    }
+
+    fn initial_state(&self, node: NodeId, _n: usize) -> CrankState {
+        if node.index() == 0 {
+            CrankState::Lead {
+                side: Dir::Right,
+                placed: 0,
+            }
+        } else {
+            CrankState::Free
+        }
+    }
+
+    fn transition(
+        &self,
+        a: &CrankState,
+        pa: Dir,
+        b: &CrankState,
+        pb: Dir,
+        bonded: bool,
+    ) -> Option<Transition<CrankState>> {
+        let &CrankState::Lead { side, placed } = a else {
+            return None;
+        };
+        if bonded || pa != side || *b != CrankState::Free || pb != Dir::Left {
+            return None;
+        }
+        let placed = placed + 1;
+        let turn = placed == CRANK_ARM || placed == 2 * CRANK_ARM;
+        let side = if turn { Dir::Up } else { Dir::Right };
+        Some(Transition {
+            a: CrankState::Settled,
+            b: CrankState::Lead { side, placed },
+            bond: true,
+        })
+    }
+}
+
+/// The jump sampler in 3D: every drawn interaction carries exactly the permissibility
+/// (rotation and translation included) the world's own oracle gives the pair, the
+/// pair index agrees with the enumeration after every applied step, and the terminal
+/// crank is congruent to the one a legacy run builds.
+#[test]
+fn jump_sampler_draws_match_the_oracle_in_3d() {
+    for (n, seeds) in [(12usize, 1..9u64), (40, 1..4)] {
+        for seed in seeds {
+            let mut world = World::new(Crank3d, n);
+            let mut scheduler = UniformScheduler::with_mode(seed, SamplingMode::Sharded);
+            let mut applied = 0;
+            while !world.is_stable() {
+                let drawn = scheduler
+                    .next_interaction(&world)
+                    .expect("an unstable world has an effective pair");
+                assert_eq!(
+                    Some(drawn),
+                    world.interaction(drawn.a, drawn.pa, drawn.b, drawn.pb),
+                    "n = {n} seed {seed}, draw {applied}"
+                );
+                assert!(world.apply(&drawn).effective);
+                applied += 1;
+                world
+                    .validate_pair_index()
+                    .unwrap_or_else(|e| panic!("n = {n} seed {seed}, step {applied}: {e}"));
+                assert!(world.check_invariants());
+            }
+            assert_eq!(applied, n - 1, "n = {n} seed {seed}: every node placed");
+            // Legacy draws the same pairs in either orientation and settles every merge
+            // through the oracle: the crank must come out congruent.
+            let mut legacy = Simulation::new(
+                Crank3d,
+                SimulationConfig::new(n)
+                    .with_seed(seed)
+                    .with_legacy_sampling(),
+            );
+            assert_eq!(legacy.run_until_stable().reason, StopReason::Stable);
+            assert_eq!(legacy.stats().effective_steps, (n - 1) as u64);
+            let shape = world.output_shape();
+            assert_eq!(shape.len(), n);
+            assert_eq!(
+                shape.canonical(),
+                legacy.output_shape().canonical(),
+                "n = {n} seed {seed}: the jump sampler's crank differs from legacy's"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------------------
