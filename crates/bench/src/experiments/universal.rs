@@ -116,7 +116,8 @@ pub fn e10b(quick: bool) -> Experiment {
     }
     Experiment {
         id: "E10b",
-        artefact: "DESIGN §2 ablation: per-pixel predicate oracle vs genuine TM simulation",
+        artefact:
+            "Theorem 4 oracle-vs-TM ablation: per-pixel predicate oracle vs genuine TM simulation",
         table: table.render(),
     }
 }

@@ -108,6 +108,62 @@ mod tests {
         }
     }
 
+    /// Returns one fixed word forever, so `geometric` sees a chosen uniform.
+    struct FixedWord(u64);
+
+    impl RngCore for FixedWord {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The inversion is exact: for the uniform `u` that `geometric` builds from its
+    /// word, the returned `T` satisfies `(1 − p)^T < u ≤ (1 − p)^(T−1)`. An off-by-one
+    /// in `T` shifts the mean by `1` only, which a mean test cannot resolve at small
+    /// `p`; this bracket fails on it for every `u`. Grid points within a relative
+    /// `MARGIN` of an interval end are skipped, where rounding in either side's
+    /// logarithm could decide the comparison.
+    #[test]
+    fn geometric_inverts_the_cdf_exactly_on_a_grid() {
+        const MARGIN: f64 = 1e-12;
+        let ps: [f64; 12] = [
+            1e-9, 3e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999,
+        ];
+        // 53-bit mantissas of the uniform: 1, then log-spaced up to just below 2^53.
+        let mut mantissas = vec![1u64, (1 << 53) - 1];
+        mantissas.extend((1..=200).map(|i| (2f64.powf(53.0 * f64::from(i) / 201.0)) as u64));
+        let (mut checked, mut total) = (0usize, 0usize);
+        for &p in &ps {
+            let ln_q = (-p).ln_1p();
+            for &m in &mantissas {
+                total += 1;
+                let u = m as f64 / (1u64 << 53) as f64;
+                // Distance from `u` to the nearest interval end, relative to `u`.
+                let x = u.ln() / ln_q;
+                if (x - x.round()).abs() * -ln_q < MARGIN {
+                    continue;
+                }
+                checked += 1;
+                let t = geometric(&mut FixedWord(m << 11), p);
+                assert!(t >= 1, "p = {p}, u = {u}: T = {t}");
+                let below = (t as f64 * ln_q).exp();
+                let above = ((t - 1) as f64 * ln_q).exp();
+                assert!(
+                    below < u && u <= above,
+                    "p = {p}, u = {u}: T = {t} but (1-p)^T = {below}, (1-p)^(T-1) = {above}"
+                );
+            }
+        }
+        assert!(
+            checked * 10 >= total * 9,
+            "{checked} of {total} grid points checked"
+        );
+    }
+
     #[test]
     fn geometric_with_certain_success_is_one() {
         let mut rng = seeded(1);

@@ -250,11 +250,6 @@ fn smoke(addr: SocketAddr) -> Result<(), String> {
         ));
     }
 
-    let rows = client::request(addr, "GET", "/stats/rows", "").map_err(|e| format!("rows: {e}"))?;
-    if rows.status != 200 || !rows.body.contains("\"protocol\": \"square\"") {
-        return Err(format!("rows answered {}: {}", rows.status, rows.body));
-    }
-
     // The metrics gate: the scrape must be structurally valid Prometheus text,
     // expose every required family, and reflect the work the smoke run just did.
     let scrape =

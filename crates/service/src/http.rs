@@ -17,7 +17,6 @@
 //! | POST   | `/jobs/<id>/cancel` | `200` status JSON |
 //! | GET    | `/jobs/<id>/report` | `200` deterministic report JSON (`409` until done) |
 //! | GET    | `/stats`            | `200` counter JSON |
-//! | GET    | `/stats/rows`       | `200` `BENCH_scheduler.json`-style rows |
 //! | GET    | `/metrics`          | `200` Prometheus text exposition (`nc_obs` registry) |
 //!
 //! Lock poisoning (a panicked worker holding the queue lock) does not
@@ -35,7 +34,7 @@ use tiny_http::{Method, Response, Server};
 use crate::job::{JobId, JobSpec};
 use crate::metrics::{recover_lock, ServiceMetrics};
 use crate::queue::JobQueue;
-use crate::stats::{escape_json, rows_json, stats_json};
+use crate::stats::{escape_json, stats_json};
 
 /// Shared handles of the components the HTTP tier fronts.
 #[derive(Clone)]
@@ -142,14 +141,13 @@ fn dispatch(service: &ServiceHandle, method: Method, url: &str, body: &[u8]) -> 
             None => error_json(404, "job ids are decimal numbers"),
         },
         (Method::Get, ["stats"]) => json(200, format!("{}\n", stats_json(&service.metrics))),
-        (Method::Get, ["stats", "rows"]) => json(200, rows_json(&queue)),
         (Method::Get, ["metrics"]) => {
             service.metrics.refresh_queue(&queue);
             Response::from_string(service.metrics.render_prometheus())
                 .with_content_type("text/plain; version=0.0.4")
         }
         // Known paths with the wrong method get 405, everything else 404.
-        (_, ["healthz"] | ["jobs"] | ["stats"] | ["stats", "rows"] | ["metrics"])
+        (_, ["healthz"] | ["jobs"] | ["stats"] | ["metrics"])
         | (_, ["jobs", _] | ["jobs", _, "cancel"] | ["jobs", _, "report"]) => {
             error_json(405, "method not allowed")
         }
@@ -242,9 +240,11 @@ mod tests {
         assert_eq!(response.status_code(), 200);
         assert!(body(&response).contains("\"state\": \"done\""));
 
-        let response = route(&service, Method::Get, "/stats/rows", b"");
-        assert_eq!(response.status_code(), 200);
-        assert!(body(&response).contains("\"protocol\": \"square\""));
+        // No sweep-rows document is served: the path is unknown.
+        assert_eq!(
+            route(&service, Method::Get, "/stats/rows", b"").status_code(),
+            404
+        );
     }
 
     #[test]

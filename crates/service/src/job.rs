@@ -101,8 +101,8 @@ impl JobSpec {
         }
     }
 
-    /// The sampling-mode label this spec shows in sweep rows, following the
-    /// `scheduler_sweep` labelling (`legacy`, `indexed`, `sharded4`, …).
+    /// The sampling-mode label this spec's report carries in its `mode` field
+    /// (`legacy`, `indexed`, or `sharded` followed by the recorded shard count).
     #[must_use]
     pub fn mode_label(&self) -> String {
         match self.mode {

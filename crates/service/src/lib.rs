@@ -12,9 +12,9 @@
 //!   format at every slice boundary, so a crashed worker — injected or genuine —
 //!   loses at most one slice and the retry resumes **byte-identically** (pinned by
 //!   `tests/crash_recovery.rs` and the `--smoke` gate);
-//! * **results/stats** ([`stats`], [`http`]): deterministic per-job reports, live
-//!   counters (read from the metrics), and `BENCH_scheduler.json`-style sweep rows,
-//!   served over the vendored minimal HTTP/1.1 server (`vendor/tiny_http`);
+//! * **results/stats** ([`stats`], [`http`]): deterministic per-job reports and live
+//!   counters (read from the metrics), served over the vendored minimal HTTP/1.1
+//!   server (`vendor/tiny_http`);
 //! * **metrics** ([`metrics`]): the `nc_obs`-backed registry behind `GET /metrics`
 //!   — Prometheus text with integer-only values, split into deterministic families
 //!   (queue depth/age in picks, crash/retry/backoff and step counters, HTTP status

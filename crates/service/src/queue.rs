@@ -210,12 +210,6 @@ impl JobQueue {
         self.jobs.get(usize::try_from(id).ok()?)
     }
 
-    /// All records (for the stats tier).
-    #[must_use]
-    pub fn records(&self) -> &[JobRecord] {
-        &self.jobs
-    }
-
     /// Requests cancellation. Queued jobs cancel immediately; running jobs cancel at
     /// their next slice boundary. Returns the resulting state, or `None` for an
     /// unknown id.

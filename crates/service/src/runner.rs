@@ -165,7 +165,7 @@ impl JobRunner {
 
     /// Whether the protocol's guaranteed outcome holds in the current configuration:
     /// the spanning line, the ⌊√n⌋ full square on perfect-square populations, or a
-    /// halted counting leader — the same checks the `scheduler_sweep` rows assert.
+    /// halted counting leader — the same checks the `scheduler_sweep` gate asserts.
     #[must_use]
     pub fn outcome_holds(&self) -> bool {
         match self {

@@ -1,20 +1,13 @@
-//! The results/stats component: the `/stats` counter block and sweep-row export.
+//! The results/stats component: the `/stats` counter block.
 //!
-//! Two views are served. `/stats` is a live counter block (submissions, slices,
-//! completions, failures, crashes, per-tenant slice shares — the observable side of
-//! the weighted round-robin fairness claim), rendered from the [`ServiceMetrics`]
-//! counters that `/metrics` exposes too, so each event is counted once. `/stats/rows`
-//! renders every **finished** job as a [`SweepRow`], the exact row schema of
-//! `BENCH_scheduler.json` (`nc_bench::sweep`), so the sweep binary's offline baseline
-//! and the service's online results are readable by the same tooling. Wall-clock
-//! fields in those rows are measured, not deterministic; the deterministic artifact is
-//! the job's [`JobReport`](crate::runner::JobReport).
+//! `/stats` is a live counter block (submissions, slices, completions, failures,
+//! crashes, per-tenant slice shares — the observable side of the weighted round-robin
+//! fairness claim), rendered from the [`ServiceMetrics`] counters that `/metrics`
+//! exposes too, so each event is counted once. A finished job's results are its
+//! deterministic [`JobReport`](crate::runner::JobReport), served by
+//! `GET /jobs/<id>/report`.
 
-use nc_bench::sweep::SweepRow;
-
-use crate::job::JobState;
 use crate::metrics::ServiceMetrics;
-use crate::queue::JobQueue;
 
 /// The `/stats` counter block as one JSON object: jobs submitted, productive slices
 /// (parked or finished; crashed slices count separately), jobs done and failed,
@@ -40,43 +33,6 @@ pub fn stats_json(metrics: &ServiceMetrics) -> String {
     )
 }
 
-/// Renders every finished job of the queue as a `BENCH_scheduler.json`-style rows
-/// document (the same [`SweepRow::to_json`] bytes the sweep binary emits).
-#[must_use]
-pub fn rows_json(queue: &JobQueue) -> String {
-    let rows: Vec<String> = queue
-        .records()
-        .iter()
-        .filter(|record| record.state == JobState::Done)
-        .filter_map(|record| {
-            let report = record.report.as_ref()?;
-            let seconds = record.seconds.max(1e-9);
-            Some(
-                SweepRow {
-                    protocol: report.protocol.clone(),
-                    n: report.n,
-                    mode: report.mode.clone(),
-                    shards: report.shards,
-                    seed: report.seed,
-                    seconds: record.seconds,
-                    steps: report.steps,
-                    effective_steps: report.effective_steps,
-                    skipped_steps: report.skipped_steps,
-                    steps_per_sec: report.steps as f64 / seconds,
-                    completed: report.completed,
-                    snapshot_ms: 0.0,
-                    resume_ms: 0.0,
-                    // Per-job phase profiling is not wired through the service
-                    // runner; plain rows keep the original schema.
-                    profile: None,
-                }
-                .to_json(),
-            )
-        })
-        .collect();
-    format!("{{\n  \"rows\": [\n{}\n  ]\n}}\n", rows.join(",\n"))
-}
-
 /// Escapes a string for embedding in a JSON string literal (tenant names and error
 /// messages are tenant-controlled input).
 #[must_use]
@@ -100,7 +56,7 @@ pub fn escape_json(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::job::{JobSpec, ProtocolKind};
-    use crate::queue::{Claim, JobQueue, SliceResult};
+    use crate::queue::{Claim, SliceResult};
     use crate::runner::JobReport;
 
     #[test]
@@ -158,24 +114,6 @@ mod tests {
             stats_json(&metrics),
             "{\"submitted\": 0, \"slices\": 2, \"done\": 1, \"failed\": 0, \"crashes\": 1, \"tenant_slices\": {\"a\": 2}}"
         );
-    }
-
-    #[test]
-    fn rows_document_has_the_sweep_schema() {
-        let mut queue = JobQueue::new(1);
-        let id = queue.submit(JobSpec::new(ProtocolKind::Square, 9));
-        let claim = queue.claim_next().expect("claim");
-        let (result, seconds) = crate::worker::run_slice(&claim, 1_000_000);
-        queue.complete_slice(id, result, seconds);
-        let doc = rows_json(&queue);
-        for key in [
-            "\"rows\"",
-            "\"protocol\": \"square\"",
-            "\"steps_per_sec\"",
-            "\"completed\": true",
-        ] {
-            assert!(doc.contains(key), "{key} missing in {doc}");
-        }
     }
 
     #[test]
